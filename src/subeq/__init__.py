@@ -13,16 +13,16 @@ from .linalg import (SymMatrix, ComplexStructure, eigvalsh_batch,
                      ordered_eigenvalues, hermitian_part, sigma_k,
                      pucci_minus, pucci_plus)
 from .core import (Jet, JetNorm, JetBox, Subequation, Membership,
-                   dual, shift, member, member_batch, classify,
+                   dual, shift, member, classify,
                    sample_jet_batch, sample_members, axiom_check,
                    monotonicity_check, strict_member,
                    asymptotic_interior_member, validate_registration,
                    ViolationReport, MonotonicityReport)
 from .catalog import (make_branch, make_pcone, make_pbranch,
                       make_uniformly_elliptic, make_delta_branch, make_named,
-                      make_monotonicity_cone, make_obstacle, parse_name,
+                      make_monotonicity_cone, parse_name,
                       dual_name, GrassmannSet, grassmann_sample,
-                      DirectionalCone, directional_cone, circular_cone)
+                      DirectionalCone, circular_cone)
 from .garding import (HyperbolicPolynomial, named_polynomial,
                       garding_eigenvalues, hyperbolicity_check,
                       branch_subequation, garding_cone, eigenvalues_batch)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GeometryError
 from .linalg import SymMatrix
 from .core import (Jet, Subequation, asymptotic_interior_member,
-                   _unit_sphere_qmc)
+                   _unit_sphere_qmc, bisect)
 
 _H_GEO = 1e-4
 _GRAD_FLOOR = 1e-6
@@ -207,7 +207,8 @@ def sample_boundary_points(D: DomainSpec, k: int, seed: int = 0,
 
     Works for domains star-shaped about the anchor (default: origin; if the
     origin is exterior, as for an annulus, a deterministic scan picks an
-    interior anchor instead)."""
+    interior anchor instead).  Each ray is bisected until its bracket is
+    below 1e-14 relative width, and the bracket midpoint is returned."""
     c = np.zeros(D.n) if center is None else np.asarray(center, dtype=float)
     if D.value(c) >= 0 and center is None:
         rng = np.random.default_rng(seed + 1)
@@ -218,28 +219,23 @@ def sample_boundary_points(D: DomainSpec, k: int, seed: int = 0,
     if D.value(c) >= 0:
         raise GeometryError("anchor is not interior")
     dirs = _unit_sphere_qmc(D.n, k, seed=seed)
-    pts = np.empty((k, D.n))
-    for i, e in enumerate(dirs):
-        hi = 1.0
-        tries = 0
-        while D.value(c + hi * e) < 0:
-            hi *= 2.0
-            tries += 1
-            if tries > 60:
-                raise GeometryError("ray never leaves the domain")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if D.value(c + mid * e) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, hi):
-                break
-        t = 0.5 * (lo + hi)
-        # polish along the ray until the defining function is tiny
-        pts[i] = c + t * e
-    return pts
+
+    def inside(t):
+        pts = c + t[:, None] * dirs
+        return np.asarray(D.rho_dom(pts), dtype=float) < 0
+
+    # double each ray's reach until it has left the domain (60 doublings)
+    hi = np.ones(k)
+    for _ in range(61):
+        out = ~inside(hi)
+        if out.all():
+            break
+        hi[~out] *= 2.0
+    else:
+        raise GeometryError("ray never leaves the domain")
+    lo, hi = bisect(inside, np.zeros(k), hi, 200,
+                    done=lambda lo, hi: hi - lo < 1e-14 * np.maximum(1.0, hi))
+    return c + (0.5 * (lo + hi))[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GeometryError
-from .core import Jet, Subequation
-from .linalg import (ComplexStructure, SymMatrix, hermitian_part_batch,
-                     eigvalsh_batch)
+from .core import Subequation, _ball, _haar_psd
+from .linalg import (ComplexStructure, hermitian_part_batch, eigvalsh_batch,
+                     esym_batch)
 
 _EIG = eigvalsh_batch
 
@@ -36,19 +36,6 @@ def _as_batch(A) -> np.ndarray:
 
 def _trace(A) -> np.ndarray:
     return np.einsum("nii->n", _as_batch(A))
-
-
-def _esym_batch(eigs: np.ndarray, kmax: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_kmax of each eigenvalue row."""
-    N, n = eigs.shape
-    e = np.zeros((N, kmax + 1))
-    e[:, 0] = 1.0
-    for i in range(n):
-        x = eigs[:, i]
-        top = min(kmax, i + 1)
-        for j in range(top, 0, -1):
-            e[:, j] += x * e[:, j - 1]
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +110,22 @@ def grassmann_sample(p: int, n: int, count: int = 256) -> GrassmannSet:
 
 @dataclass(frozen=True)
 class DirectionalCone:
-    """Convex directional cone D in R^n with a margin function.
-
-    Stored as a finite generator list (conic hull) plus, when available,
-    exact analytic data:
-
-    * built via :func:`circular` -- margin <u, p> - cos(theta) |p| is exact;
-    * n = 2 generator pairs -- the two edge half-planes are exact;
-    * n >= 3 generator lists -- facet normals from the convex hull of
-      {0} by the generators; exact for polyhedral hulls.
+    """Round convex cone {p : <u, p> >= cos(theta) |p|} about a unit axis u
+    with half-angle theta, built by :func:`circular_cone`.  Its margin
+    <u, p> - cos(theta) |p| is exact.
     """
 
-    generators: np.ndarray            # (k, n) unit rows
-    _halfspaces: Optional[np.ndarray] = None   # (m, n) inward unit normals
-    _axis: Optional[np.ndarray] = None
-    _cos_half: Optional[float] = None
+    axis: np.ndarray        # (n,) unit vector
+    cos_half: float
 
     @property
     def n(self) -> int:
-        return self.generators.shape[1]
+        return len(self.axis)
 
     def margin_batch(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self._axis is not None:
-            norms = np.linalg.norm(p, axis=-1)
-            return p @ self._axis - self._cos_half * norms
-        if self._halfspaces is None or len(self._halfspaces) == 0:
-            return np.linalg.norm(p, axis=-1)   # whole space / halfspace hull
-        return (p @ self._halfspaces.T).min(axis=-1)
+        norms = np.linalg.norm(p, axis=-1)
+        return p @ self.axis - self.cos_half * norms
 
     def margin(self, p) -> float:
         return float(self.margin_batch(np.asarray(p, dtype=float)[None, :])[0])
@@ -158,78 +133,21 @@ class DirectionalCone:
     def sample(self, rng: np.random.Generator, size: int,
                radius: float = 5.0) -> np.ndarray:
         """Points of D with |p| <= radius (not uniform; full angular cover)."""
-        if self._axis is not None:
-            th = np.arccos(np.clip(self._cos_half, -1, 1))
-            u = self._axis
-            n = self.n
-            raw = rng.standard_normal((size, n))
-            raw -= np.outer(raw @ u, u)
-            nrm = np.linalg.norm(raw, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            perp = raw / nrm
-            ang = th * rng.uniform(0.0, 1.0, size) ** (1.0 / max(n - 1, 1))
-            dirs = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * perp
-        else:
-            w = rng.dirichlet(np.ones(len(self.generators)), size)
-            dirs = w @ self.generators
-            nrm = np.linalg.norm(dirs, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            dirs = dirs / nrm
+        th = np.arccos(np.clip(self.cos_half, -1, 1))
+        u = self.axis
+        n = self.n
+        raw = rng.standard_normal((size, n))
+        raw -= np.outer(raw @ u, u)
+        nrm = np.linalg.norm(raw, axis=1, keepdims=True)
+        nrm[nrm == 0] = 1.0
+        perp = raw / nrm
+        ang = th * rng.uniform(0.0, 1.0, size) ** (1.0 / max(n - 1, 1))
+        dirs = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * perp
         r = radius * rng.uniform(0.0, 1.0, size) ** (1.0 / self.n)
         return dirs * r[:, None]
 
 
-def _cone_halfspaces(gens: np.ndarray) -> np.ndarray:
-    """Inward unit facet normals of cone(gens), via the hull of {0} u gens."""
-    n = gens.shape[1]
-    if n == 2:
-        # planar sector: edges are the two extreme generators
-        ang = np.arctan2(gens[:, 1], gens[:, 0])
-        ref = ang[0]
-        rel = np.mod(ang - ref + np.pi, 2 * np.pi) - np.pi
-        lo, hi = rel.min(), rel.max()
-        if hi - lo >= np.pi:
-            raise GeometryError("generator spread >= pi; not a salient sector")
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])   # +90 degrees
-        e_lo = np.array([np.cos(ref + lo), np.sin(ref + lo)])
-        e_hi = np.array([np.cos(ref + hi), np.sin(ref + hi)])
-        return np.stack([rot @ e_lo, -(rot @ e_hi)])
-    from scipy.spatial import ConvexHull
-    pts = np.vstack([np.zeros(n), gens])
-    hull = ConvexHull(pts)
-    eqs = hull.equations   # normal . x + offset <= 0 inside
-    through0 = np.abs(eqs[:, -1]) <= 1e-12
-    normals = -eqs[through0, :-1]
-    if len(normals) == 0:
-        return np.zeros((0, n))
-    # dedupe
-    keep = []
-    for v in normals:
-        if not any(np.allclose(v, w, atol=1e-10) for w in keep):
-            keep.append(v)
-    return np.asarray(keep)
-
-
-def directional_cone(generators) -> DirectionalCone:
-    gens = np.asarray(generators, dtype=float)
-    if gens.ndim != 2:
-        raise GeometryError("generators must be a list of vectors")
-    nrm = np.linalg.norm(gens, axis=1)
-    if np.any(nrm < 1e-12):
-        raise GeometryError("zero generator")
-    gens = gens / nrm[:, None]
-    n = gens.shape[1]
-    if np.linalg.matrix_rank(gens, tol=1e-10) < n:
-        raise GeometryError("generators do not span; cone has empty interior")
-    hs = _cone_halfspaces(gens)
-    cone = DirectionalCone(gens, _halfspaces=hs)
-    centroid = gens.mean(axis=0)
-    if cone.margin(centroid) <= 0:
-        raise GeometryError("generator centroid not interior; degenerate cone")
-    return cone
-
-
-def circular_cone(axis, half_angle: float, count: int = 16) -> DirectionalCone:
+def circular_cone(axis, half_angle: float) -> DirectionalCone:
     """Round cone about ``axis`` with the given half-angle (radians)."""
     u = np.asarray(axis, dtype=float)
     nu = np.linalg.norm(u)
@@ -238,43 +156,7 @@ def circular_cone(axis, half_angle: float, count: int = 16) -> DirectionalCone:
     u = u / nu
     if not (0 < half_angle < np.pi / 2):
         raise GeometryError("half-angle must lie in (0, pi/2)")
-    n = len(u)
-    # ring of generators for the record; margin uses the exact axis form
-    rng = np.random.default_rng(12345)
-    gens = [u]
-    for i in range(count - 1):
-        raw = rng.standard_normal(n)
-        raw -= (raw @ u) * u
-        nr = np.linalg.norm(raw)
-        if nr < 1e-12:
-            continue
-        gens.append(np.cos(half_angle) * u + np.sin(half_angle) * raw / nr)
-    return DirectionalCone(np.asarray(gens), _axis=u,
-                           _cos_half=float(np.cos(half_angle)))
-
-
-# ---------------------------------------------------------------------------
-# samplers shared by the cone constructors
-
-
-def _haar_psd(rng: np.random.Generator, n: int, size: int,
-              eig_lo: float = 0.0, eig_hi: float = 5.0) -> np.ndarray:
-    G = rng.standard_normal((size, n, n))
-    Q, R = np.linalg.qr(G)
-    sgn = np.sign(np.einsum("nii->ni", R))
-    sgn[sgn == 0] = 1.0
-    Q = Q * sgn[:, None, :]
-    eigs = rng.uniform(eig_lo, eig_hi, (size, n))
-    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
-    return 0.5 * (A + np.swapaxes(A, 1, 2))
-
-
-def _ball(rng: np.random.Generator, n: int, size: int,
-          radius: float = 5.0) -> np.ndarray:
-    d = rng.standard_normal((size, n))
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.uniform(0.0, 1.0, size) ** (1.0 / n)
-    return d * r[:, None]
+    return DirectionalCone(u, float(np.cos(half_angle)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +326,7 @@ def make_named(name: str, n: int, **params) -> Subequation:
 
         def rho(r, p, A, _k=k, _sc=scales):
             eigs = _EIG(_as_batch(A))
-            e = _esym_batch(eigs, _k)
+            e = esym_batch(eigs, _k)
             return (e[:, 1:_k + 1] / _sc[None, :]).min(axis=1)
 
         return Subequation(n, rho, f"sigma:k={k}:n={n}",
@@ -646,27 +528,6 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
 
 
 # ---------------------------------------------------------------------------
-# obstacle fusion
-
-
-def make_obstacle(F: Subequation, g: Callable) -> Subequation:
-    """Fuse the pointwise bound u <= g into a reduced subequation.
-
-    rho_H(x, (r,p,A)) = min(g(x) - r, rho_F(p, A)).  Members satisfy both
-    constraints; the resulting subequation reads the base point.
-    """
-    if not (F.reduced or F.pure_second_order):
-        raise ConfigError(f"{F.label} is not reduced; obstacle undefined")
-    base = F.rho_batch
-
-    def rho(r, p, A, x, _g=g):
-        gx = np.asarray(_g(np.asarray(x, dtype=float)), dtype=float)
-        return np.minimum(gx - np.asarray(r, dtype=float), base(r, p, A))
-
-    return Subequation(F.n, rho, f"obstacle({F.label})", x_dependent=True)
-
-
-# ---------------------------------------------------------------------------
 # string registry: "family:key=value:..."
 
 
@@ -702,6 +563,8 @@ def parse_name(name: str) -> Subequation:
             kv = _parse_params(parts[1:])
             return make_named("laplace", int(kv["n"]))
         if fam == "branch":
+            if len(parts) < 2:
+                raise ConfigError(f"{name!r}: missing branch kind")
             kind = parts[1]
             kv = _parse_params(parts[2:])
             return make_branch(kind, int(kv["k"]), int(kv["n"]))
@@ -760,14 +623,6 @@ def parse_name(name: str) -> Subequation:
     except KeyError as exc:
         raise ConfigError(f"{name!r}: missing parameter {exc}") from exc
     raise ConfigError(f"unknown catalog family {fam!r}")
-
-
-#: names whose dual is itself a catalog entry, used by the CLI dual-test
-DUAL_PAIRS = {
-    "laplace": lambda kv: f"laplace:n={kv['n']}",
-    "branch": None,   # handled structurally: dual of k is n-k+1
-    "klap": lambda kv: f"klap:k={kv['k']}:n={kv['n']}",
-}
 
 
 def dual_name(name: str) -> Optional[str]:

@@ -441,7 +441,9 @@ def _resolve_domain(text: str, n: int = None):
                                   r_out=float(kv.pop("r_out", 1.0)))
     if head == "ellipsoid":
         axes = tuple(float(v) for v in kv.pop("axes", "1.5,1").split(","))
-        return _bd.ellipsoid_domain(dn, axes=axes)
+        if len(axes) != dn:
+            raise ConfigError(f"ellipsoid needs {dn} axes, got {len(axes)}")
+        return _bd.ellipsoid_domain(axes)
     if head == "star":
         return _bd.star_domain(dn, lobes=int(kv.pop("lobes", 5)),
                                amplitude=float(kv.pop("amp", 0.15)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,12 +179,6 @@ def member(F: Subequation, jet: Jet, x=None, eps_b: float = DEFAULT_EPS_B) -> Me
     return Membership(classify(m, eps_b), m)
 
 
-def member_batch(F: Subequation, r, p, A, x=None,
-                 eps_b: float = DEFAULT_EPS_B) -> np.ndarray:
-    """Vectorized margins; classification is left to the caller."""
-    return F.value_batch(r, p, A, x=x)
-
-
 def dual(F: Subequation) -> Subequation:
     """Dirichlet dual, rho~(x, J) = -rho(x, -J).
 
@@ -223,6 +217,37 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
 
 
 # ---------------------------------------------------------------------------
+# bisection
+
+
+def bisect(accept: Callable, lo, hi, steps: int, done: Optional[Callable] = None):
+    """Elementwise bisection of a monotone predicate; returns ``(lo, hi)``.
+
+    Each step evaluates ``accept(mid)`` once at ``mid = (lo + hi) / 2``;
+    accepted entries move ``lo`` up to ``mid``, the others move ``hi`` down.
+    ``accept`` returns a boolean array (or scalar) that broadcasts against
+    ``lo``.  At most ``steps`` halvings are made.  When ``done(lo, hi)`` is
+    given it is checked before every step: entries where it holds keep
+    their bracket, and the loop stops once it holds everywhere.
+    """
+    for _ in range(steps):
+        if done is None:
+            mid = 0.5 * (lo + hi)
+            ok = accept(mid)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+            continue
+        stop = done(lo, hi)
+        if np.all(stop):
+            break
+        mid = 0.5 * (lo + hi)
+        ok = accept(mid)
+        lo = np.where(ok & ~stop, mid, lo)
+        hi = np.where(ok | stop, hi, mid)
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # samplers
 
 
@@ -238,26 +263,35 @@ class JetBox:
     eig_hi: float = 5.0
 
 
-def _haar_orthogonal(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+def _haar_psd(rng: np.random.Generator, n: int, size: int,
+              eig_lo: float = 0.0, eig_hi: float = 5.0) -> np.ndarray:
+    """Haar-rotated symmetric matrices with spectrum uniform in
+    [eig_lo, eig_hi] (PSD for the default range)."""
     G = rng.standard_normal((size, n, n))
     Q, R = np.linalg.qr(G)
     sign = np.sign(np.einsum("nii->ni", R))
     sign[sign == 0] = 1.0
-    return Q * sign[:, None, :]
+    Q = Q * sign[:, None, :]
+    eigs = rng.uniform(eig_lo, eig_hi, (size, n))
+    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
+    return 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
+def _ball(rng: np.random.Generator, n: int, size: int,
+          radius: float = 5.0) -> np.ndarray:
+    """Points of the radius-ball in R^n, uniform in volume."""
+    d = rng.standard_normal((size, n))
+    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+    r = radius * rng.uniform(0.0, 1.0, size) ** (1.0 / n)
+    return d * r[:, None]
 
 
 def sample_jet_batch(box: JetBox, n: int, size: int,
                      rng: np.random.Generator):
     """Batch of raw jets (r, p, A) drawn from the box."""
     r = rng.uniform(box.r_lo, box.r_hi, size)
-    dirs = rng.standard_normal((size, n))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    radii = box.p_radius * rng.uniform(0.0, 1.0, size) ** (1.0 / n)
-    p = dirs * radii[:, None]
-    Q = _haar_orthogonal(rng, n, size)
-    eigs = rng.uniform(box.eig_lo, box.eig_hi, (size, n))
-    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
-    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    p = _ball(rng, n, size, box.p_radius)
+    A = _haar_psd(rng, n, size, box.eig_lo, box.eig_hi)
     return r, p, A
 
 
@@ -297,14 +331,6 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
     p = np.concatenate(out_p)[:count]
     A = np.concatenate(out_A)[:count]
     return r, p, A
-
-
-def _psd_batch(rng: np.random.Generator, n: int, size: int,
-               eig_hi: float = 5.0) -> np.ndarray:
-    Q = _haar_orthogonal(rng, n, size)
-    eigs = rng.uniform(0.0, eig_hi, (size, n))
-    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
-    return 0.5 * (A + np.swapaxes(A, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +406,7 @@ def axiom_check(F: Subequation, axiom: str, trials: int = 10_000,
     r, p, A = sample_members(F, trials, rng, box=box, x=x)
     size = len(r)
     if axiom == "P":
-        dA = _psd_batch(rng, F.n, size)
+        dA = _haar_psd(rng, F.n, size)
         dr = np.zeros(size)
     else:
         dA = np.zeros_like(A)
@@ -570,24 +596,22 @@ def validate_registration(F: Subequation, seed: int = 0, trials: int = 256,
             vt = F.value_batch(t * r, t * p, t * A)
             if np.any(np.sign(vt) * np.sign(vals) < -0.5):
                 report["cone_sign_ok"] = False
-    # walk sampled segment crossings onto the boundary, then look for an
-    # inside point within the proximity ball
-    lo = None
-    for i in range(len(vals) - 1):
-        if vals[i] > 0 > vals[i + 1]:
-            lo = (r[i], p[i], A[i], r[i + 1], p[i + 1], A[i + 1])
-            break
-    if lo is not None:
-        ra, pa, Aa, rb, pb, Ab = lo
-        for _ in range(60):
-            rm, pm, Am = 0.5 * (ra + rb), 0.5 * (pa + pb), 0.5 * (Aa + Ab)
-            v = float(F.value_batch(np.array([rm]), pm[None], Am[None])[0])
-            if v >= 0:
-                ra, pa, Aa = rm, pm, Am
-            else:
-                rb, pb, Ab = rm, pm, Am
+    # walk the first sampled segment crossing onto the boundary, then look
+    # for an inside point within the proximity ball; the bisection runs on
+    # the packed jet [r, p, A.ravel()]
+    cross = np.flatnonzero((vals[:-1] > 0) & (vals[1:] < 0))
+    if len(cross):
+        i, n = int(cross[0]), F.n
+        J = np.concatenate([r[:, None], p, A.reshape(len(r), -1)], axis=1)
+
+        def unpack(v):
+            return v[:1], v[None, 1:1 + n], v[1 + n:].reshape(1, n, n)
+
+        jet_in, _ = bisect(lambda v: F.value_batch(*unpack(v))[0] >= 0,
+                           J[i], J[i + 1], 60)
+        ra, pa, Aa = unpack(jet_in)
         dr, dp, dA = _sphere_jets(F.n, 64, proximity, JetNorm(), seed=seed)
-        vv = F.value_batch(ra + dr, pa[None] + dp, Aa[None] + dA)
+        vv = F.value_batch(ra + dr, pa + dp, Aa + dA)
         if vv.max() <= 0:
             report["boundary_ok"] = False
     return report

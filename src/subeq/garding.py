@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import ConfigError, NotHyperbolicError
 from .core import Subequation
-from .linalg import SymMatrix, _as_dense
+from .linalg import _as_dense, esym_batch
 
 _IMAG_TOL = 1e-6
 _RECON_TOL = 1e-8
@@ -96,13 +96,7 @@ def named_polynomial(name: str, n: int) -> HyperbolicPolynomial:
             raise ConfigError(f"sigma:{k} out of range for n={n}")
 
         def raw(A, _k=k):
-            w = np.linalg.eigvalsh(A)
-            e = np.zeros(_k + 1)
-            e[0] = 1.0
-            for x in w:
-                for j in range(min(_k, len(w)), 0, -1):
-                    e[j] += x * e[j - 1]
-            return e[_k]
+            return esym_batch(np.linalg.eigvalsh(A)[None], _k)[0, _k]
 
         return HyperbolicPolynomial.from_callable(
             k, n, raw, label=f"sigma:{k}:n={n}", kind=("sigma", k))
@@ -207,17 +201,6 @@ def hyperbolicity_check(Q: HyperbolicPolynomial, trials: int = 200,
 # batch eigenvalue paths for the branch subequations
 
 
-def _esym_rows(eigs: np.ndarray, kmax: int) -> np.ndarray:
-    N, n = eigs.shape
-    e = np.zeros((N, kmax + 1))
-    e[:, 0] = 1.0
-    for i in range(n):
-        x = eigs[:, i]
-        for j in range(min(kmax, i + 1), 0, -1):
-            e[:, j] += x * e[:, j - 1]
-    return e
-
-
 def _sigma_eigen_batch(A: np.ndarray, n: int, m: int) -> np.ndarray:
     """All m generalized eigenvalues for Q = sigma_m / binom(n,m), batched.
 
@@ -225,7 +208,7 @@ def _sigma_eigen_batch(A: np.ndarray, n: int, m: int) -> np.ndarray:
     turns the restriction into explicit monic coefficients.
     """
     w = np.linalg.eigvalsh(A)
-    e = _esym_rows(w, m)
+    e = esym_batch(w, m)
     denom = math.comb(n, m)
     # c[:, j] multiplies t^(m-j);  c[:, 0] = 1
     c = np.stack([math.comb(n - j, m - j) / denom * e[:, j]

@@ -61,6 +61,39 @@ def _quad_columns(d: np.ndarray, n: int) -> np.ndarray:
     return np.array(cols, dtype=float)
 
 
+def _shift_bool(mask: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """mask shifted so that out[i] = mask[i + d], False past the edge."""
+    out = np.zeros_like(mask)
+    src = []
+    dst = []
+    for di, m in zip(d, mask.shape):
+        if di >= 0:
+            src.append(slice(di, m))
+            dst.append(slice(0, m - di))
+        else:
+            src.append(slice(0, m + di))
+            dst.append(slice(-di, m))
+    out[tuple(dst)] = mask[tuple(src)]
+    return out
+
+
+def stencil_table(mask: np.ndarray, offsets: np.ndarray):
+    """Nodes of an nd boolean mask whose whole stencil lies in the mask.
+
+    Returns ``(inner, multi, nb)``: the nd mask of those nodes, their
+    (Ni, n) multi-indices in C order, and the (K, Ni) flat indices of their
+    stencil neighbors, one row per offset.
+    """
+    inner = mask.copy()
+    for d in offsets:
+        inner &= _shift_bool(mask, d)
+    multi = np.stack(np.nonzero(inner), axis=1)
+    nb = np.empty((len(offsets), len(multi)), dtype=np.int64)
+    for k, d in enumerate(offsets):
+        nb[k] = np.ravel_multi_index(tuple((multi + d).T), mask.shape)
+    return inner, multi, nb
+
+
 class JetAssembler:
     """Maps frozen neighbor values (+ center r) to (p, A) batches."""
 
@@ -235,27 +268,16 @@ class GridProblem:
             inside = dvals < 0.0
         inside_nd = inside.reshape(g.shape)
 
-        offs = self.assembler.offsets
-        idx_nd = np.arange(g.size()).reshape(g.shape)
-        full = np.ones(g.shape, dtype=bool)
-        for d in offs:
-            full &= self._shift_bool(inside_nd, d)
-        interior_nd = inside_nd & full
+        interior_nd, multi, self.nb = stencil_table(inside_nd,
+                                                    self.assembler.offsets)
         boundary_nd = inside_nd & ~interior_nd
         self.inside = inside
-        self.interior_idx = idx_nd[interior_nd].ravel()
-        self.boundary_idx = idx_nd[boundary_nd].ravel()
+        self.interior_idx = np.flatnonzero(interior_nd)
+        self.boundary_idx = np.flatnonzero(boundary_nd)
         if len(self.interior_idx) == 0:
             raise ConfigError("no interior nodes at this resolution")
         if len(self.boundary_idx) == 0:
             raise ConfigError("domain touches no boundary nodes")
-
-        # flat neighbor index table for the interior nodes
-        multi = np.stack(np.nonzero(interior_nd), axis=1)       # (Ni, n)
-        nb = np.empty((len(offs), len(multi)), dtype=np.int64)
-        for k, d in enumerate(offs):
-            nb[k] = np.ravel_multi_index(tuple((multi + d).T), g.shape)
-        self.nb = nb
 
         phi = np.asarray(self.bc(pts[self.boundary_idx]), dtype=float)
         if not np.all(np.isfinite(phi)):
@@ -274,23 +296,6 @@ class GridProblem:
             sel = np.flatnonzero(code == c)
             if len(sel):
                 self.colors.append(sel)
-        self.lex_order = np.argsort(self.interior_idx)
-
-    @staticmethod
-    def _shift_bool(mask: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """mask shifted so that out[i] = mask[i + d], False past the edge."""
-        out = np.zeros_like(mask)
-        src = []
-        dst = []
-        for di, m in zip(d, mask.shape):
-            if di >= 0:
-                src.append(slice(di, m))
-                dst.append(slice(0, m - di))
-            else:
-                src.append(slice(0, m + di))
-                dst.append(slice(-di, m))
-        out[tuple(dst)] = mask[tuple(src)]
-        return out
 
     def data_range(self) -> float:
         return float(self.phi.max() - self.phi.min())

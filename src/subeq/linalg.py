@@ -232,6 +232,22 @@ def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
 # spectral functionals
 
 
+def esym_batch(eigs: np.ndarray, kmax: int) -> np.ndarray:
+    """Elementary symmetric polynomials e_0..e_kmax of each eigenvalue row.
+
+    (N, n) rows in, (N, kmax + 1) out, by the product recurrence over the
+    rows' entries in order.
+    """
+    N, n = eigs.shape
+    e = np.zeros((N, kmax + 1))
+    e[:, 0] = 1.0
+    for i in range(n):
+        x = eigs[:, i]
+        for j in range(min(kmax, i + 1), 0, -1):
+            e[:, j] += x * e[:, j - 1]
+    return e
+
+
 def sigma_k(A, k: int) -> float:
     """Elementary symmetric function of the eigenvalues, sigma_k(lambda(A))."""
     M = _as_dense(A)

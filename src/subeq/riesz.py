@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Subequation, DEFAULT_EPS_B, _unit_sphere_qmc
+from .core import Subequation, DEFAULT_EPS_B, _unit_sphere_qmc, bisect
 from .catalog import make_pcone
 from .errors import ConfigError
 
@@ -43,13 +43,15 @@ def _probe_directions(n: int, extra: int = 64, seed: int = 0) -> np.ndarray:
     return np.vstack(dirs + [comb])
 
 
-def _accepts(M: Subequation, p: float, dirs: np.ndarray,
-             tol: float) -> bool:
+def _accepts(M: Subequation, p, dirs: np.ndarray) -> np.ndarray:
+    """Per direction e: is I - p e⊗e in M, within the boundary band?
+    ``p`` is one value for all directions or one value per direction."""
     n = M.n
     N = len(dirs)
+    p = np.reshape(p, (-1, 1, 1))
     A = np.eye(n)[None, :, :] - p * np.einsum("ni,nj->nij", dirs, dirs)
     vals = M.value_batch(np.zeros(N), np.zeros((N, n)), A)
-    return bool(vals.min() >= -tol)
+    return vals >= -DEFAULT_EPS_B
 
 
 def riesz_characteristic(M: Subequation, tol: float = 1e-6,
@@ -66,22 +68,17 @@ def riesz_characteristic(M: Subequation, tol: float = 1e-6,
     probes = _probe_directions(n, extra=dirs, seed=seed)
     cap = float(n + 1)
 
-    if not _accepts(M, 1.0, probes, DEFAULT_EPS_B):
+    if not _accepts(M, 1.0, probes).all():
         # smaller than the smallest nontrivial cone; bisect down from 1
         lo, hi = 0.0, 1.0
-    elif _accepts(M, cap, probes, DEFAULT_EPS_B):
+    elif _accepts(M, cap, probes).all():
         return RieszResult(cap, True, len(probes), (cap, np.inf), M.label)
     else:
         lo, hi = 1.0, cap
 
-    for _ in range(80):
-        if hi - lo <= 0.5 * tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _accepts(M, mid, probes, DEFAULT_EPS_B):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda mid: _accepts(M, mid, probes).all(),
+                    lo, hi, 80, done=lambda lo, hi: hi - lo <= 0.5 * tol)
+    lo, hi = float(lo), float(hi)
     return RieszResult(0.5 * (lo + hi), False, len(probes), (lo, hi), M.label)
 
 
@@ -143,20 +140,9 @@ def directional_thresholds(M: Subequation, dirs: int = 16,
         raise ConfigError("thresholds need a reduced constant cone")
     n = M.n
     es = _unit_sphere_qmc(n, dirs, seed=seed)
-    out = np.empty(dirs)
-    for i, e in enumerate(es):
-        lo, hi = 0.0, float(n + 1)
-        one = e[None, :]
-        if _accepts(M, hi, one, DEFAULT_EPS_B):
-            out[i] = np.inf
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _accepts(M, mid, one, DEFAULT_EPS_B):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol:
-                break
-        out[i] = 0.5 * (lo + hi)
-    return out
+    cap = float(n + 1)
+    unbounded = _accepts(M, cap, es)
+    lo, hi = bisect(lambda mid: _accepts(M, mid, es),
+                    np.zeros(dirs), np.full(dirs, cap), 60,
+                    done=lambda lo, hi: unbounded | (hi - lo <= tol))
+    return np.where(unbounded, np.inf, 0.5 * (lo + hi))

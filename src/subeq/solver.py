@@ -24,9 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketError, ConfigError
-from .core import Subequation, dual, axiom_check
-from .grid import Grid, GridProblem, SolverParams, discrete_jet
+from .errors import BracketError, ConfigError, SamplerExhausted
+from .core import Subequation, bisect, dual, axiom_check
+from .grid import Grid, GridProblem, JetAssembler, stencil_table
 
 _BRACKET_PAD = 10.0
 
@@ -140,11 +140,10 @@ class _NodeUpdater:
         active = ~degen
         span = float(np.max(hi - lo, initial=0.0))
         iters = int(np.ceil(np.log2(max(span, self.bt) / self.bt))) + 1
-        for _ in range(min(iters, 64)):
-            mid = 0.5 * (lo + hi)
-            ok = member(mid) & active
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok | degen, hi, mid)
+        # degenerate entries never accept, so their lo stays put; their hi
+        # is not read again
+        lo, _ = bisect(lambda mid: member(mid) & active, lo, hi,
+                       min(iters, 64))
         r_new = np.where(degen, np.maximum(max_nb, r_cur), lo)
         return r_new, degen
 
@@ -257,7 +256,7 @@ def _precheck(F: Subequation):
                     f"{F.label}: sampled axiom ({ax}) check found "
                     f"{rep.violations} violations; solver semantics rely on it",
                     RuntimeWarning)
-    except Exception:                        # sampler exhaustion etc.
+    except SamplerExhausted:
         warnings.warn(f"{F.label}: axiom precheck skipped", RuntimeWarning)
 
 
@@ -381,11 +380,23 @@ class ComparisonReport:
                 "dual_margin": self.dual_margin}
 
 
-def _mask_interior(K_nd: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    inner = K_nd.copy()
-    for d in offsets:
-        inner &= GridProblem._shift_bool(K_nd, d)
-    return inner
+def _interior_margins(grid: Grid, K_nd: np.ndarray, stencil: str):
+    """Interior of the mask K_nd for the stencil, its flat node indices,
+    and a function giving the G-margins of a field's discrete jets there."""
+    asm = JetAssembler(stencil, grid.n, grid.h)
+    inner, _, nb = stencil_table(K_nd, asm.offsets)
+    if not inner.any():
+        raise ConfigError("mask has no interior at this resolution")
+    flat_idx = np.flatnonzero(inner.ravel())
+
+    def margins(field: np.ndarray, G: Subequation) -> np.ndarray:
+        f = field.ravel()
+        r = f[flat_idx]
+        p, A = asm.assemble(f[nb], r)
+        xb = grid.points()[flat_idx] if G.x_dependent else None
+        return G.value_batch(r, p, A, x=xb)
+
+    return inner, flat_idx, margins
 
 
 def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
@@ -401,8 +412,6 @@ def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
     as the witness.  If the edge condition itself fails the implication is
     vacuous and reported as such.
     """
-    from .grid import JetAssembler
-
     u = np.asarray(u, dtype=float).reshape(grid.shape)
     v = np.asarray(v, dtype=float).reshape(grid.shape)
     if K is None:
@@ -414,26 +423,9 @@ def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
                 float(np.nanmax(np.abs(v[K_nd]))))
     zmp_tol = 1e-9 * scale if zmp_tol is None else float(zmp_tol)
 
-    asm = JetAssembler(stencil, grid.n, grid.h)
-    inner = _mask_interior(K_nd, asm.offsets)
-    if not inner.any():
-        raise ConfigError("mask has no interior at this resolution")
+    inner, flat_idx, jet_margins = _interior_margins(grid, K_nd, stencil)
     edge = K_nd & ~inner
-
-    flat_idx = np.flatnonzero(inner.ravel())
-    multi = np.stack(np.nonzero(inner), axis=1)
-    nb = np.empty((asm.K, len(flat_idx)), dtype=np.int64)
-    for k, d in enumerate(asm.offsets):
-        nb[k] = np.ravel_multi_index(tuple((multi + d).T), grid.shape)
-
     pts = grid.points()
-
-    def jet_margins(field: np.ndarray, G: Subequation) -> np.ndarray:
-        vals_nb = field.ravel()[nb]
-        r = field.ravel()[flat_idx]
-        p, A = asm.assemble(vals_nb, r)
-        xb = pts[flat_idx] if G.x_dependent else None
-        return G.value_batch(r, p, A, x=xb)
 
     mu = jet_margins(u, F)
     mv = jet_margins(v, dual(F))
@@ -474,18 +466,5 @@ def membership_scan(grid: Grid, u: np.ndarray, F: Subequation,
     u = np.asarray(u, dtype=float).reshape(grid.shape)
     K_nd = (np.ones(grid.shape, dtype=bool) if K is None
             else np.asarray(K, dtype=bool).reshape(grid.shape))
-    from .grid import JetAssembler
-    asm = JetAssembler(stencil, grid.n, grid.h)
-    inner = _mask_interior(K_nd, asm.offsets)
-    if not inner.any():
-        raise ConfigError("mask has no interior at this resolution")
-    flat_idx = np.flatnonzero(inner.ravel())
-    multi = np.stack(np.nonzero(inner), axis=1)
-    nb = np.empty((asm.K, len(flat_idx)), dtype=np.int64)
-    for k, d in enumerate(asm.offsets):
-        nb[k] = np.ravel_multi_index(tuple((multi + d).T), grid.shape)
-    V = u.ravel()[nb]
-    r = u.ravel()[flat_idx]
-    p, A = asm.assemble(V, r)
-    xb = grid.points()[flat_idx] if F.x_dependent else None
-    return float(F.value_batch(r, p, A, x=xb).min())
+    _, _, margins = _interior_margins(grid, K_nd, stencil)
+    return float(margins(u, F).min())

@@ -236,3 +236,25 @@ class TestThreadCap:
         monkeypatch.setenv("SUBEQ_THREADS", "5")
         _cap_threads()
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+class TestConfigErrors:
+    def test_branch_without_kind(self, tmp_path):
+        code, out = run(tmp_path, "check", "--subeq", "branch",
+                        "--trials", "10")
+        assert code == 3
+        assert json.loads(out.read_text())["status"] == "config_error"
+
+    def test_ellipsoid_domain(self, tmp_path):
+        code, out = run(tmp_path, "convexity", "--subeq", "klap:k=inf:n=2",
+                        "--domain", "ellipsoid:n=2",
+                        "--out-csv", str(tmp_path / "c.csv"))
+        assert code == 0
+        assert json.loads(out.read_text())["passes"] == 20
+
+    def test_ellipsoid_axes_must_match_dimension(self, tmp_path):
+        code, out = run(tmp_path, "convexity", "--subeq", "klap:k=inf:n=2",
+                        "--domain", "ellipsoid:n=2:axes=1,2,3",
+                        "--out-csv", str(tmp_path / "c.csv"))
+        assert code == 3
+        assert json.loads(out.read_text())["status"] == "config_error"

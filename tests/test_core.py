@@ -216,3 +216,61 @@ def test_positivity_direction_property(seed):
     j = Jet.from_parts(0.0, [0.0, 0.0], A)
     jp = Jet.from_parts(0.0, [0.0, 0.0], A + P)
     assert F.value(jp) >= F.value(j) - 1e-10
+
+
+class TestBisect:
+    def test_entries_bracket_their_own_thresholds(self):
+        from subeq.core import bisect
+        c = np.array([0.1, 0.5, 0.77, 2.5, -3.0])
+        lo, hi = bisect(lambda m: m <= c, np.full(5, -4.0), np.full(5, 4.0),
+                        40)
+        assert np.all(lo <= c) and np.all(c < hi)
+        assert np.allclose(hi - lo, 8.0 / 2 ** 40)
+
+    def test_done_freezes_entries(self):
+        from subeq.core import bisect
+        c = np.array([0.3, 0.6, 0.9])
+        frozen = np.array([False, True, False])
+        lo, hi = bisect(lambda m: m <= c, np.zeros(3), np.ones(3), 30,
+                        done=lambda lo, hi: frozen)
+        assert lo[1] == 0.0 and hi[1] == 1.0
+        assert abs(lo[0] - 0.3) < 1e-8 and abs(lo[2] - 0.9) < 1e-8
+
+    def test_done_stops_each_entry_at_its_tolerance(self):
+        from subeq.core import bisect
+        c = np.array([0.3, 0.6])
+        tol = np.array([1e-2, 1e-6])
+        calls = []
+
+        def accept(m):
+            calls.append(m.copy())
+            return m <= c
+
+        lo, hi = bisect(accept, np.zeros(2), np.ones(2), 100,
+                        done=lambda lo, hi: hi - lo <= tol)
+        assert np.all(hi - lo <= tol) and np.all(hi - lo > tol / 2)
+        assert len(calls) == 20          # 2**-20 < 1e-6 <= 2**-19
+
+    def test_step_cap(self):
+        from subeq.core import bisect
+        calls = []
+
+        def accept(m):
+            calls.append(1)
+            return m <= 0.123
+
+        lo, hi = bisect(accept, 0.0, 1.0, 5)
+        assert len(calls) == 5
+        assert hi - lo == 1.0 / 32 and lo <= 0.123 < hi
+
+
+class TestSharedSamplers:
+    def test_jet_batch_is_uniform_then_ball_then_haar(self):
+        from subeq.core import _ball, _haar_psd
+        box = JetBox(r_lo=-2.0, r_hi=3.0, p_radius=1.5, eig_lo=-1.0,
+                     eig_hi=4.0)
+        r, p, A = sample_jet_batch(box, 3, 64, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(r, rng.uniform(-2.0, 3.0, 64))
+        assert np.array_equal(p, _ball(rng, 3, 64, 1.5))
+        assert np.array_equal(A, _haar_psd(rng, 3, 64, -1.0, 4.0))

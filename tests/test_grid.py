@@ -233,3 +233,39 @@ class TestSolverParams:
 
     def test_omega_explicit(self):
         assert SolverParams(omega=1.5).resolved_omega(1000) == 1.5
+
+
+class TestStencilTable:
+    @staticmethod
+    def brute_force(mask, offsets):
+        inner = np.zeros_like(mask)
+        rows = []
+        for node in zip(*np.nonzero(mask)):
+            tgts = [tuple(np.add(node, d)) for d in offsets]
+            if all(all(0 <= t[i] < mask.shape[i] for i in range(mask.ndim))
+                   and mask[t] for t in tgts):
+                inner[node] = True
+                rows.append([np.ravel_multi_index(t, mask.shape)
+                             for t in tgts])
+        return inner, np.array(rows, dtype=np.int64).T
+
+    def test_disk_matches_brute_force(self):
+        from subeq.grid import stencil_table
+        g = Grid.regular([(-1.2, 1.2), (-1.2, 1.2)], 21)
+        disk = (np.linalg.norm(g.points(), axis=1) < 1.0).reshape(g.shape)
+        for name in ("5pt", "9pt", "wide16"):
+            offs = stencil_offsets(name, 2)
+            inner, multi, nb = stencil_table(disk, offs)
+            want_inner, want_nb = self.brute_force(disk, offs)
+            assert np.array_equal(inner, want_inner)
+            assert np.array_equal(multi, np.argwhere(want_inner))
+            assert np.array_equal(nb, want_nb)
+
+    def test_grid_problem_uses_the_table(self):
+        g = Grid.regular([(-1.2, 1.2), (-1.2, 1.2)], 21)
+        P = GridProblem(g, parse_name("laplace:n=2"),
+                        lambda x: np.zeros(len(x)), domain=ball_domain(2))
+        inner, nb = self.brute_force(P.inside.reshape(g.shape),
+                                     P.assembler.offsets)
+        assert np.array_equal(P.interior_idx, np.flatnonzero(inner))
+        assert np.array_equal(P.nb, nb)

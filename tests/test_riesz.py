@@ -110,3 +110,17 @@ class TestPConeInclusion:
         import json
         rep = pcone_inclusion_check(parse_name("laplace:n=2"), 1.5, trials=50)
         json.dumps(rep.to_json_dict())
+
+
+def test_geometric_thresholds_match_closed_form():
+    # rho = min_w w^t A w over the frame lines w, so I - p e⊗e is a member
+    # exactly while p <= 1 / max_w (e·w)^2, a value that varies with e
+    from subeq.catalog import grassmann_sample
+    from subeq.core import _unit_sphere_qmc
+    W = grassmann_sample(1, 3, count=64).stack[:, :, 0]
+    th = directional_thresholds(parse_name("geom:p=1:n=3:frames=64"),
+                                dirs=16, seed=0)
+    es = _unit_sphere_qmc(3, 16, seed=0)
+    want = 1.0 / ((es @ W.T) ** 2).max(axis=1)
+    assert np.ptp(want) > 1e-3
+    assert np.allclose(th, want, rtol=0, atol=1e-7)

@@ -239,3 +239,37 @@ class TestMembershipScan:
         full = membership_scan(g, u, parse_name("branch:real:k=1:n=2"))
         masked = membership_scan(g, u, parse_name("branch:real:k=1:n=2"), K=K)
         assert full < -1.0 and abs(masked) < 1e-10
+
+
+class TestPrecheckErrors:
+    @staticmethod
+    def lambda1_problem(rho):
+        F = Subequation(2, rho, "picky", pure_second_order=True, reduced=True)
+        g = Grid.regular([(-1, 1), (-1, 1)], 9)
+        return GridProblem(g, F, lambda x: x[:, 0] ** 2)
+
+    def test_operator_errors_propagate(self):
+        # the sampled precheck draws |p| up to 5; the solve itself never
+        # leaves |p| <= 2, so only the precheck can hit the error
+        def rho(r, p, A):
+            if np.linalg.norm(p, axis=-1).max() > 3.0:
+                raise RuntimeError("gradient out of range")
+            return parse_name("branch:real:k=1:n=2").rho_batch(r, p, A)
+
+        with pytest.raises(RuntimeError, match="gradient out of range"):
+            perron_solve(self.lambda1_problem(rho))
+
+    def test_sampler_exhaustion_warns_and_solves(self, monkeypatch):
+        import subeq.solver
+        from subeq.errors import SamplerExhausted
+
+        def exhausted(*args, **kwargs):
+            raise SamplerExhausted("no members")
+
+        monkeypatch.setattr(subeq.solver, "axiom_check", exhausted)
+        P = self.lambda1_problem(parse_name("branch:real:k=1:n=2").rho_batch)
+        with pytest.warns(RuntimeWarning, match="axiom precheck skipped"):
+            rep = perron_solve(P)
+        assert rep.converged
+        x = P.grid.points()[:, 0].reshape(P.grid.shape)
+        assert np.abs(rep.u - x ** 2).max() <= 1e-8
