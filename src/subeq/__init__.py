@@ -6,12 +6,10 @@ eigenvalue branches, boundary convexity, the grid solver — is set algebra
 on those jets.
 """
 
-from .errors import (SubeqError, DimensionMismatch, EigenConvergenceError,
-                     SamplerExhausted, NotHyperbolicError, BracketError,
-                     GeometryError, ConfigError)
-from .linalg import (SymMatrix, ComplexStructure, eigvalsh_batch,
-                     ordered_eigenvalues, hermitian_part, sigma_k,
-                     pucci_minus, pucci_plus)
+from .errors import (SubeqError, DimensionMismatch, SamplerExhausted,
+                     NotHyperbolicError, BracketError, GeometryError,
+                     ConfigError)
+from .linalg import SymMatrix, ComplexStructure, eigvalsh_batch
 from .core import (Jet, JetNorm, JetBox, Subequation, Membership,
                    dual, shift, member, classify,
                    sample_jet_batch, sample_members, axiom_check,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .linalg import SymMatrix
+from .linalg import SymMatrix, eigvalsh_batch
 from .core import (Jet, Subequation, asymptotic_interior_member,
                    _unit_sphere_qmc, bisect)
 
@@ -298,10 +298,8 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     else:
         per_lam = tuple(verdict_at(lam) for lam in grid)
     overall = all(per_lam)
-    from .linalg import ordered_eigenvalues
-    eigs = ordered_eigenvalues(II)
-    return ConvexityVerdict(x, grid, per_lam, overall,
-                            float(II.trace()), float(eigs[0]))
+    return ConvexityVerdict(x, grid, per_lam, overall, float(II.trace()),
+                            float(eigvalsh_batch(II.mat[None])[0, 0]))
 
 
 def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray,

@@ -2,9 +2,8 @@
 
 Every entry authors its defining function so that the represented closed set
 is {rho >= 0} and the interior is {rho > 0} (the registration contract).
-Batch evaluation uses the LAPACK symmetric eigensolver; the Jacobi routine in
-``linalg`` is the scalar routine of record and the two are cross-checked in
-the test suite.
+Ordered spectra come from ``linalg.eigvalsh_batch``; only appb case 5, which
+also needs eigenvectors, calls ``np.linalg.eigh``.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,7 +177,7 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
         idx = k - 1
 
         def rho(r, p, A):
-            return _EIG(_as_batch(A))[:, idx]
+            return _EIG(A)[:, idx]
         label = f"branch:real:k={k}:n={n}"
     elif kind in ("complex", "quaternionic"):
         if kind == "complex":
@@ -213,7 +212,7 @@ def make_pcone(p: float, n: int) -> Subequation:
     frac = p - m
 
     def rho(r, pg, A):
-        eigs = _EIG(_as_batch(A))
+        eigs = _EIG(A)
         s = eigs[:, :m].sum(axis=1)
         if frac > 0:
             s = s + frac * eigs[:, m]
@@ -234,7 +233,7 @@ def make_pbranch(k: int, p: int, n: int) -> Subequation:
         raise ConfigError(f"branch index k={k} out of range 1..{nb}")
 
     def rho(r, pg, A):
-        eigs = _EIG(_as_batch(A))
+        eigs = _EIG(A)
         sums = eigs[:, combos].sum(axis=2)
         sums.sort(axis=1)
         return sums[:, k - 1]
@@ -255,21 +254,19 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
             raise ConfigError(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
 
         def rho(r, p, A, _l=float(lam), _L=float(Lam)):
-            eigs = _EIG(_as_batch(A))
+            eigs = _EIG(A)
             pos = np.clip(eigs, 0.0, None).sum(axis=1)
             neg = np.clip(eigs, None, 0.0).sum(axis=1)
             return _l * pos + _L * neg
 
-        def sampler(rng, size, _l=float(lam), _L=float(Lam)):
+        def sampler(rng, size):
             # eigenvalue profiles resampled until the Pucci value clears 0
             out = []
             got = 0
             while got < size:
                 m = 4 * (size - got) + 64
                 A = _haar_psd(rng, n, m, eig_lo=-5.0, eig_hi=5.0)
-                eigs = _EIG(A)
-                v = _l * np.clip(eigs, 0, None).sum(1) + _L * np.clip(eigs, None, 0).sum(1)
-                A = A[v >= 0]
+                A = A[rho(None, None, A) >= 0]
                 out.append(A)
                 got += len(A)
             A = np.concatenate(out)[:size]
@@ -281,13 +278,7 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
     if kind == "delta":
         if d is None or d <= 0:
             raise ConfigError(f"need d > 0, got {d}")
-
-        def rho(r, p, A, _d=float(d)):
-            eigs = _EIG(_as_batch(A))
-            return eigs[:, 0] + _d * eigs.sum(axis=1)
-
-        return Subequation(n, rho, f"delta:d={d:g}:n={n}",
-                           pure_second_order=True, reduced=True, cone=True)
+        return replace(make_delta_branch(1, d, n), label=f"delta:d={d:g}:n={n}")
     raise ConfigError(f"unknown uniformly elliptic kind {kind!r}")
 
 
@@ -299,7 +290,7 @@ def make_delta_branch(k: int, d: float, n: int) -> Subequation:
         raise ConfigError(f"need d > 0, got {d}")
 
     def rho(r, p, A, _d=float(d), _i=k - 1):
-        eigs = _EIG(_as_batch(A))
+        eigs = _EIG(A)
         return eigs[:, _i] + _d * eigs.sum(axis=1)
 
     return Subequation(n, rho, f"deltabranch:k={k}:d={d:g}:n={n}",
@@ -325,7 +316,7 @@ def make_named(name: str, n: int, **params) -> Subequation:
         scales = np.array([math.comb(n, l) for l in range(1, k + 1)], dtype=float)
 
         def rho(r, p, A, _k=k, _sc=scales):
-            eigs = _EIG(_as_batch(A))
+            eigs = _EIG(A)
             e = esym_batch(eigs, _k)
             return (e[:, 1:_k + 1] / _sc[None, :]).min(axis=1)
 
@@ -338,7 +329,7 @@ def make_named(name: str, n: int, **params) -> Subequation:
             raise ConfigError(f"phase |c|={abs(c):g} >= n*pi/2; set is trivial")
 
         def rho(r, p, A, _c=c):
-            eigs = _EIG(_as_batch(A))
+            eigs = _EIG(A)
             return np.arctan(eigs).sum(axis=1) - _c
 
         return Subequation(n, rho, f"slag:c={c:g}:n={n}",
@@ -346,7 +337,7 @@ def make_named(name: str, n: int, **params) -> Subequation:
 
     if name == "calabi_yau":
         def rho(r, p, A):
-            eigs = _EIG(_as_batch(A))
+            eigs = _EIG(A)
             tr = eigs.sum(axis=1)
             return np.minimum(tr + n - np.exp(np.asarray(r, dtype=float)),
                               eigs[:, 0] + 1.0)
@@ -414,19 +405,16 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
     rejection never has to fight thin acceptance regions.
     """
     if case == 1:
-        def rho(r, p, A):
-            return _EIG(_as_batch(A))[:, 0]
-
         def sampler(rng, size):
             return (rng.uniform(-5, 5, size), _ball(rng, n, size),
                     _haar_psd(rng, n, size))
-        return Subequation(n, rho, f"appb:case=1:n={n}", pure_second_order=True,
-                           reduced=True, cone=True, member_sampler=sampler)
+        return replace(make_branch("real", 1, n), label=f"appb:case=1:n={n}",
+                       member_sampler=sampler)
 
     if case == 2:
         def rho(r, p, A):
             return np.minimum(-np.asarray(r, dtype=float),
-                              _EIG(_as_batch(A))[:, 0])
+                              _EIG(A)[:, 0])
 
         def sampler(rng, size):
             return (-rng.uniform(0, 5, size), _ball(rng, n, size),
@@ -443,7 +431,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
         def rho(r, p, A, _D=D):
             return np.minimum(np.minimum(-np.asarray(r, dtype=float),
                                          _D.margin_batch(p)),
-                              _EIG(_as_batch(A))[:, 0])
+                              _EIG(A)[:, 0])
 
         def sampler(rng, size, _D=D):
             return (-rng.uniform(0, 5, size), _D.sample(rng, size),
@@ -463,7 +451,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
             p = np.asarray(p, dtype=float)
             head = -np.asarray(r, dtype=float) - _g * np.linalg.norm(p, axis=-1)
             return np.minimum(np.minimum(head, _D.margin_batch(p)),
-                              _EIG(_as_batch(A))[:, 0])
+                              _EIG(A)[:, 0])
 
         def sampler(rng, size, _D=D, _g=float(gamma)):
             p = _D.sample(rng, size)
@@ -513,7 +501,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
 
         def rho(r, p, A, _R=float(R)):
             p = np.asarray(p, dtype=float)
-            return _EIG(_as_batch(A))[:, 0] - np.linalg.norm(p, axis=-1) / _R
+            return _EIG(A)[:, 0] - np.linalg.norm(p, axis=-1) / _R
 
         def sampler(rng, size, _R=float(R)):
             p = _ball(rng, n, size)

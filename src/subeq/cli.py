@@ -231,12 +231,10 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    import jsonschema               # deferred: only --config runs need it
     schema_path = Path(__file__).parent / "schemas" / "config.schema.json"
     try:
-        import jsonschema
         jsonschema.validate(cfg, json.loads(schema_path.read_text()))
-    except ImportError:                                  # pragma: no cover
-        pass
     except Exception as exc:
         raise ConfigError(f"config does not match schema: {exc}") from exc
     return cfg
@@ -408,7 +406,7 @@ def _resolve_subeq(name: str, *exprs):
     """Catalog lookup; names without :n= pick it up from the expressions."""
     try:
         return parse_name(name)
-    except (ConfigError, KeyError):
+    except ConfigError:
         if ":n=" in name:
             raise
         return parse_name(f"{name}:n={_infer_n(*exprs)}")

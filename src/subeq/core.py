@@ -17,7 +17,6 @@ which realizes ~(-Int F) and is an involution.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -150,9 +149,6 @@ class Subequation:
                 raise ValueError(f"{self.label} needs base points x")
             return np.asarray(self.rho_batch(r, p, A, x), dtype=float)
         return np.asarray(self.rho_batch(r, p, A), dtype=float)
-
-    def with_label(self, label: str) -> "Subequation":
-        return replace(self, label=label)
 
 
 @dataclass(frozen=True)
@@ -355,9 +351,6 @@ class ViolationReport:
         if self.witness is not None:
             d["witness"] = self.witness
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass

@@ -9,11 +9,6 @@ class DimensionMismatch(SubeqError, ValueError):
     """Operands live in incompatible dimensions."""
 
 
-class EigenConvergenceError(SubeqError, RuntimeError):
-    """The cyclic Jacobi iteration did not reach the off-diagonal threshold
-    within its sweep budget."""
-
-
 class SamplerExhausted(SubeqError, RuntimeError):
     """Rejection sampling hit its draw cap before collecting enough members."""
 

@@ -1,26 +1,20 @@
-"""Symmetric matrices, ordered eigenvalues and the small spectral toolbox
+"""Symmetric matrices, batched eigenvalues and the small spectral toolbox
 used everywhere else in the package.
 
 Matrices here are small (n <= 16): second-derivative data of functions of a
-few variables.  The eigenvalue routine of record is a cyclic Jacobi sweep,
-which is branch-free and robust on clustered spectra; batched hot paths may
-use LAPACK instead (see ``eigvalsh_batch``) and the two are cross-checked in
-the test suite.
+few variables.  The eigenvalue kernel is ``eigvalsh_batch`` (closed form
+for 2x2 stacks, LAPACK otherwise).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenConvergenceError
+from .errors import DimensionMismatch
 
 MAX_DIM = 16
-
-_JACOBI_SWEEPS = 50
-_JACOBI_OFF_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -134,81 +128,7 @@ def _as_dense(A) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-
-
-def _jacobi(M: np.ndarray, max_sweeps: int = _JACOBI_SWEEPS,
-            off_tol: float = _JACOBI_OFF_TOL):
-    """Cyclic-by-rows Jacobi.  Returns (values, vectors), unsorted.
-
-    The off-diagonal threshold is scaled by the initial magnitude of the
-    matrix so the stopping rule is meaningful at any scale.
-    """
-    n = M.shape[0]
-    A = M.copy()
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    scale = max(1.0, float(np.abs(A).max()))
-    thresh = off_tol * scale
-
-    def max_off() -> float:
-        return float(np.abs(A - np.diag(A.diagonal())).max())
-
-    for _ in range(max_sweeps):
-        if max_off() <= thresh:
-            return A.diagonal().copy(), V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh * 1e-2:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # apply the (p, q) rotation on both sides
-                rp = A[:, p].copy()
-                rq = A[:, q].copy()
-                A[:, p] = c * rp - s * rq
-                A[:, q] = s * rp + c * rq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    if max_off() <= thresh:
-        return A.diagonal().copy(), V
-    raise EigenConvergenceError(
-        f"Jacobi iteration not converged after {max_sweeps} sweeps"
-    )
-
-
-def eigenpairs(A, max_sweeps: int = _JACOBI_SWEEPS):
-    """Ascending eigenvalues and matching orthonormal eigenvectors (columns)."""
-    M = _as_dense(A)
-    vals, vecs = _jacobi(M, max_sweeps=max_sweeps)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def ordered_eigenvalues(A, check: bool = False) -> np.ndarray:
-    """Eigenvalues in ascending order, lambda_1 <= ... <= lambda_n.
-
-    With ``check=True`` the factorization is verified by reconstructing A
-    from the eigenpairs to 1e-10 in Frobenius norm.
-    """
-    M = _as_dense(A)
-    vals, vecs = eigenpairs(M)
-    if check:
-        R = vecs @ np.diag(vals) @ vecs.T
-        err = float(np.linalg.norm(R - M))
-        if err > 1e-10 * max(1.0, float(np.linalg.norm(M))):
-            raise EigenConvergenceError(f"eigenpair reconstruction off by {err}")
-    return vals
+# batched eigenvalues and spectral functionals
 
 
 def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
@@ -216,8 +136,8 @@ def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
 
     2x2 stacks use the closed quadratic formula (per-call LAPACK overhead
     dominates at that size, and the solver's inner loop hits this path);
-    everything else is LAPACK-backed.  Agrees with ``ordered_eigenvalues``
-    to roundoff (cross-checked in the tests).
+    everything else is LAPACK-backed.  The two paths agree to roundoff
+    (cross-checked in the tests).
     """
     A = np.asarray(A, dtype=float)
     if A.shape[-1] == 2 and A.ndim == 3:
@@ -226,10 +146,6 @@ def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
         disc = np.sqrt((0.5 * (A[:, 0, 0] - A[:, 1, 1])) ** 2 + b * b)
         return np.stack([half_tr - disc, half_tr + disc], axis=1)
     return np.linalg.eigvalsh(A)
-
-
-# ---------------------------------------------------------------------------
-# spectral functionals
 
 
 def esym_batch(eigs: np.ndarray, kmax: int) -> np.ndarray:
@@ -246,49 +162,6 @@ def esym_batch(eigs: np.ndarray, kmax: int) -> np.ndarray:
         for j in range(min(kmax, i + 1), 0, -1):
             e[:, j] += x * e[:, j - 1]
     return e
-
-
-def sigma_k(A, k: int) -> float:
-    """Elementary symmetric function of the eigenvalues, sigma_k(lambda(A))."""
-    M = _as_dense(A)
-    n = M.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
-    vals = ordered_eigenvalues(M)
-    coeffs = np.poly(vals)          # [1, -e1, e2, -e3, ...]
-    return float((-1.0) ** k * coeffs[k])
-
-
-def pucci_minus(B, lam: float, Lam: float) -> float:
-    """Distinguished extremal combination lam*tr(B+) + Lam*tr(B-)."""
-    if not 0 < lam < Lam:
-        raise ValueError(f"need 0 < lam < Lam, got ({lam}, {Lam})")
-    vals = ordered_eigenvalues(B)
-    return float(lam * vals[vals > 0].sum() + Lam * vals[vals < 0].sum())
-
-
-def pucci_plus(B, lam: float, Lam: float) -> float:
-    if not 0 < lam < Lam:
-        raise ValueError(f"need 0 < lam < Lam, got ({lam}, {Lam})")
-    vals = ordered_eigenvalues(B)
-    return float(Lam * vals[vals > 0].sum() + lam * vals[vals < 0].sum())
-
-
-def trace_on_plane(A, W, tol: float = 1e-10) -> float:
-    """Trace of A restricted to the subspace spanned by the columns of W.
-
-    W must be orthonormal to ``tol``.
-    """
-    M = _as_dense(A)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
-    if W.shape[0] != M.shape[0]:
-        raise DimensionMismatch("frame does not live in the matrix dimension")
-    G = W.T @ W
-    if float(np.abs(G - np.eye(W.shape[1])).max()) > tol:
-        raise ValueError("frame is not orthonormal within tolerance")
-    return float(np.trace(W.T @ M @ W))
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +243,13 @@ class ComplexStructure:
         return cls("quaternionic", m, _standard_quaternion_IJK(m))
 
 
-def hermitian_part(A, structure: ComplexStructure) -> SymMatrix:
-    """Projection onto matrices commuting with the structure.
+def hermitian_part_batch(A: np.ndarray, structure: ComplexStructure) -> np.ndarray:
+    """Projection of each matrix of an (N, d, d) stack onto the matrices
+    commuting with the structure.
 
     complex:       (A - JAJ) / 2
     quaternionic:  (A - IAI - JAJ - KAK) / 4
     """
-    M = _as_dense(A)
-    if M.shape[0] != structure.dim:
-        raise DimensionMismatch(
-            f"matrix dim {M.shape[0]} != structure dim {structure.dim}"
-        )
-    acc = M.copy()
-    for S in structure.mats:
-        acc = acc - S @ M @ S
-    acc /= (1 + len(structure.mats))
-    return SymMatrix.from_dense(acc, check=True, tol=1e-9)
-
-
-def hermitian_part_batch(A: np.ndarray, structure: ComplexStructure) -> np.ndarray:
-    """Batched version of :func:`hermitian_part` on (N, d, d) stacks."""
     acc = A.copy()
     for S in structure.mats:
         acc = acc - np.einsum("ij,njk,kl->nil", S, A, S)

@@ -57,6 +57,25 @@ class SolveReport:
                 "sweep_tol": self.sweep_tol}
 
 
+def _widen(edge: np.ndarray, full: np.ndarray, step: np.ndarray,
+           wrong) -> np.ndarray:
+    """Move the bracket ends where ``wrong(edge)`` holds, in place: first to
+    the full bracket, then twice by ``step``, doubling it each time.  Returns
+    the mask of ends still on the wrong side."""
+    bad = wrong(edge)
+    if bad.any():
+        edge[bad] = full[bad]
+        bad = bad & wrong(edge)
+        grow = step.copy()
+        for _ in range(2):
+            if not bad.any():
+                break
+            edge[bad] += grow[bad]
+            grow *= 2.0
+            bad = bad & wrong(edge)
+    return bad
+
+
 class _NodeUpdater:
     """Vectorized largest-member-value solve at a subset of interior nodes."""
 
@@ -101,39 +120,17 @@ class _NodeUpdater:
         else:
             lo, hi = lo_full.copy(), hi_full.copy()
 
-        # lower end must be a member; fall back to the full bracket, then
-        # expand twice before declaring the fiber empty
-        bad = ~member(lo)
+        # lower end must be a member; a fiber with none is empty
+        bad = _widen(lo, lo_full, -width_full, lambda rr: ~member(rr))
         if bad.any():
-            lo[bad] = lo_full[bad]
-            bad = bad & ~member(lo)
-            grow = width_full.copy()
-            for _ in range(2):
-                if not bad.any():
-                    break
-                lo[bad] -= grow[bad]
-                grow *= 2.0
-                bad = bad & ~member(lo)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise BracketError(
-                    f"{P.F.label}: no admissible value at node "
-                    f"{P.interior_idx[sel][i]} (empty fiber)")
+            i = int(np.flatnonzero(bad)[0])
+            raise BracketError(
+                f"{P.F.label}: no admissible value at node "
+                f"{P.interior_idx[sel][i]} (empty fiber)")
 
         # upper end must be outside; a fiber that never exits is degenerate
         # (the operator ignores r there) and falls back to the neighbor max
-        still = member(hi)
-        if still.any():
-            hi[still] = hi_full[still]
-            still = still & member(hi)
-            grow = width_full.copy()
-            for _ in range(2):
-                if not still.any():
-                    break
-                hi[still] += grow[still]
-                grow *= 2.0
-                still = still & member(hi)
-        degen = still
+        degen = _widen(hi, hi_full, width_full, member)
         if degen.any():
             hi[degen] = np.maximum(lo[degen], max_nb[degen])
 

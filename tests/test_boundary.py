@@ -119,6 +119,16 @@ class TestConvexityVerdicts:
         assert v.overall and all(v.per_lambda)
         assert v.min_eig_II > 0
 
+    def test_sphere_curvature_in_3d(self):
+        # radius 2: II = Id/2 on the 2-d tangent plane
+        F = parse_name("branch:real:k=1:n=3")
+        u = np.array([1.0, -2.0, 0.5])
+        for x in ([0.0, 0.0, 2.0], 2.0 * u / np.linalg.norm(u)):
+            v = strict_convexity_test(F, ball_domain(3, radius=2.0), x)
+            assert v.overall
+            assert abs(v.min_eig_II - 0.5) < 1e-12
+            assert abs(v.trace_II - 1.0) < 1e-12
+
     def test_annulus_inner_fails_lowest_branch(self):
         F = parse_name("branch:real:k=1:n=2")
         A = annulus_domain(2, r_in=1.0, r_out=2.0)

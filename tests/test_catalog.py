@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from subeq import parse_name, dual_name, dual, make_pcone, make_branch
+from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
+                   make_uniformly_elliptic)
 from subeq.errors import ConfigError
 from subeq.linalg import ComplexStructure
 
@@ -173,6 +174,29 @@ class TestUniformlyElliptic:
         lam1 = np.sort(np.linalg.eigvalsh(A), axis=-1)[:, 0]
         tr = np.trace(A, axis1=-2, axis2=-1)
         assert np.allclose(pso_vals(F, A), lam1 + 0.7 * tr, atol=1e-9)
+
+
+class TestSharedEntries:
+    """Entries that are another entry under a second name: the same rho, bit
+    for bit, with their own label and sampler."""
+
+    @pytest.mark.parametrize("alias, base, has_sampler", [
+        ("delta:d=0.7:n=3", "deltabranch:k=1:d=0.7:n=3", False),
+        ("appb:case=1:n=3", "branch:real:k=1:n=3", True),
+    ])
+    def test_bitwise_equal(self, rng, alias, base, has_sampler):
+        F, G = parse_name(alias), parse_name(base)
+        A = random_sym(rng, 3, size=256)
+        assert np.array_equal(pso_vals(F, A), pso_vals(G, A))
+        assert F.label == alias
+        flags = ("n", "pure_second_order", "reduced", "cone", "x_dependent")
+        assert [getattr(F, f) for f in flags] == [3, True, True, True, False]
+        assert (F.member_sampler is not None) == has_sampler
+
+    def test_delta_needs_positive_d(self):
+        for d in (None, 0.0, -1.0):
+            with pytest.raises(ConfigError, match=f"need d > 0, got {d}"):
+                make_uniformly_elliptic("delta", 3, d=d)
 
 
 class TestSigmaFamilies:

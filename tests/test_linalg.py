@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subeq.linalg import (SymMatrix, ordered_eigenvalues, eigenpairs,
-                          eigvalsh_batch, sigma_k, pucci_minus, pucci_plus,
-                          trace_on_plane, ComplexStructure, hermitian_part)
+from subeq import dual, parse_name
+from subeq.linalg import (SymMatrix, eigvalsh_batch, esym_batch,
+                          ComplexStructure, hermitian_part_batch)
 
 from conftest import random_sym
 
@@ -14,22 +14,24 @@ from conftest import random_sym
 # ---------------------------------------------------------------------------
 # oracles (plain numpy, no package code)
 
-def oracle_eigs(M):
-    return np.sort(np.linalg.eigvalsh(M))
-
-
 def oracle_sigma_k(M, k):
     """Elementary symmetric polynomial of the spectrum via np.poly."""
     coeffs = np.poly(np.linalg.eigvalsh(M))   # x^n - e1 x^(n-1) + e2 ... form
     return (-1) ** k * coeffs[k]
 
 
-def oracle_pucci_minus(B, lam, Lam):
+def oracle_pucci_plus(B, lam, Lam):
     e = np.linalg.eigvalsh(B)
-    return lam * e[e > 0].sum() + Lam * e[e < 0].sum()
+    return Lam * np.where(e > 0, e, 0).sum(-1) + lam * np.where(e < 0, e, 0).sum(-1)
 
 
 # ---------------------------------------------------------------------------
+
+
+def pso_vals(F, A):
+    """Margins of a pure-second-order set on a batch of matrices."""
+    m, n = len(A), A.shape[-1]
+    return F.value_batch(np.zeros(m), np.zeros((m, n)), A)
 
 
 class TestSymMatrix:
@@ -61,24 +63,12 @@ class TestSymMatrix:
 
 
 class TestEigen:
-    def test_ordered_eigenvalues_vs_lapack(self, rng):
-        for n in (1, 2, 3, 4, 6):
-            for _ in range(10):
-                M = random_sym(rng, n)
-                assert np.allclose(ordered_eigenvalues(M), oracle_eigs(M),
-                                   atol=1e-10)
-
-    def test_eigenpairs_reconstruct(self, rng):
-        M = random_sym(rng, 5)
-        w, V = eigenpairs(M)
-        assert np.allclose(V @ np.diag(w) @ V.T, M, atol=1e-9)
-        assert np.allclose(V.T @ V, np.eye(5), atol=1e-10)
-
     def test_batch_generic(self, rng):
-        A = random_sym(rng, 3, size=64)
-        got = eigvalsh_batch(A)
-        want = np.sort(np.linalg.eigvalsh(A), axis=-1)
-        assert np.allclose(got, want, atol=1e-10)
+        for n in (1, 3, 4, 6):
+            A = random_sym(rng, n, size=64)
+            got = eigvalsh_batch(A)
+            want = np.sort(np.linalg.eigvalsh(A), axis=-1)
+            assert np.allclose(got, want, atol=1e-10)
 
     def test_batch_2x2_closed_form(self, rng):
         # the 2x2 path is closed-form; cross-check against LAPACK hard
@@ -88,53 +78,37 @@ class TestEigen:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_repeated_eigenvalue(self):
-        got = ordered_eigenvalues(np.eye(3) * 2.0)
-        assert np.allclose(got, [2, 2, 2])
+        for n in (2, 3):
+            got = eigvalsh_batch(np.eye(n)[None] * 2.0)
+            assert np.allclose(got, 2.0)
 
 
 class TestSigmaAndPucci:
     def test_sigma_k_vs_charpoly(self, rng):
         for n in (2, 3, 4):
-            M = random_sym(rng, n)
+            M = random_sym(rng, n, size=16)
+            e = esym_batch(eigvalsh_batch(M), n)
             for k in range(1, n + 1):
-                assert np.isclose(sigma_k(M, k), oracle_sigma_k(M, k),
-                                  rtol=1e-9, atol=1e-9)
+                want = [oracle_sigma_k(Mi, k) for Mi in M]
+                assert np.allclose(e[:, k], want, rtol=1e-9, atol=1e-9)
 
     def test_sigma_1_is_trace(self, rng):
-        M = random_sym(rng, 3)
-        assert np.isclose(sigma_k(M, 1), np.trace(M))
-
-    def test_pucci_minus_vs_oracle(self, rng):
-        for _ in range(20):
-            B = random_sym(rng, 3)
-            assert np.isclose(pucci_minus(B, 1.0, 2.5),
-                              oracle_pucci_minus(B, 1.0, 2.5), atol=1e-9)
+        M = random_sym(rng, 3, size=16)
+        e = esym_batch(eigvalsh_batch(M), 1)
+        assert np.allclose(e[:, 0], 1.0)
+        assert np.allclose(e[:, 1], np.trace(M, axis1=1, axis2=2))
 
     def test_pucci_plus_minus_duality(self, rng):
-        # P^+(B) = -P^-(-B)
-        B = random_sym(rng, 4)
-        assert np.isclose(pucci_plus(B, 0.5, 2.0),
-                          -pucci_minus(-B, 0.5, 2.0), atol=1e-9)
+        # the dual of the P^- cone is the P^+ cone: P^+(B) = -P^-(-B)
+        B = random_sym(rng, 4, size=64)
+        F = dual(parse_name("pucci:lam=0.5:Lam=2:n=4"))
+        assert np.allclose(pso_vals(F, B), oracle_pucci_plus(B, 0.5, 2.0),
+                           atol=1e-9)
 
     def test_pucci_on_identity(self):
         # all eigenvalues 1: P^- = lam * n
-        assert np.isclose(pucci_minus(np.eye(3), 0.7, 2.0), 2.1)
-
-
-class TestTraceOnPlane:
-    def test_axis_plane(self):
-        A = np.diag([1.0, 2.0, 3.0])
-        W = np.eye(3)[:, :2]          # span(e1, e2)
-        assert np.isclose(trace_on_plane(A, W), 3.0)
-
-    def test_rotation_invariance(self, rng):
-        A = random_sym(rng, 4)
-        Q_, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        t1 = trace_on_plane(A, Q_)
-        # same plane, different orthonormal basis
-        R = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        t2 = trace_on_plane(A, Q_ @ R)
-        assert np.isclose(t1, t2, atol=1e-9)
+        F = parse_name("pucci:lam=0.7:Lam=2:n=3")
+        assert np.isclose(pso_vals(F, np.eye(3)[None])[0], 2.1)
 
 
 class TestHermitianPart:
@@ -148,25 +122,26 @@ class TestHermitianPart:
         S = ComplexStructure.standard_complex(2)
         J = S.mats[0]
         A = random_sym(rng, 4)
-        H = hermitian_part(A, S).mat
+        H = hermitian_part_batch(A[None], S)[0]
         assert np.allclose(J @ H, H @ J, atol=1e-10)
+        assert np.allclose(H, H.T, atol=1e-12)
         # projection: idempotent on the hermitian subspace
-        H2 = hermitian_part(H, S).mat
+        H2 = hermitian_part_batch(H[None], S)[0]
         assert np.allclose(H, H2, atol=1e-10)
 
     def test_hermitian_part_formula(self, rng):
         # averaging oracle: (A + J^T A J)/2, J orthogonal with J^T = -J
         S = ComplexStructure.standard_complex(3)
         J = S.mats[0]
-        A = random_sym(rng, 6)
-        want = 0.5 * (A + J.T @ A @ J)
-        assert np.allclose(hermitian_part(A, S).mat, want, atol=1e-12)
+        A = random_sym(rng, 6, size=8)
+        want = 0.5 * (A + np.einsum("ji,njk,kl->nil", J, A, J))
+        assert np.allclose(hermitian_part_batch(A, S), want, atol=1e-12)
 
     def test_quaternionic_eigen_multiplicity(self, rng):
         # quaternionic-hermitian matrices have spectra of multiplicity 4
         Q = ComplexStructure.standard_quaternionic(2)
         A = random_sym(rng, 8)
-        H = hermitian_part(A, Q).mat
+        H = hermitian_part_batch(A[None], Q)[0]
         w = np.linalg.eigvalsh(H)
         assert np.allclose(w.reshape(2, 4), w.reshape(2, 4)[:, :1], atol=1e-8)
 
@@ -174,11 +149,12 @@ class TestHermitianPart:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10 ** 6))
 def test_eigs_shift_property(n, seed):
-    """ordered eigenvalues commute with spectral shift A + tI."""
+    """ordered eigenvalues commute with spectral shift A + tI (n = 2 runs
+    the closed-form 2x2 path)."""
     r = np.random.default_rng(seed)
     M = r.standard_normal((n, n))
     M = 0.5 * (M + M.T)
     t = float(r.uniform(-4, 4))
-    w1 = ordered_eigenvalues(M + t * np.eye(n))
-    w2 = ordered_eigenvalues(M) + t
+    w1 = eigvalsh_batch((M + t * np.eye(n))[None])[0]
+    w2 = eigvalsh_batch(M[None])[0] + t
     assert np.allclose(w1, w2, atol=1e-9)
