@@ -15,15 +15,32 @@ checkouts that should behave alike can be compared with ``diff``:
     python3 scripts/cli_digests.py /path/to/other/checkout > other.txt
     diff other.txt change.txt
 
-Usage:  python3 scripts/cli_digests.py [checkout]   (default: this one)
+A solver change may move the last bits of a field without moving the
+fixed point.  ``--compare OTHER`` runs every config in both checkouts and,
+for the solve, obstacle and bracket configs, prints numbers instead of
+digests:
+
+    <name> exit=<a>/<b> converged=<a>/<b> sweeps=<a>/<b> du/sweep_tol=<q>
+
+where ``du`` is the largest |u_a - u_b| over all field CSVs of the config
+(the NaN masks must agree, else ``du`` is ``inf``) and ``sweep_tol`` the
+one quoted in the first checkout's report.  Every other config keeps its
+digest line, followed by ``same`` or ``DIFFERS`` against the other side.
+
+Usage:  python3 scripts/cli_digests.py [checkout] [--compare OTHER]
+        (checkout defaults to this one)
 """
 
+import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CONFIGS = [
     ("check-branch", ["check", "--subeq", "branch:real:k=1:n=3"]),
@@ -85,7 +102,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_config(src: Path, argv: list) -> str:
+SOLVES = ("solve", "obstacle", "bracket")
+
+
+def run_config(src: Path, argv: list) -> dict:
+    """Run one config; returns its digest line, exit code, parsed report
+    (or None) and field values (last CSV column, by file name)."""
     # one BLAS thread on both sides, so the thread count cannot move bits
     env = dict(os.environ, PYTHONPATH=str(src), SUBEQ_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,19 +117,74 @@ def run_config(src: Path, argv: list) -> str:
         csvs = sorted(Path(tmp).glob("*.csv"))
         json_sha = _sha(report.read_bytes()) if report.exists() else "-"
         csv_sha = _sha(b"".join(p.read_bytes() for p in csvs)) if csvs else "-"
-    return (f"exit={proc.returncode} json={json_sha} csv={csv_sha} "
+        fields = {}
+        if argv[0] in SOLVES:
+            fields = {p.name: np.loadtxt(p, delimiter=",", skiprows=1,
+                                         ndmin=2)[:, -1] for p in csvs}
+        rep = json.loads(report.read_text()) if report.exists() else None
+    line = (f"exit={proc.returncode} json={json_sha} csv={csv_sha} "
             f"stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}")
+    return {"line": line, "exit": proc.returncode, "report": rep,
+            "fields": fields}
+
+
+def _solve_stats(rep) -> tuple:
+    """(converged, sweeps, sweep_tol) of a solve-family report; bracket
+    reports join their two solves."""
+    if rep is None or "report" not in rep:
+        return "-", "-", None
+    reps = [rep["report"]] + ([rep["report_dual"]] if "report_dual" in rep
+                              else [])
+    conv = "+".join(str(r["converged"]).lower() for r in reps)
+    sweeps = "+".join(str(r["sweeps"]) for r in reps)
+    return conv, sweeps, reps[0]["sweep_tol"]
+
+
+def _max_du(fa: dict, fb: dict) -> float:
+    if fa.keys() != fb.keys() or not fa:
+        return float("inf")
+    worst = 0.0
+    for key, a in fa.items():
+        b = fb[key]
+        if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+            return float("inf")
+        ok = ~np.isnan(a)
+        worst = max(worst, float(np.abs(a[ok] - b[ok]).max(initial=0.0)))
+    return worst
+
+
+def compare_line(argv: list, a: dict, b: dict) -> str:
+    if argv[0] not in SOLVES:
+        return f"{a['line']} {'same' if a['line'] == b['line'] else 'DIFFERS'}"
+    conv_a, sweeps_a, tol = _solve_stats(a["report"])
+    conv_b, sweeps_b, _ = _solve_stats(b["report"])
+    du = _max_du(a["fields"], b["fields"])
+    q = f"{du / tol:.3g}" if tol else "-"
+    return (f"exit={a['exit']}/{b['exit']} converged={conv_a}/{conv_b} "
+            f"sweeps={sweeps_a}/{sweeps_b} du/sweep_tol={q}")
+
+
+def _src(root) -> Path:
+    src = Path(root).resolve() / "src"
+    if not (src / "subeq").is_dir():
+        raise SystemExit(f"no src/subeq under {root}")
+    return src
 
 
 def main() -> int:
-    root = Path(sys.argv[1] if len(sys.argv) > 1
-                else Path(__file__).resolve().parent.parent)
-    src = root.resolve() / "src"
-    if not (src / "subeq").is_dir():
-        print(f"no src/subeq under {root}", file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout", nargs="?",
+                    default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--compare", metavar="OTHER", default=None,
+                    help="second checkout: compare solves numerically")
+    args = ap.parse_args()
+    src = _src(args.checkout)
+    other = _src(args.compare) if args.compare else None
     for name, argv in CONFIGS:
-        print(f"{name} {run_config(src, argv)}", flush=True)
+        a = run_config(src, argv)
+        line = (a["line"] if other is None
+                else compare_line(argv, a, run_config(other, argv)))
+        print(f"{name} {line}", flush=True)
     return 0
 
 

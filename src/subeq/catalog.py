@@ -3,7 +3,10 @@
 Every entry authors its defining function so that the represented closed set
 is {rho >= 0} and the interior is {rho > 0} (the registration contract).
 Ordered spectra come from ``linalg.eigvalsh_batch``; only appb case 5, which
-also needs eigenvectors, calls ``np.linalg.eigh``.
+also needs eigenvectors, calls ``np.linalg.eigh``.  The O(n)-invariant
+entries (real branches, pcone, pbranch, pucci, delta, deltabranch, sigma,
+slag) are stated once, as a function of the ascending spectrum, through
+``_spectral_entry``; laplace keeps its trace and carries the spectral sum.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -35,6 +38,17 @@ def _as_batch(A) -> np.ndarray:
 
 def _trace(A) -> np.ndarray:
     return np.einsum("nii->n", _as_batch(A))
+
+
+def _spectral_entry(n: int, f, label: str, cone: bool = True,
+                    member_sampler=None) -> Subequation:
+    """Pure second-order, O(n)-invariant entry given by f on the ascending
+    spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
+    kept as ``spectral`` for the solver's one-eigensolve node update."""
+    def rho(r, p, A):
+        return f(_EIG(A))
+    return Subequation(n, rho, label, pure_second_order=True, reduced=True,
+                       cone=cone, member_sampler=member_sampler, spectral=f)
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +187,22 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
     if not (1 <= k <= n):
         raise ConfigError(f"branch index k={k} out of range 1..{n}")
     if kind == "real":
-        amb = n
-        idx = k - 1
-
-        def rho(r, p, A):
-            return _EIG(A)[:, idx]
-        label = f"branch:real:k={k}:n={n}"
-    elif kind in ("complex", "quaternionic"):
-        if kind == "complex":
-            structure = ComplexStructure.standard_complex(n)
-            mult = 2
-        else:
-            structure = ComplexStructure.standard_quaternionic(n)
-            mult = 4
-        amb = mult * n
-        idx = mult * (k - 1)
-
-        def rho(r, p, A, _s=structure, _i=idx):
-            H = hermitian_part_batch(_as_batch(A), _s)
-            return _EIG(H)[:, _i]
-        label = f"branch:{kind}:k={k}:n={n}"
+        return _spectral_entry(n, lambda eigs, _i=k - 1: eigs[:, _i],
+                               f"branch:real:k={k}:n={n}")
+    if kind == "complex":
+        structure = ComplexStructure.standard_complex(n)
+        mult = 2
+    elif kind == "quaternionic":
+        structure = ComplexStructure.standard_quaternionic(n)
+        mult = 4
     else:
         raise ConfigError(f"unknown branch kind {kind!r}")
-    return Subequation(amb, rho, label, pure_second_order=True,
-                       reduced=True, cone=True)
+
+    def rho(r, p, A, _s=structure, _i=mult * (k - 1)):
+        H = hermitian_part_batch(_as_batch(A), _s)
+        return _EIG(H)[:, _i]
+    return Subequation(mult * n, rho, f"branch:{kind}:k={k}:n={n}",
+                       pure_second_order=True, reduced=True, cone=True)
 
 
 def make_pcone(p: float, n: int) -> Subequation:
@@ -211,15 +217,13 @@ def make_pcone(p: float, n: int) -> Subequation:
     m = int(math.floor(p))
     frac = p - m
 
-    def rho(r, pg, A):
-        eigs = _EIG(A)
+    def f(eigs):
         s = eigs[:, :m].sum(axis=1)
         if frac > 0:
             s = s + frac * eigs[:, m]
         return s
 
-    return Subequation(n, rho, f"pcone:p={p:g}:n={n}",
-                       pure_second_order=True, reduced=True, cone=True)
+    return _spectral_entry(n, f, f"pcone:p={p:g}:n={n}")
 
 
 def make_pbranch(k: int, p: int, n: int) -> Subequation:
@@ -232,14 +236,12 @@ def make_pbranch(k: int, p: int, n: int) -> Subequation:
     if not (1 <= k <= nb):
         raise ConfigError(f"branch index k={k} out of range 1..{nb}")
 
-    def rho(r, pg, A):
-        eigs = _EIG(A)
+    def f(eigs):
         sums = eigs[:, combos].sum(axis=2)
         sums.sort(axis=1)
         return sums[:, k - 1]
 
-    return Subequation(n, rho, f"pbranch:k={k}:p={p}:n={n}",
-                       pure_second_order=True, reduced=True, cone=True)
+    return _spectral_entry(n, f, f"pbranch:k={k}:p={p}:n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +255,7 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
         if lam is None or Lam is None or not (0 < lam < Lam):
             raise ConfigError(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
 
-        def rho(r, p, A, _l=float(lam), _L=float(Lam)):
-            eigs = _EIG(A)
+        def f(eigs, _l=float(lam), _L=float(Lam)):
             pos = np.clip(eigs, 0.0, None).sum(axis=1)
             neg = np.clip(eigs, None, 0.0).sum(axis=1)
             return _l * pos + _L * neg
@@ -266,15 +267,14 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
             while got < size:
                 m = 4 * (size - got) + 64
                 A = _haar_psd(rng, n, m, eig_lo=-5.0, eig_hi=5.0)
-                A = A[rho(None, None, A) >= 0]
+                A = A[f(_EIG(A)) >= 0]
                 out.append(A)
                 got += len(A)
             A = np.concatenate(out)[:size]
             return rng.uniform(-5, 5, size), _ball(rng, n, size), A
 
-        return Subequation(n, rho, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}",
-                           pure_second_order=True, reduced=True, cone=True,
-                           member_sampler=sampler)
+        return _spectral_entry(n, f, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}",
+                               member_sampler=sampler)
     if kind == "delta":
         if d is None or d <= 0:
             raise ConfigError(f"need d > 0, got {d}")
@@ -289,12 +289,10 @@ def make_delta_branch(k: int, d: float, n: int) -> Subequation:
     if d <= 0:
         raise ConfigError(f"need d > 0, got {d}")
 
-    def rho(r, p, A, _d=float(d), _i=k - 1):
-        eigs = _EIG(A)
+    def f(eigs, _d=float(d), _i=k - 1):
         return eigs[:, _i] + _d * eigs.sum(axis=1)
 
-    return Subequation(n, rho, f"deltabranch:k={k}:d={d:g}:n={n}",
-                       pure_second_order=True, reduced=True, cone=True)
+    return _spectral_entry(n, f, f"deltabranch:k={k}:d={d:g}:n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +304,11 @@ def make_named(name: str, n: int, **params) -> Subequation:
     if name == "laplace":
         def rho(r, p, A):
             return _trace(A)
+        # the trace needs no eigensolve; the solver's spectral path sums
+        # the eigenvalues it has already computed
         return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
-                           reduced=True, cone=True)
+                           reduced=True, cone=True,
+                           spectral=lambda eigs: eigs.sum(axis=1))
 
     if name == "sigma_k":
         k = int(params["k"])
@@ -315,25 +316,21 @@ def make_named(name: str, n: int, **params) -> Subequation:
             raise ConfigError(f"sigma_k needs 1 <= k <= n, got k={k}")
         scales = np.array([math.comb(n, l) for l in range(1, k + 1)], dtype=float)
 
-        def rho(r, p, A, _k=k, _sc=scales):
-            eigs = _EIG(A)
+        def f(eigs, _k=k, _sc=scales):
             e = esym_batch(eigs, _k)
             return (e[:, 1:_k + 1] / _sc[None, :]).min(axis=1)
 
-        return Subequation(n, rho, f"sigma:k={k}:n={n}",
-                           pure_second_order=True, reduced=True, cone=True)
+        return _spectral_entry(n, f, f"sigma:k={k}:n={n}")
 
     if name == "special_lagrangian":
         c = float(params.get("c", 0.0))
         if abs(c) >= n * np.pi / 2:
             raise ConfigError(f"phase |c|={abs(c):g} >= n*pi/2; set is trivial")
 
-        def rho(r, p, A, _c=c):
-            eigs = _EIG(A)
+        def f(eigs, _c=c):
             return np.arctan(eigs).sum(axis=1) - _c
 
-        return Subequation(n, rho, f"slag:c={c:g}:n={n}",
-                           pure_second_order=True, reduced=True, cone=False)
+        return _spectral_entry(n, f, f"slag:c={c:g}:n={n}", cone=False)
 
     if name == "calabi_yau":
         def rho(r, p, A):

@@ -6,7 +6,8 @@ significant digits, keys sorted — byte-identical for identical config and
 seed) plus CSV field dumps for the grid commands.
 
 Exit codes: 0 success, 2 violations/non-convergence (report still written),
-3 invalid configuration.
+3 invalid configuration, usage errors included.  A negative bound must be
+joined to its flag: ``--box=-1,1`` (``--box -1,1`` reads ``-1,1`` as a flag).
 """
 
 import os as _os
@@ -143,8 +144,17 @@ def _add_grid_flags(sp):
     sp.add_argument("--out-field", default="subeq-field.csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the configuration-error code; argparse's own 2
+    would read as "violations found".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="subeq",
         description="Constraint-set calculus for degenerate-elliptic "
                     "operators: checks, cones, branches, and grid solves.")

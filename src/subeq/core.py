@@ -123,6 +123,12 @@ class Subequation:
     reduced            membership ignores r
     cone               rho keeps its sign along rays t J, t > 0
     x_dependent        rho reads the base point
+
+    ``spectral``, when set, is f on ascending eigenvalues, (N, n) -> (N,),
+    with ``rho_batch(r, p, A) == f(eigvalsh_batch(A))``: the set is
+    O(n)-invariant and sees A only through its ordered spectrum.  Only the
+    catalog sets it (the solver trusts the identity); ``dual`` carries it
+    over, every other derived set drops it.
     """
 
     n: int
@@ -133,6 +139,7 @@ class Subequation:
     cone: bool = False
     x_dependent: bool = False
     member_sampler: Optional[Callable] = None  # (rng, size) -> (r, p, A)
+    spectral: Optional[Callable] = None        # ascending eigs (N, n) -> (N,)
 
     def value(self, jet: Jet, x=None) -> float:
         if jet.n != self.n:
@@ -179,9 +186,13 @@ def dual(F: Subequation) -> Subequation:
     """Dirichlet dual, rho~(x, J) = -rho(x, -J).
 
     An involution on defining functions: dual(dual(F)) evaluates bitwise
-    like F.
+    like F.  A spectral F has the spectral dual f~(lam) = -f(-lam reversed),
+    since the ascending spectrum of -A is minus that of A, reversed.
     """
     base = F.rho_batch
+    spec = F.spectral
+    spec_dual = None if spec is None else (
+        lambda lam: -spec(-lam[:, ::-1]))
 
     if F.x_dependent:
         def rho_dual(r, p, A, x):
@@ -191,7 +202,7 @@ def dual(F: Subequation) -> Subequation:
             return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A))
 
     return replace(F, rho_batch=rho_dual, label=f"dual({F.label})",
-                   member_sampler=None)
+                   member_sampler=None, spectral=spec_dual)
 
 
 def shift(F: Subequation, jet0: Jet) -> Subequation:
@@ -209,7 +220,7 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
                         np.asarray(A) - A0)
 
     return replace(F, rho_batch=rho_shift, label=f"shift({F.label})",
-                   cone=False, member_sampler=None)
+                   cone=False, member_sampler=None, spectral=None)
 
 
 # ---------------------------------------------------------------------------

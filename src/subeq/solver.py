@@ -4,12 +4,31 @@ The update rule is the discrete counterpart of the upper-envelope
 definition: each node is raised to the largest value whose discrete jet
 (neighbors frozen) still satisfies rho >= 0.  Positivity makes that
 predicate monotone in the node value — raising r lowers the assembled
-Hessian by a PSD multiple — so bisection is exact, and negativity keeps
-the r-slot itself monotone.  Sweeps repeat until the largest node change
-drops below tolerance.
+Hessian by a PSD multiple — and negativity keeps the r-slot itself
+monotone.  So the node value is the root of the nonincreasing margin
+g(r) = rho(J(r)) + eps_b, and membership is g(r) >= 0.  Sweeps repeat until
+the largest node change drops below tolerance.
+
+Margin.  When the set is spectral (``Subequation.spectral``) and the
+stencil moves only A, by c*I per unit of r (the direct stencils, masked or
+not), the spectrum shifts rigidly: g(r) = f(lam_base + c r) + eps_b, with
+one eigensolve of the base Hessians per node update.  Every other case
+(wide16, r-, p- or x-dependent sets, jet-map images) evaluates rho on the
+full jet at each r.
+
+Root-find, the same for both margins.  The bracket is widened until its
+lower end is a member and its upper end is not (or the fiber is found
+degenerate); the margins at both ends give one false-position point, which
+is probed at +-bt/4, and bisection finishes the bracket to width bt (at
+most 64 halvings; node solves still wider are counted in
+``SolveReport.bisect_capped``).  The probes' gap, bt/2, stays within bt
+after rounding, so a false-position point at the root ends the solve.
+Where g is affine in r (laplace, the real branches, pcone, pbranch,
+deltabranch, klap:k=inf) it is the root up to rounding, and a node update
+costs four margin evaluations.
 
 Two schedules: "color" updates the 2^n lattice parity classes in turn with
-fully vectorized bisection (the default; deterministic), "lex" is the
+fully vectorized node solves (the default; deterministic), "lex" is the
 scalar reference schedule, lexicographic then reversed, alternating.
 Updates are over-relaxed by default (SolverParams.omega, auto-tuned from
 the grid resolution); omega=1.0 recovers the plain envelope iteration.
@@ -27,6 +46,7 @@ import numpy as np
 from .errors import BracketError, ConfigError, SamplerExhausted
 from .core import Subequation, bisect, dual, axiom_check
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
+from .linalg import eigvalsh_batch
 
 _BRACKET_PAD = 10.0
 
@@ -45,9 +65,13 @@ class SolveReport:
     label: str = ""
     h: float = 0.0
     sweep_tol: float = 0.0
+    evals: int = 0               # margin evaluations in node solves
+    level_sweeps: list = field(default_factory=list)  # coarsest level first
+    bisect_capped: int = 0       # node solves the 64-step cap left open
 
     def to_json_dict(self) -> dict:
-        # wall_time stays out: reports must be byte-stable for a fixed config
+        # wall_time and the counters stay out: reports must be byte-stable
+        # for a fixed config
         return {"label": self.label, "sweeps": self.sweeps,
                 "final_update": self.final_update, "residual": self.residual,
                 "converged": bool(self.converged),
@@ -58,22 +82,25 @@ class SolveReport:
 
 
 def _widen(edge: np.ndarray, full: np.ndarray, step: np.ndarray,
-           wrong) -> np.ndarray:
-    """Move the bracket ends where ``wrong(edge)`` holds, in place: first to
-    the full bracket, then twice by ``step``, doubling it each time.  Returns
-    the mask of ends still on the wrong side."""
-    bad = wrong(edge)
+           g, wrong):
+    """Move the bracket ends where ``wrong(g(edge))`` holds, in place: first
+    to the full bracket, then twice by ``step``, doubling it each time.
+    Returns the mask of ends still on the wrong side and g at the ends."""
+    val = g(edge)
+    bad = wrong(val)
     if bad.any():
         edge[bad] = full[bad]
-        bad = bad & wrong(edge)
+        val = g(edge)
+        bad = bad & wrong(val)
         grow = step.copy()
         for _ in range(2):
             if not bad.any():
                 break
             edge[bad] += grow[bad]
             grow *= 2.0
-            bad = bad & wrong(edge)
-    return bad
+            val = g(edge)
+            bad = bad & wrong(val)
+    return bad, val
 
 
 class _NodeUpdater:
@@ -91,11 +118,31 @@ class _NodeUpdater:
             warnings.warn("stencil center slope not negative semidefinite; "
                           "bisection may be unreliable", RuntimeWarning)
         self.xb_all = P.pts[P.interior_idx] if P.F.x_dependent else None
+        # the spectral margin needs dp/dr = 0 and dA/dr = c*I
+        c = self.A_slope[0, 0]
+        rigid = self.p_static and np.array_equal(
+            self.A_slope, c * np.eye(len(self.A_slope)))
+        self.shift = c if rigid and P.F.spectral is not None else None
+        self.evals = 0
+        self.capped = 0
 
-    def margins(self, rr, p_base, A_base, xb):
-        p = p_base if self.p_static else p_base + rr[:, None] * self.p_slope
-        A = A_base + rr[:, None, None] * self.A_slope
-        return self.P.F.value_batch(rr, p, A, x=xb)
+    def margin_fn(self, p_base, A_base, xb):
+        """g(r) = rho(J(r)) + eps_b on the base jets of one node update."""
+        F, eps_b = self.P.F, self.eps_b
+        if self.shift is not None:
+            lam, c = eigvalsh_batch(A_base), self.shift
+
+            def g(rr):
+                self.evals += len(rr)
+                return F.spectral(lam + c * rr[:, None]) + eps_b
+        else:
+            def g(rr):
+                self.evals += len(rr)
+                p = (p_base if self.p_static
+                     else p_base + rr[:, None] * self.p_slope)
+                A = A_base + rr[:, None, None] * self.A_slope
+                return F.value_batch(rr, p, A, x=xb) + eps_b
+        return g
 
     def solve(self, u: np.ndarray, sel: np.ndarray, warm: float):
         """Returns (r_new, degenerate_mask) for interior nodes ``sel``."""
@@ -111,7 +158,7 @@ class _NodeUpdater:
         hi_full = max_nb + _BRACKET_PAD
         width_full = hi_full - lo_full
 
-        member = lambda rr: self.margins(rr, p_base, A_base, xb) >= -self.eps_b
+        g = self.margin_fn(p_base, A_base, xb)
 
         if np.isfinite(warm):
             lo = np.maximum(r_cur - warm, lo_full)
@@ -121,7 +168,7 @@ class _NodeUpdater:
             lo, hi = lo_full.copy(), hi_full.copy()
 
         # lower end must be a member; a fiber with none is empty
-        bad = _widen(lo, lo_full, -width_full, lambda rr: ~member(rr))
+        bad, g_lo = _widen(lo, lo_full, -width_full, g, lambda v: ~(v >= 0))
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise BracketError(
@@ -130,17 +177,25 @@ class _NodeUpdater:
 
         # upper end must be outside; a fiber that never exits is degenerate
         # (the operator ignores r there) and falls back to the neighbor max
-        degen = _widen(hi, hi_full, width_full, member)
-        if degen.any():
-            hi[degen] = np.maximum(lo[degen], max_nb[degen])
-
+        degen, g_hi = _widen(hi, hi_full, width_full, g, lambda v: v >= 0)
         active = ~degen
-        span = float(np.max(hi - lo, initial=0.0))
+
+        # one false-position point from the end values, probed at +-bt/4;
+        # each probe moves lo up if it is a member, hi down if it is not
+        t = np.divide(g_lo, g_lo - g_hi, out=np.zeros_like(lo), where=active)
+        x = lo + t * (hi - lo)
+        for q in (x - 0.25 * self.bt, x + 0.25 * self.bt):
+            ok = g(q) >= 0
+            lo = np.where(active & ok, np.fmax(lo, q), lo)
+            hi = np.where(active & ~ok, np.fmin(hi, q), hi)
+
+        # degenerate entries are done at once; their bracket is not read
+        wide = lambda lo, hi: active & (hi - lo > self.bt)
+        span = float(np.max(hi - lo, where=active, initial=0.0))
         iters = int(np.ceil(np.log2(max(span, self.bt) / self.bt))) + 1
-        # degenerate entries never accept, so their lo stays put; their hi
-        # is not read again
-        lo, _ = bisect(lambda mid: member(mid) & active, lo, hi,
-                       min(iters, 64))
+        lo, hi = bisect(lambda mid: g(mid) >= 0, lo, hi, min(iters, 64),
+                        done=lambda lo, hi: ~wide(lo, hi))
+        self.capped += int(wide(lo, hi).sum())
         r_new = np.where(degen, np.maximum(max_nb, r_cur), lo)
         return r_new, degen
 
@@ -238,7 +293,8 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
         residual=residual, converged=converged,
         min_margin=float(vals.min()), degenerate_nodes=degen_total,
         contact_nodes=contact, wall_time=time.perf_counter() - t0,
-        label=label or P.F.label, h=P.grid.h, sweep_tol=st)
+        label=label or P.F.label, h=P.grid.h, sweep_tol=st,
+        evals=upd.evals, level_sweeps=[sweeps], bisect_capped=upd.capped)
     return report
 
 
@@ -288,13 +344,17 @@ def perron_solve(P: GridProblem) -> SolveReport:
     cascade = P.params.init in ("auto", "cascade") and P.domain is None
     ladder = _cascade_ladder(P) if cascade else []
     u0 = None
-    extra_sweeps = 0
+    coarse = []
     for Pc in ladder:
         rep_c = _solve_loop(Pc, u0=u0)
-        extra_sweeps += rep_c.sweeps
+        coarse.append(rep_c)
         u0 = _prolong(rep_c.u)          # now at the next level's resolution
     rep = _solve_loop(P, u0=u0)
-    rep.sweeps += extra_sweeps
+    for rep_c in coarse:
+        rep.sweeps += rep_c.sweeps
+        rep.evals += rep_c.evals
+        rep.bisect_capped += rep_c.bisect_capped
+    rep.level_sweeps = [r.sweeps for r in coarse] + rep.level_sweeps
     return rep
 
 

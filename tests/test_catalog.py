@@ -5,8 +5,11 @@ import pytest
 
 from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
+from subeq.core import Jet, shift
 from subeq.errors import ConfigError
-from subeq.linalg import ComplexStructure
+from subeq.garding import branch_subequation, garding_cone, named_polynomial
+from subeq.jetmaps import AffineJetMap, transform_subequation
+from subeq.linalg import ComplexStructure, eigvalsh_batch
 
 from conftest import random_sym
 
@@ -312,3 +315,72 @@ class TestDualNameTable:
 
     def test_none_for_nonstock_duals(self):
         assert dual_name("pucci:lam=1:Lam=2:n=2") is None
+
+
+def _spectral_names(n):
+    """Every catalog entry of dimension n that is a function of the ordered
+    spectrum of A alone (over a spread of parameters)."""
+    names = [f"branch:real:k={k}:n={n}" for k in range(1, n + 1)]
+    names += [f"pcone:p={p:g}:n={n}" for p in (1, 1.5, n - 0.5, n)]
+    names += [f"pbranch:k=1:p=1:n={n}", f"pbranch:k=2:p={n - 1}:n={n}"]
+    names += [f"pucci:lam=0.5:Lam=2:n={n}", f"delta:d=0.3:n={n}",
+              f"deltabranch:k={n}:d=0.7:n={n}", f"appb:case=1:n={n}"]
+    names += [f"sigma:k={k}:n={n}" for k in range(1, n + 1)]
+    names += [f"slag:c=0:n={n}", f"slag:c=0.5:n={n}", f"laplace:n={n}"]
+    return names
+
+
+def _jets(rng, n, size=1000):
+    return (rng.uniform(-5, 5, size), rng.standard_normal((size, n)),
+            random_sym(rng, n, size=size))
+
+
+class TestSpectralRepresentation:
+    """``spectral`` is f on the ascending spectrum with rho = f(eigs(A));
+    the solver's one-eigensolve node update relies on that identity."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rho_is_f_of_the_spectrum(self, rng, n):
+        r, p, A = _jets(rng, n)
+        eigs = eigvalsh_batch(A)
+        for name in _spectral_names(n):
+            F = parse_name(name)
+            assert F.spectral is not None, name
+            got = F.spectral(eigs)
+            if name.startswith("laplace"):
+                # the trace is summed off the diagonal, not the spectrum
+                np.testing.assert_allclose(got, F.rho_batch(r, p, A),
+                                           rtol=0, atol=1e-12, err_msg=name)
+            else:
+                assert np.array_equal(got, F.rho_batch(r, p, A)), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dual_is_spectral(self, rng, n):
+        r, p, A = _jets(rng, n)
+        eigs = eigvalsh_batch(A)
+        for name in _spectral_names(n):
+            F = parse_name(name)
+            np.testing.assert_allclose(dual(F).spectral(eigs),
+                                       -F.rho_batch(-r, -p, -A),
+                                       rtol=0, atol=1e-12, err_msg=name)
+            assert np.array_equal(dual(dual(F)).spectral(eigs),
+                                  F.spectral(eigs)), name
+
+    def test_other_entries_are_not_spectral(self):
+        for name in ("cy:n=2", "klap:k=inf:n=2", "klap:k=3:n=2",
+                     "geom:p=1:n=2:frames=8", "appb:case=2:n=2",
+                     "appb:case=5:n=2:lam=1", "appb:case=6:n=2:R=1",
+                     "branch:complex:k=1:n=2",
+                     "branch:quaternionic:k=1:n=1"):
+            assert parse_name(name).spectral is None, name
+
+    def test_derived_sets_drop_it(self):
+        F = parse_name("branch:real:k=1:n=2")
+        J0 = Jet.from_parts(0.0, [0.0, 0.0], np.diag([1.0, 0.0]))
+        assert shift(F, J0).spectral is None
+        # jet-map images are built afresh, even the identity's
+        Psi = AffineJetMap.identity(2)
+        assert transform_subequation(F, Psi).spectral is None
+        assert garding_cone(named_polynomial("sigma:2", 2)).spectral is None
+        assert branch_subequation(named_polynomial("det", 2), 1).spectral \
+            is None

@@ -258,3 +258,20 @@ class TestConfigErrors:
                         "--out-csv", str(tmp_path / "c.csv"))
         assert code == 3
         assert json.loads(out.read_text())["status"] == "config_error"
+
+    def test_usage_error_exits_3_without_report(self, tmp_path, capsys):
+        # "-1,1" after --box is read as a flag: a usage error, not exit 2
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--subeq", "branch:real:k=1:n=2", "--bc", "x^2",
+                  "--box", "-1,1", "--m", "9", "--out", str(out)])
+        assert exc.value.code == 3
+        assert "--box" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_box_with_equals(self, tmp_path):
+        code, out = run(tmp_path, "solve", "--subeq", "branch:real:k=1:n=2",
+                        "--bc", "x^2", "--box=-1,1", "--m", "9",
+                        "--out-field", str(tmp_path / "f.csv"))
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["h"] == 0.25

@@ -1,17 +1,20 @@
 """Envelope solver: fixed points, schedules, brackets, comparison scans."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from subeq import parse_name
+from subeq.boundary import ball_domain
 from subeq.core import Subequation
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
-from subeq.solver import (SolveReport, _refine_axis, _prolong, _cascade_ladder,
-                          perron_solve, obstacle_solve, dual_bracket_solve,
-                          comparison_check, membership_scan, _precheck)
+from subeq.solver import (SolveReport, _NodeUpdater, _refine_axis, _prolong,
+                          _cascade_ladder, perron_solve, obstacle_solve,
+                          dual_bracket_solve, comparison_check,
+                          membership_scan, _precheck)
 
 
 def box_problem(bc, m=17, name="laplace:n=2", bounds=((0, 1), (0, 1)),
@@ -168,6 +171,71 @@ class TestDualBracket:
         assert np.nanmax(np.abs(res.U - res.U_tilde)) < 1e-6
         d = res.to_json_dict()
         assert set(d) == {"report", "report_dual", "max_gap", "min_gap"}
+
+
+def cubic(x):
+    return x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2 + 0.25 * x[:, 0] * x[:, 1] ** 2
+
+
+def square(x):
+    return x[:, 0] ** 2
+
+
+class TestNodeSolvePaths:
+    """The spectral margin f(lam_base + c r) and the full-jet margin reach
+    the same fixed point; both run the same false-position root-find."""
+
+    BOX = ((-1, 1), (-1, 1))
+
+    @staticmethod
+    def _node_updates(P, rep):
+        levels = (_cascade_ladder(P) if P.domain is None else []) + [P]
+        assert len(levels) == len(rep.level_sweeps)
+        return sum(s * len(Q.interior_idx)
+                   for Q, s in zip(levels, rep.level_sweeps))
+
+    @pytest.mark.parametrize("name, m, bc, ball, affine", [
+        # lambda_1 of the cubic data stalls under the auto omega (on the
+        # bisection path too), so it solves the bench's x^2
+        ("branch:real:k=1:n=2", 33, square, False, True),
+        ("slag:c=0:n=2", 33, cubic, False, False),
+        ("laplace:n=2", 33, cubic, False, True),
+        ("pucci:lam=1:Lam=2:n=2", 33, cubic, False, False),
+        ("branch:real:k=2:n=2", 21, square, True, False),
+    ])
+    def test_same_fixed_point(self, name, m, bc, ball, affine):
+        F = parse_name(name)
+        g = Grid.regular([(-1.2, 1.2)] * 2 if ball else self.BOX, m)
+        dom = ball_domain(2) if ball else None
+        P = GridProblem(g, F, bc, domain=dom)
+        assert _NodeUpdater(P, 1e-12, 1e-9).shift == -2.0 / g.h ** 2
+        spec = perron_solve(P)
+        P_full = GridProblem(g, replace(F, spectral=None), bc, domain=dom)
+        assert _NodeUpdater(P_full, 1e-12, 1e-9).shift is None
+        full = perron_solve(P_full)
+        assert spec.converged and full.converged
+        assert np.nanmax(np.abs(spec.u - full.u)) <= spec.sweep_tol
+        assert spec.bisect_capped == full.bisect_capped == 0
+        if affine:
+            # the false-position point is the root: no bisection is needed
+            assert spec.evals <= 8 * self._node_updates(P, spec)
+
+    def test_fallback_paths(self):
+        g = Grid.regular(self.BOX, 9)
+        for F, stencil in ((parse_name("laplace:n=2"), "wide16"),
+                           (parse_name("cy:n=2"), "9pt"),
+                           (parse_name("klap:k=inf:n=2"), "9pt")):
+            P = GridProblem(g, F, saddle, params=SolverParams(stencil=stencil))
+            assert _NodeUpdater(P, 1e-12, 1e-9).shift is None, F.label
+
+    def test_counters_add_up_over_levels(self):
+        P = box_problem(saddle, m=33)
+        rep = perron_solve(P)
+        assert len(rep.level_sweeps) == 2 and sum(rep.level_sweeps) == rep.sweeps
+        n = self._node_updates(P, rep)
+        assert 4 * n <= rep.evals <= 8 * n
+        d = rep.to_json_dict()
+        assert not {"evals", "level_sweeps", "bisect_capped"} & set(d)
 
 
 def field_on(g, f):
