@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Record and compare BENCH_<n>.json files: the benchmark's end-to-end
+results for every workload and seed, with their environment lines.
+
+    python3 scripts/bench_trajectory.py run --out BENCH_2.json \\
+        [--checkout DIR] [--against OTHER --against-out BENCH_1.json] \\
+        [--seeds 0,1,2,3] [--seconds 35]
+    python3 scripts/bench_trajectory.py diff BENCH_1.json BENCH_2.json
+
+``run`` calls ``python3 bench/run.py --workload W --seed S --trace 0`` in
+the checkout (default: this one) for each workload and seed, and stores the
+``#`` lines and the result line of each call.  With ``--against`` it runs
+the same calls in a second checkout too, alternating which checkout goes
+first from one call to the next, so that both files see the same machine
+state.  Each checkout runs its own ``bench/``.
+
+``diff`` prints, per workload and end-to-end metric, the median over seeds
+of each file, their ratio, and in how many seeds the second file is lower;
+then the failed operations of each file.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("box-cascade", "masked-fallback", "calculus")
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def bench_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"workload": workload, "seed": seed,
+            "env": [ln for ln in lines if ln.startswith("#")],
+            "result": json.loads(lines[-1])}
+
+
+def run(args) -> None:
+    sides = [(os.path.abspath(args.checkout), args.out)]
+    if args.against:
+        sides.append((os.path.abspath(args.against), args.against_out))
+    runs = {out: [] for _, out in sides}
+    k = 0
+    for workload in WORKLOADS:
+        for seed in args.seeds:
+            order = sides if k % 2 == 0 else sides[::-1]
+            k += 1
+            for checkout, out in order:
+                rec = bench_once(checkout, workload, seed, args.seconds)
+                runs[out].append(rec)
+                m = rec["result"]["metrics"]
+                print(f"{os.path.basename(out)} {workload} seed {seed}: "
+                      + ", ".join(f"{n} {v['value']:.4g}" for n, v in m.items()),
+                      flush=True)
+    for checkout, out in sides:
+        doc = {"command": "python3 bench/run.py --workload W --seed S "
+                          f"--seconds {args.seconds:g} --trace 0",
+               "seeds": args.seeds, "runs": runs[out]}
+        with open(out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
+
+def diff(args) -> None:
+    docs = []
+    for path in (args.old, args.new):
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    table = []
+    for doc in docs:
+        t = {}
+        for rec in doc["runs"]:
+            for name, v in rec["result"]["metrics"].items():
+                t.setdefault((rec["workload"], name), {})[rec["seed"]] = v["value"]
+        table.append(t)
+    old, new = table
+    print(f"{'workload':16s} {'metric':12s} {'old':>10s} {'new':>10s} "
+          f"{'new/old':>8s}  lower in new")
+    for key in sorted(set(old) & set(new)):
+        seeds = sorted(set(old[key]) & set(new[key]))
+        a = statistics.median(old[key][s] for s in seeds)
+        b = statistics.median(new[key][s] for s in seeds)
+        wins = sum(new[key][s] < old[key][s] for s in seeds)
+        print(f"{key[0]:16s} {key[1]:12s} {a:10.4g} {b:10.4g} {b / a:8.3f}  "
+              f"{wins}/{len(seeds)}")
+    for path, doc in zip((args.old, args.new), docs):
+        failed = sum(r["result"]["failed"] for r in doc["runs"])
+        attempted = sum(r["result"]["attempted"] for r in doc["runs"])
+        print(f"{path}: {failed} of {attempted} operations failed")
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    r = sub.add_parser("run")
+    r.add_argument("--out", required=True)
+    r.add_argument("--checkout", default=os.path.dirname(HERE))
+    r.add_argument("--against")
+    r.add_argument("--against-out")
+    r.add_argument("--seeds", default="0,1,2,3",
+                   type=lambda s: [int(x) for x in s.split(",")])
+    r.add_argument("--seconds", type=float, default=35.0)
+    d = sub.add_parser("diff")
+    d.add_argument("old")
+    d.add_argument("new")
+    args = ap.parse_args(argv)
+    if args.cmd == "run":
+        if bool(args.against) != bool(args.against_out):
+            ap.error("--against and --against-out go together")
+        run(args)
+    else:
+        diff(args)
+
+
+if __name__ == "__main__":
+    main()

@@ -216,7 +216,11 @@ class SolverParams:
     order: str = "color"                    # "color" (blocked) or "lex"
     eps_b: float = 1e-9
     omega: Optional[float] = None           # over-relaxation; None = auto
-    init: str = "auto"                      # "auto" | "cascade" | "flat"
+    # start of perron_solve on a rectangle with a cascade ladder: "auto" or
+    # its synonym "cascade" (nested Newton, certified by Perron sweeps; the
+    # Perron cascade when Newton is abandoned) or "flat" (one level from the
+    # boundary minimum); anything else is a ConfigError
+    init: str = "auto"
 
     def resolved(self, data_range: float):
         st = self.sweep_tol

@@ -32,10 +32,42 @@ fully vectorized node solves (the default; deterministic), "lex" is the
 scalar reference schedule, lexicographic then reversed, alternating.
 Updates are over-relaxed by default (SolverParams.omega, auto-tuned from
 the grid resolution); omega=1.0 recovers the plain envelope iteration.
+
+Newton start.  Relaxation needs sweeps in proportion to m.  With
+``init="auto"`` (or its synonym "cascade") on a rectangle with a cascade
+ladder (``_cascade_ladder``: an odd number of at least 33 nodes per axis),
+``perron_solve`` first runs damped Newton on G(u) = rho(J(u)) + eps_b = 0,
+nested over the ladder: the coarsest level starts from the discrete Laplace
+solve, each level's result is prolonged to the next, and the finest result
+is handed to the Perron sweeps.  The Jacobian is never formed.  It is
+applied as grad rho . (v, J(v)), with grad rho a one-sided difference of
+``value_batch`` in jet coordinates and J(v) the stencil's jet of v.  Each
+linear solve is restarted GMRES, right preconditioned by the
+fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
+d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
+backtrack on max|G|; a level is done at max|G| / |c| <= 1e-3 sweep_tol,
+c the stencil's dA/dr diagonal.
+
+Certification and fallback.  Newton's field only starts the Perron sweeps
+on the finest grid, so every answer is a Perron fixed point and
+``converged`` still means final_update <= sweep_tol (one sweep, typically).
+The attempt is abandoned on the first GMRES solve that misses its
+tolerance within its cap, on a line search that finds no decrease, on a
+non-finite residual, at the per-level iteration cap, or before a finer
+level when one GMRES solve on the level below needed more than half the
+cap (the mean-coefficient preconditioner loses about a factor two per
+refinement where d rho / dA varies across the grid, so the finer level
+would miss the cap after paying for most of its iterations).  Then the
+Perron cascade runs from the original start, exactly as it does without a
+Newton start.  ``SolveReport.newton_abandoned`` records why and on which
+level, and the ``subeq`` logger says so at INFO.  Masked domains, grids
+without a ladder, ``init="flat"`` and ``obstacle_solve`` use Perron alone;
+``dual_bracket_solve`` is two ``perron_solve`` calls and inherits the start.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +80,20 @@ from .core import Subequation, bisect, dual, axiom_check
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
 from .linalg import eigvalsh_batch
 
+log = logging.getLogger("subeq")
+
 _BRACKET_PAD = 10.0
+_INITS = ("auto", "cascade", "flat")
+
+# nested Newton start
+_NEWTON_TOL = 1e-3      # stop at max|G| / |c| <= this * sweep_tol
+_NEWTON_ITERS = 30      # per level
+_LINE_SEARCH = 12       # step halvings before the attempt is abandoned
+_GMRES_RTOL = 0.1
+_GMRES_RESTART = 20
+_GMRES_ITERS = 40       # a solve that needs more abandons the attempt
+_KRYLOV_GROWTH = 2.0    # expected growth of the GMRES count per refinement
+_FD_STEP = 1.5e-8       # one-sided difference step, relative to the jets
 
 
 @dataclass
@@ -61,13 +106,16 @@ class SolveReport:
     min_margin: float = 0.0
     degenerate_nodes: int = 0
     contact_nodes: int = 0
-    wall_time: float = 0.0
+    wall_time: float = 0.0       # the whole call, Newton start included
     label: str = ""
     h: float = 0.0
     sweep_tol: float = 0.0
     evals: int = 0               # margin evaluations in node solves
     level_sweeps: list = field(default_factory=list)  # coarsest level first
     bisect_capped: int = 0       # node solves the 64-step cap left open
+    newton_iters: list = field(default_factory=list)  # per level, coarsest first
+    krylov_iters: int = 0        # GMRES iterations over all Newton steps
+    newton_abandoned: Optional[tuple] = None  # (reason, level) or None
 
     def to_json_dict(self) -> dict:
         # wall_time and the counters stay out: reports must be byte-stable
@@ -332,17 +380,261 @@ def _cascade_ladder(P: GridProblem) -> list:
     return levels[::-1]
 
 
-def perron_solve(P: GridProblem) -> SolveReport:
-    """Upper-envelope solve for the Dirichlet problem on P.
+# ---------------------------------------------------------------------------
+# nested Newton start
 
-    On plain rectangles the iteration is warm-started from coarsened grids
-    (params.init="auto"/"cascade"; "flat" forces the single-level start at
-    the boundary minimum).  Never raises on slow convergence: the report
-    carries converged=False.
-    """
-    _precheck(P.F)
-    cascade = P.params.init in ("auto", "cascade") and P.domain is None
-    ladder = _cascade_ladder(P) if cascade else []
+
+class _FastDiag:
+    """Exact inverse of sum_i a_i D_ii on a rectangular block with zero data
+    outside it, D_ii the 3-point second difference along axis i (Lynch, Rice
+    and Thomas 1964).  The orthogonal sine matrix S of one axis diagonalizes
+    its D_ii, S D_ii S = diag(mu); S is symmetric, so it also undoes itself."""
+
+    def __init__(self, shape: tuple, h: float):
+        self.shape = tuple(shape)
+        self.S, self.mu = [], []
+        for N in self.shape:
+            k = np.arange(1, N + 1)
+            self.S.append(np.sqrt(2.0 / (N + 1))
+                          * np.sin(np.pi * np.outer(k, k) / (N + 1)))
+            self.mu.append(-4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (N + 1)) ** 2)
+
+    def _sine(self, y: np.ndarray) -> np.ndarray:
+        for ax, S in enumerate(self.S):
+            y = np.moveaxis(np.tensordot(S, y, axes=(1, ax)), 0, ax)
+        return y
+
+    def solve(self, x: np.ndarray, a) -> np.ndarray:
+        """(sum_i a_i D_ii)^-1 x for a flat C-order block vector x."""
+        n = len(self.shape)
+        lam = sum(ai * mu.reshape([-1 if j == i else 1 for j in range(n)])
+                  for i, (ai, mu) in enumerate(zip(a, self.mu)))
+        return self._sine(self._sine(x.reshape(self.shape)) / lam).ravel()
+
+
+def _gmres(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float,
+           restart: int, maxiter: int):
+    """Right-preconditioned restarted GMRES from x = 0, with Givens rotations
+    on the Hessenberg columns and a Krylov basis grown one vector at a time.
+    Returns (x, iterations, converged), where converged means
+    ||b - A x|| <= rtol ||b||."""
+    x = np.zeros_like(b)
+    target = rtol * np.linalg.norm(b)
+    r = b
+    its = 0
+    while True:
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            return x, its, True
+        if its >= maxiter:
+            return x, its, False
+        V = [r / beta]
+        H, cs, sn, g = [], [], [], [beta]
+        while True:
+            w = matvec(precond(V[-1]))
+            its += 1
+            col = np.empty(len(V) + 1)
+            for i, v in enumerate(V):        # modified Gram-Schmidt
+                col[i] = w @ v
+                w -= col[i] * v
+            col[-1] = np.linalg.norm(w)
+            for i in range(len(cs)):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            d = np.hypot(col[-2], col[-1])
+            if d == 0.0:
+                return x, its, False
+            cs.append(col[-2] / d)
+            sn.append(col[-1] / d)
+            col[-2] = d
+            g.append(-sn[-1] * g[-1])
+            g[-2] *= cs[-1]
+            H.append(col[:-1])
+            if (abs(g[-1]) <= target or col[-1] == 0.0 or len(H) == restart
+                    or its >= maxiter):
+                break
+            V.append(w / col[-1])
+        k = len(H)
+        R = np.zeros((k, k))
+        for j, c in enumerate(H):
+            R[:j + 1, j] = c
+        y = np.linalg.solve(R, g[:k])
+        z = y[0] * V[0]
+        for yi, v in zip(y[1:], V[1:]):
+            z += yi * v
+        x = x + precond(z)
+        r = b - matvec(x)
+
+
+class _NewtonLevel:
+    """G(u) = rho(J(u)) + eps_b at the interior nodes of one rectangle, its
+    gradient in jet coordinates, and the Jacobian applied to a vector.
+
+    G and the gradient are evaluated per colour class, so no temporary is
+    larger than a Perron sweep's.  The gradient is a one-sided difference of
+    ``value_batch`` in (r, p, A), skipping r for reduced sets and p for pure
+    second-order ones: one code path for every set.  J(u) is linear in u, so
+    the Jacobian applied to v is the gradient dotted with the jet that the
+    stencil assembles from v (zero on boundary nodes)."""
+
+    def __init__(self, P: GridProblem):
+        self.P = P
+        ii = P.interior_idx
+        block = tuple(int(a.max() - a.min() + 1)
+                      for a in np.unravel_index(ii, P.grid.shape))
+        self.fd = _FastDiag(block, P.grid.h)
+        self.xb = P.pts[ii] if P.F.x_dependent else None
+        n = P.grid.n
+        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self.diag = [k for k, (i, j) in enumerate(self.pairs) if i == j]
+        self.grad = None
+
+    def _classes(self, u: np.ndarray):
+        P = self.P
+        for sel in P.colors:
+            r, p, A = P.jets_at(u, sel)
+            xb = None if self.xb is None else self.xb[sel]
+            yield sel, r, p, A, xb
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        G = np.empty(len(self.P.interior_idx))
+        for sel, r, p, A, xb in self._classes(u):
+            G[sel] = self.P.F.value_batch(r, p, A, x=xb)
+        return G + self.P.params.eps_b
+
+    def linearize(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Stores the gradient of rho at the jets of u (where G is the
+        residual) and returns the mean of d rho / dA_ii over the nodes."""
+        F, eps_b = self.P.F, self.P.params.eps_b
+        N, n = len(G), self.P.grid.n
+        dr = None if F.reduced else np.empty(N)
+        dp = None if F.pure_second_order else np.empty((N, n))
+        dA = np.empty((N, len(self.pairs)))
+        step = lambda x: _FD_STEP * (1.0 + float(np.abs(x).max()))
+        for sel, r, p, A, xb in self._classes(u):
+            rho0 = G[sel] - eps_b
+            rho = lambda r, p, A: F.value_batch(r, p, A, x=xb)
+            if dr is not None:
+                t = step(r)
+                dr[sel] = (rho(r + t, p, A) - rho0) / t
+            if dp is not None:
+                t = step(p)
+                for k in range(n):
+                    q = p.copy()
+                    q[:, k] += t
+                    dp[sel, k] = (rho(r, q, A) - rho0) / t
+            t = step(A)
+            for k, (i, j) in enumerate(self.pairs):
+                B = A.copy()
+                B[:, i, j] += t
+                if i != j:
+                    B[:, j, i] += t
+                dA[sel, k] = (rho(r, p, B) - rho0) / t
+        self.grad = (dr, dp, dA)
+        return dA[:, self.diag].mean(axis=0)
+
+    def jvp(self, v: np.ndarray) -> np.ndarray:
+        P = self.P
+        dr, dp, dA = self.grad
+        w = np.zeros(P.grid.size())
+        w[P.interior_idx] = v
+        out = np.zeros_like(v) if dr is None else dr * v
+        for sel in P.colors:
+            p, A = P.assembler.assemble(w[P.nb[:, sel]], v[sel])
+            for k, (i, j) in enumerate(self.pairs):
+                out[sel] += dA[sel, k] * A[:, i, j]
+            if dp is not None:
+                out[sel] += np.einsum("mk,mk->m", dp[sel], p)
+        return out
+
+    def laplace_start(self) -> np.ndarray:
+        """The discrete harmonic field with the level's boundary data: the
+        trace of the assembled A is the 5-point Laplacian for the direct
+        stencils, and the fast-diagonalization inverse with a_i = 1 solves it."""
+        P = self.P
+        u = P.initial_field()
+        u[P.interior_idx] = 0.0
+        b = np.empty(len(P.interior_idx))
+        for sel, _, _, A, _ in self._classes(u):
+            b[sel] = np.trace(A, axis1=1, axis2=2)
+        u[P.interior_idx] = -self.fd.solve(b, np.ones(P.grid.n))
+        return u
+
+    def run(self, u: np.ndarray, level: int):
+        """Damped Newton from u.  Returns (u, iterations, the GMRES
+        iterations of each linear solve, reason): reason is None on success,
+        else why the attempt stopped."""
+        P = self.P
+        ii = P.interior_idx
+        st, _ = P.params.resolved(P.data_range())
+        target = _NEWTON_TOL * st * abs(P.assembler.slopes()[1][0, 0])
+        G = self.residual(u)
+        gmax = float(np.abs(G).max())
+        krylov = []
+        for it in range(_NEWTON_ITERS + 1):
+            log.debug("newton level %d iteration %d: max|G| %.3e (target "
+                      "%.3e)", level, it, gmax, target)
+            if not np.isfinite(gmax):
+                return u, it, krylov, "non-finite residual"
+            if gmax <= target:
+                return u, it, krylov, None
+            if it == _NEWTON_ITERS:
+                return u, it, krylov, "iteration cap"
+            a = np.maximum(self.linearize(u, G), 0.0)
+            if not a.max() > 0.0:
+                return u, it, krylov, "no elliptic mean coefficient"
+            du, k, ok = _gmres(self.jvp, lambda y: self.fd.solve(y, a), -G,
+                               _GMRES_RTOL, _GMRES_RESTART, _GMRES_ITERS)
+            krylov.append(k)
+            if not ok:
+                return u, it, krylov, "gmres"
+            step = 1.0
+            for _ in range(_LINE_SEARCH):
+                u_try = u.copy()
+                u_try[ii] += step * du
+                G_try = self.residual(u_try)
+                g_try = float(np.abs(G_try).max())
+                if g_try < gmax:
+                    break
+                step *= 0.5
+            else:
+                return u, it, krylov, "line search"
+            log.debug("newton level %d: %d gmres iterations, step %g",
+                      level, k, step)
+            u, G, gmax = u_try, G_try, g_try
+
+
+def _nested_newton(levels: list):
+    """Newton on each level, coarsest first, prolonging each result to the
+    next level; the coarsest starts from the Laplace solve.  Returns the
+    finest field (None when abandoned), the Newton iterations per level, the
+    Krylov iterations and the abandon reason with its level."""
+    iters, krylov, kmax, u = [], 0, 0, None
+    for level, Q in enumerate(levels):
+        lev = _NewtonLevel(Q)
+        it, ks, reason = 0, [], None
+        if level == 0:
+            u = lev.laplace_start()
+        else:
+            up = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
+            u = Q.initial_field()
+            u[Q.interior_idx] = up[Q.interior_idx]
+            if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
+                reason = "krylov growth"
+        if reason is None:
+            u, it, ks, reason = lev.run(u, level)
+        iters.append(it)
+        krylov += sum(ks)
+        kmax = max(ks, default=0)
+        if reason is not None:
+            log.info("%s: Newton start abandoned at level %d of %d (%s); "
+                     "running the Perron cascade", Q.F.label, level,
+                     len(levels), reason)
+            return None, iters, krylov, (reason, level)
+    return u, iters, krylov, None
+
+
+def _perron_cascade(P: GridProblem, ladder: list) -> SolveReport:
     u0 = None
     coarse = []
     for Pc in ladder:
@@ -355,6 +647,41 @@ def perron_solve(P: GridProblem) -> SolveReport:
         rep.evals += rep_c.evals
         rep.bisect_capped += rep_c.bisect_capped
     rep.level_sweeps = [r.sweeps for r in coarse] + rep.level_sweeps
+    return rep
+
+
+def perron_solve(P: GridProblem) -> SolveReport:
+    """Upper-envelope solve for the Dirichlet problem on P.
+
+    ``params.init`` picks the start.  On plain rectangles with a cascade
+    ladder (an odd number of at least 33 nodes per axis), "auto" and its
+    synonym "cascade" run nested Newton on G(u) = rho(J(u)) + eps_b and
+    certify its field with Perron sweeps; if Newton is abandoned, they run
+    the Perron cascade instead: Perron sweeps on coarsened grids, each level
+    warm-starting the next.  "flat" starts a single level at the boundary
+    minimum.  Masked domains and grids without a ladder use the flat start
+    whatever the value.  Any other value raises ``ConfigError``.  Never
+    raises on slow convergence: the report carries converged=False.
+    """
+    t0 = time.perf_counter()
+    init = P.params.init
+    if init not in _INITS:
+        raise ConfigError(f"unknown init {init!r}; expected one of "
+                          f"{', '.join(_INITS)}")
+    _precheck(P.F)
+    ladder = _cascade_ladder(P) if init != "flat" and P.domain is None else []
+    if not ladder:
+        rep = _solve_loop(P)
+    else:
+        u, iters, krylov, abandoned = _nested_newton(ladder + [P])
+        if u is None:
+            rep = _perron_cascade(P, ladder)
+        else:
+            rep = _solve_loop(P, u0=u)
+            rep.level_sweeps = [0] * len(ladder) + rep.level_sweeps
+        rep.newton_iters, rep.krylov_iters = iters, krylov
+        rep.newton_abandoned = abandoned
+    rep.wall_time = time.perf_counter() - t0
     return rep
 
 

@@ -1,0 +1,216 @@
+"""Nested Newton start of perron_solve: agreement with the Perron cascade,
+the fallback, the fast-diagonalization inverse and the matrix-free Jacobian."""
+
+import json
+import logging
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subeq import parse_name
+from subeq.boundary import ball_domain
+from subeq.errors import ConfigError
+from subeq.expressions import parse_expression
+from subeq.grid import Grid, GridProblem, SolverParams
+from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
+                          _perron_cascade, _solve_loop, dual_bracket_solve,
+                          obstacle_solve, perron_solve)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BOX = ((-1, 1), (-1, 1))
+
+
+def cubic(x):
+    return x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2 + 0.25 * x[:, 0] * x[:, 1] ** 2
+
+
+def problem(name, m, bc=cubic, bounds=BOX, domain=None, **params):
+    return GridProblem(Grid.regular(bounds, m), parse_name(name), bc,
+                       domain=domain, params=SolverParams(**params))
+
+
+def cascade(P):
+    """The Perron cascade alone: the reference for the Newton start."""
+    return _perron_cascade(P, _cascade_ladder(P))
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize("m", [33, 65])
+    @pytest.mark.parametrize("name", ["laplace:n=2", "slag:c=0:n=2",
+                                      "slag:c=0.5:n=2",
+                                      "pucci:lam=1:Lam=2:n=2"])
+    def test_certified_field_matches_cascade(self, name, m):
+        newton = perron_solve(problem(name, m))
+        ref = cascade(problem(name, m))
+        assert newton.newton_abandoned is None
+        assert newton.converged and ref.converged
+        assert newton.sweeps <= 2
+        assert np.nanmax(np.abs(newton.u - ref.u)) <= newton.sweep_tol
+
+    def test_abandoned_attempt_is_the_cascade(self, caplog):
+        # Aronsson's infinity-harmonic data: the set degenerates where p = 0
+        bc = parse_expression("abs(x)^(4/3)-abs(y)^(4/3)")
+        with caplog.at_level(logging.INFO, logger="subeq"):
+            auto = perron_solve(problem("klap:k=inf:n=2", 33, bc=bc))
+        ref = cascade(problem("klap:k=inf:n=2", 33, bc=bc))
+        assert auto.newton_abandoned is not None
+        reason, level = auto.newton_abandoned
+        assert level == len(auto.newton_iters) - 1
+        assert any("abandoned" in r.getMessage() for r in caplog.records)
+        assert np.array_equal(auto.u, ref.u, equal_nan=True)
+        assert auto.sweeps == ref.sweeps
+        assert auto.level_sweeps == ref.level_sweeps
+        assert auto.to_json_dict() == ref.to_json_dict()
+
+    def test_krylov_growth_abandons_before_the_finer_level(self):
+        # one GMRES solve on level 1 needs more than half the cap, so level 2
+        # is not attempted; the cascade stalls here, hence the short run
+        P = problem("branch:real:k=1:n=2", 65, max_sweeps=30)
+        auto = perron_solve(P)
+        assert auto.newton_abandoned == ("krylov growth", 2)
+        assert auto.newton_iters[2] == 0 and min(auto.newton_iters[:2]) > 0
+        ref = cascade(P)
+        assert np.array_equal(auto.u, ref.u, equal_nan=True)
+        assert auto.level_sweeps == ref.level_sweeps
+
+    def test_lambda1_cascade_stall_converges(self):
+        # the over-relaxed Perron cascade stalls at final_update 1.9e-3 on
+        # this data; the plain envelope iteration (omega = 1) from the flat
+        # start converges, slowly, to the same field as the Newton start
+        rep = perron_solve(problem("branch:real:k=1:n=2", 33))
+        assert rep.newton_abandoned is None
+        assert rep.converged and rep.sweeps <= 2
+        ref = _solve_loop(problem("branch:real:k=1:n=2", 33, omega=1.0,
+                                  sweep_tol=1e-12, max_sweeps=5000))
+        assert ref.converged
+        assert np.nanmax(np.abs(rep.u - ref.u)) <= rep.sweep_tol
+
+    def test_wall_time_covers_the_whole_solve(self):
+        P = problem("slag:c=0.5:n=2", 33)
+        t0 = time.perf_counter()
+        rep = perron_solve(P)
+        elapsed = time.perf_counter() - t0
+        assert rep.newton_iters
+        assert 0.9 * elapsed <= rep.wall_time <= elapsed
+
+    def test_counters(self):
+        P = problem("slag:c=0:n=2", 65)
+        rep = perron_solve(P)
+        assert len(rep.newton_iters) == len(rep.level_sweeps) == 3
+        assert rep.level_sweeps[:2] == [0, 0]
+        assert rep.level_sweeps[2] == rep.sweeps >= 1
+        assert rep.krylov_iters >= sum(rep.newton_iters) > 0
+        assert not ({"newton_iters", "krylov_iters", "newton_abandoned"}
+                    & set(rep.to_json_dict()))
+
+    def test_report_is_byte_stable(self):
+        a = perron_solve(problem("slag:c=0.5:n=2", 33))
+        b = perron_solve(problem("slag:c=0.5:n=2", 33))
+        assert a.newton_iters and a.newton_abandoned is None
+        assert (json.dumps(a.to_json_dict(), sort_keys=True)
+                == json.dumps(b.to_json_dict(), sort_keys=True))
+
+    def test_scope(self):
+        # "cascade" is a synonym of "auto"
+        auto = perron_solve(problem("laplace:n=2", 33))
+        syn = perron_solve(problem("laplace:n=2", 33, init="cascade"))
+        assert syn.newton_iters == auto.newton_iters
+        assert np.array_equal(syn.u, auto.u)
+        # no ladder below 33 nodes, masks and "flat" stay on Perron
+        for P in (problem("laplace:n=2", 17),
+                  problem("laplace:n=2", 33, init="flat"),
+                  problem("laplace:n=2", 33, bounds=[(-1.2, 1.2)] * 2,
+                          domain=ball_domain(2))):
+            assert perron_solve(P).newton_iters == []
+        rep = obstacle_solve(problem("laplace:n=2", 33),
+                             lambda x: np.full(len(x), 10.0))
+        assert rep.newton_iters == []
+        res = dual_bracket_solve(problem("laplace:n=2", 33))
+        assert res.report.newton_iters and res.report_dual.newton_iters
+
+    @pytest.mark.parametrize("init", ["Cascade", "newton", ""])
+    def test_unknown_init_rejected(self, init):
+        with pytest.raises(ConfigError, match="init"):
+            perron_solve(problem("laplace:n=2", 33, init=init))
+
+
+def axis_operator(x, h, a):
+    """sum_i a_i D_ii x, D_ii the axis second difference with zero data
+    outside x; with a_i = 1 the 5-point Laplacian."""
+    xp = np.pad(x, 1)
+    out = np.zeros_like(x)
+    for ax, ai in enumerate(a):
+        fwd = [slice(1, -1)] * x.ndim
+        bwd = [slice(1, -1)] * x.ndim
+        fwd[ax], bwd[ax] = slice(2, None), slice(None, -2)
+        out += ai * (xp[tuple(fwd)] + xp[tuple(bwd)] - 2.0 * x) / h ** 2
+    return out
+
+
+class TestFastDiag:
+    @pytest.mark.parametrize("shape, a", [
+        ((9,), (1.0,)), ((7, 5), (1.0, 1.0)), ((4, 6, 5), (1.0, 1.0, 1.0)),
+        ((6, 8), (0.5, 2.0)), ((3, 5, 4), (0.0, 1.0, 3.0)),
+    ])
+    def test_inverts_the_axis_operator(self, shape, a, rng):
+        h = 0.1
+        x = rng.standard_normal(shape)
+        y = _FastDiag(shape, h).solve(axis_operator(x, h, a).ravel(), a)
+        assert np.abs(y - x.ravel()).max() <= 1e-12 * np.abs(x).max()
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("name, shift", [
+        ("slag:c=0.5:n=2", 0.0),
+        ("klap:k=1:n=2", 0.0),          # p-dependent
+        ("cy:n=2", 2.0),                # the value slot is active at r ~ 2
+        ("laplace:n=3", 0.0),
+    ])
+    def test_matches_centred_difference(self, name, shift, rng):
+        n = parse_name(name).n
+        bc = (lambda x: shift + cubic(x)) if n == 2 else \
+            (lambda x: cubic(x) + 0.3 * x[:, 2] ** 2)
+        P = problem(name, 9, bc=bc, bounds=BOX[:1] * n)
+        lev = _NewtonLevel(P)
+        u = P.initial_field()
+        u[P.interior_idx] = bc(P.pts[P.interior_idx]) \
+            + 0.01 * rng.standard_normal(len(P.interior_idx))
+        G = lev.residual(u)
+        lev.linearize(u, G)
+        v = rng.standard_normal(len(P.interior_idx))
+        eps = 1e-5
+        up, um = u.copy(), u.copy()
+        up[P.interior_idx] += eps * v
+        um[P.interior_idx] -= eps * v
+        fd = (lev.residual(up) - lev.residual(um)) / (2 * eps)
+        Jv = lev.jvp(v)
+        assert np.abs(Jv - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+def test_no_sparse_or_dense_scipy_solvers_on_the_solve_path():
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import subeq
+        from subeq import parse_name
+        from subeq.grid import Grid, GridProblem
+        from subeq.solver import perron_solve
+        P = GridProblem(Grid.regular([(0, 1), (0, 1)], 33),
+                        parse_name("laplace:n=2"),
+                        lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
+        rep = perron_solve(P)
+        assert rep.converged and rep.newton_iters, rep
+        print(" ".join(sorted(m for m in sys.modules if m.startswith(
+            ("scipy.sparse", "scipy.linalg")))))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
