@@ -66,6 +66,11 @@ CONFIGS = [
                        "--check-trials", "50"]),
     ("garding-det", ["garding", "--poly", "det", "--n", "2",
                      "--matrix", "1,0.5;0.5,-2"]),
+    ("garding-sigma3", ["garding", "--poly", "sigma:3", "--n", "4",
+                        "--matrix", "2,0.5,0,0.1;0.5,1,0.25,0;0,0.25,-0.5,0.3;"
+                        "0.1,0,0.3,0.75", "--check-trials", "50"]),
+    ("garding-det3", ["garding", "--poly", "det", "--n", "3",
+                      "--matrix", "1,0.5,0;0.5,-2,0.25;0,0.25,0.5"]),
     ("convexity-klapinf-ball", ["convexity", "--subeq", "klap:k=inf:n=2",
                                 "--domain", "ball:n=2"]),
     ("convexity-klap1-star", ["convexity", "--subeq", "klap:k=1:n=2",

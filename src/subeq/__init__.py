@@ -17,7 +17,7 @@ from .core import (Jet, JetNorm, JetBox, Subequation, Membership,
                    asymptotic_interior_member, validate_registration,
                    ViolationReport, MonotonicityReport)
 from .catalog import (make_branch, make_pcone, make_pbranch,
-                      make_uniformly_elliptic, make_delta_branch, make_named,
+                      make_uniformly_elliptic, make_delta_branch,
                       make_monotonicity_cone, parse_name,
                       dual_name, GrassmannSet, grassmann_sample,
                       DirectionalCone, circular_cone)

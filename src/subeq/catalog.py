@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import ConfigError, DimensionMismatch, GeometryError
 from .core import Subequation, _ball, _haar_psd
 from .linalg import (ComplexStructure, hermitian_part_batch, eigvalsh_batch,
                      esym_batch)
-
-_EIG = eigvalsh_batch
 
 
 def _as_batch(A) -> np.ndarray:
@@ -46,7 +44,7 @@ def _spectral_entry(n: int, f, label: str, cone: bool = True,
     spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
     kept as ``spectral`` for the solver's one-eigensolve node update."""
     def rho(r, p, A):
-        return f(_EIG(A))
+        return f(eigvalsh_batch(A))
     return Subequation(n, rho, label, pure_second_order=True, reduced=True,
                        cone=cone, member_sampler=member_sampler, spectral=f)
 
@@ -200,7 +198,7 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
 
     def rho(r, p, A, _s=structure, _i=mult * (k - 1)):
         H = hermitian_part_batch(_as_batch(A), _s)
-        return _EIG(H)[:, _i]
+        return eigvalsh_batch(H)[:, _i]
     return Subequation(mult * n, rho, f"branch:{kind}:k={k}:n={n}",
                        pure_second_order=True, reduced=True, cone=True)
 
@@ -267,7 +265,7 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
             while got < size:
                 m = 4 * (size - got) + 64
                 A = _haar_psd(rng, n, m, eig_lo=-5.0, eig_hi=5.0)
-                A = A[f(_EIG(A)) >= 0]
+                A = A[f(eigvalsh_batch(A)) >= 0]
                 out.append(A)
                 got += len(A)
             A = np.concatenate(out)[:size]
@@ -296,86 +294,79 @@ def make_delta_branch(k: int, d: float, n: int) -> Subequation:
 
 
 # ---------------------------------------------------------------------------
-# named families
+# families built only through their catalog names
 
 
-def make_named(name: str, n: int, **params) -> Subequation:
-    """Family constructor; see the individual branches for the formulas."""
-    if name == "laplace":
+def _laplace(n: int) -> Subequation:
+    def rho(r, p, A):
+        return _trace(A)
+    # the trace needs no eigensolve; the solver's spectral path sums
+    # the eigenvalues it has already computed
+    return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
+                       reduced=True, cone=True,
+                       spectral=lambda eigs: eigs.sum(axis=1))
+
+
+def _sigma(k: int, n: int) -> Subequation:
+    if not (1 <= k <= n):
+        raise ConfigError(f"sigma needs 1 <= k <= n, got k={k}")
+    scales = np.array([math.comb(n, l) for l in range(1, k + 1)], dtype=float)
+
+    def f(eigs, _k=k, _sc=scales):
+        e = esym_batch(eigs, _k)
+        return (e[:, 1:_k + 1] / _sc[None, :]).min(axis=1)
+
+    return _spectral_entry(n, f, f"sigma:k={k}:n={n}")
+
+
+def _slag(c: float, n: int) -> Subequation:
+    if abs(c) >= n * np.pi / 2:
+        raise ConfigError(f"phase |c|={abs(c):g} >= n*pi/2; set is trivial")
+
+    def f(eigs, _c=c):
+        return np.arctan(eigs).sum(axis=1) - _c
+
+    return _spectral_entry(n, f, f"slag:c={c:g}:n={n}", cone=False)
+
+
+def _calabi_yau(n: int) -> Subequation:
+    def rho(r, p, A):
+        eigs = eigvalsh_batch(A)
+        tr = eigs.sum(axis=1)
+        return np.minimum(tr + n - np.exp(np.asarray(r, dtype=float)),
+                          eigs[:, 0] + 1.0)
+    return Subequation(n, rho, f"cy:n={n}")
+
+
+def _k_laplacian(k: float, n: int) -> Subequation:
+    if not (k >= 1):
+        raise ConfigError(f"k-Laplacian needs k >= 1, got {k}")
+    if math.isinf(k):
         def rho(r, p, A):
-            return _trace(A)
-        # the trace needs no eigensolve; the solver's spectral path sums
-        # the eigenvalues it has already computed
-        return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
-                           reduced=True, cone=True,
-                           spectral=lambda eigs: eigs.sum(axis=1))
+            p = np.asarray(p, dtype=float)
+            return np.einsum("ni,nij,nj->n", p, _as_batch(A), p)
+        label = f"klap:k=inf:n={n}"
+    else:
+        def rho(r, p, A, _k=k):
+            p = np.asarray(p, dtype=float)
+            A = _as_batch(A)
+            pp = np.einsum("ni,ni->n", p, p)
+            pAp = np.einsum("ni,nij,nj->n", p, A, p)
+            return pp * _trace(A) + (_k - 2.0) * pAp
+        label = f"klap:k={k:g}:n={n}"
+    return Subequation(n, rho, label, reduced=True, cone=True)
 
-    if name == "sigma_k":
-        k = int(params["k"])
-        if not (1 <= k <= n):
-            raise ConfigError(f"sigma_k needs 1 <= k <= n, got k={k}")
-        scales = np.array([math.comb(n, l) for l in range(1, k + 1)], dtype=float)
 
-        def f(eigs, _k=k, _sc=scales):
-            e = esym_batch(eigs, _k)
-            return (e[:, 1:_k + 1] / _sc[None, :]).min(axis=1)
+def _geometric(G: GrassmannSet) -> Subequation:
+    W = G.stack  # (F, n, p)
 
-        return _spectral_entry(n, f, f"sigma:k={k}:n={n}")
+    def rho(r, p, A, _W=W):
+        vals = np.einsum("fip,nij,fjp->nf", _W, _as_batch(A), _W)
+        return vals.min(axis=1)
 
-    if name == "special_lagrangian":
-        c = float(params.get("c", 0.0))
-        if abs(c) >= n * np.pi / 2:
-            raise ConfigError(f"phase |c|={abs(c):g} >= n*pi/2; set is trivial")
-
-        def f(eigs, _c=c):
-            return np.arctan(eigs).sum(axis=1) - _c
-
-        return _spectral_entry(n, f, f"slag:c={c:g}:n={n}", cone=False)
-
-    if name == "calabi_yau":
-        def rho(r, p, A):
-            eigs = _EIG(A)
-            tr = eigs.sum(axis=1)
-            return np.minimum(tr + n - np.exp(np.asarray(r, dtype=float)),
-                              eigs[:, 0] + 1.0)
-        return Subequation(n, rho, f"cy:n={n}")
-
-    if name == "k_laplacian":
-        k = params["k"]
-        if isinstance(k, str) and k.lower() in ("inf", "infinity"):
-            k = math.inf
-        k = float(k)
-        if not (k >= 1):
-            raise ConfigError(f"k-Laplacian needs k >= 1, got {k}")
-        if math.isinf(k):
-            def rho(r, p, A):
-                p = np.asarray(p, dtype=float)
-                return np.einsum("ni,nij,nj->n", p, _as_batch(A), p)
-            label = f"klap:k=inf:n={n}"
-        else:
-            def rho(r, p, A, _k=k):
-                p = np.asarray(p, dtype=float)
-                A = _as_batch(A)
-                pp = np.einsum("ni,ni->n", p, p)
-                pAp = np.einsum("ni,nij,nj->n", p, A, p)
-                return pp * _trace(A) + (_k - 2.0) * pAp
-            label = f"klap:k={k:g}:n={n}"
-        return Subequation(n, rho, label, reduced=True, cone=True)
-
-    if name == "geometric":
-        G: GrassmannSet = params["G"]
-        if G.n != n:
-            raise DimensionMismatch(f"frames live in R^{G.n}, not R^{n}")
-        W = G.stack  # (F, n, p)
-
-        def rho(r, p, A, _W=W):
-            vals = np.einsum("fip,nij,fjp->nf", _W, _as_batch(A), _W)
-            return vals.min(axis=1)
-
-        return Subequation(n, rho, f"geom:p={G.p}:n={n}:frames={len(G.frames)}",
-                           pure_second_order=True, reduced=True, cone=True)
-
-    raise ConfigError(f"unknown family {name!r}")
+    return Subequation(G.n, rho,
+                       f"geom:p={G.p}:n={G.n}:frames={len(G.frames)}",
+                       pure_second_order=True, reduced=True, cone=True)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +402,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
     if case == 2:
         def rho(r, p, A):
             return np.minimum(-np.asarray(r, dtype=float),
-                              _EIG(A)[:, 0])
+                              eigvalsh_batch(A)[:, 0])
 
         def sampler(rng, size):
             return (-rng.uniform(0, 5, size), _ball(rng, n, size),
@@ -428,7 +419,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
         def rho(r, p, A, _D=D):
             return np.minimum(np.minimum(-np.asarray(r, dtype=float),
                                          _D.margin_batch(p)),
-                              _EIG(A)[:, 0])
+                              eigvalsh_batch(A)[:, 0])
 
         def sampler(rng, size, _D=D):
             return (-rng.uniform(0, 5, size), _D.sample(rng, size),
@@ -448,7 +439,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
             p = np.asarray(p, dtype=float)
             head = -np.asarray(r, dtype=float) - _g * np.linalg.norm(p, axis=-1)
             return np.minimum(np.minimum(head, _D.margin_batch(p)),
-                              _EIG(A)[:, 0])
+                              eigvalsh_batch(A)[:, 0])
 
         def sampler(rng, size, _D=D, _g=float(gamma)):
             p = _D.sample(rng, size)
@@ -498,7 +489,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
 
         def rho(r, p, A, _R=float(R)):
             p = np.asarray(p, dtype=float)
-            return _EIG(A)[:, 0] - np.linalg.norm(p, axis=-1) / _R
+            return eigvalsh_batch(A)[:, 0] - np.linalg.norm(p, axis=-1) / _R
 
         def sampler(rng, size, _R=float(R)):
             p = _ball(rng, n, size)
@@ -516,16 +507,6 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
 # string registry: "family:key=value:..."
 
 
-def _parse_params(parts: Sequence[str]) -> dict:
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigError(f"malformed parameter {part!r}")
-        key, val = part.split("=", 1)
-        out[key] = val
-    return out
-
-
 def _num(s: str) -> float:
     if s.lower() in ("inf", "infinity"):
         return math.inf
@@ -535,97 +516,95 @@ def _num(s: str) -> float:
         raise ConfigError(f"bad number {s!r}") from exc
 
 
+def _appb(kv: dict) -> Subequation:
+    case, n = int(kv["case"]), int(kv["n"])
+    D = None
+    if case in (3, 4):
+        axis = np.zeros(n)
+        axis[0] = 1.0
+        if "axis" in kv:
+            axis = np.asarray([_num(t) for t in kv["axis"].split(",")])
+        D = circular_cone(axis, math.radians(_num(kv.get("angle", "45"))))
+    return make_monotonicity_cone(
+        case, n, gamma=_num(kv["gamma"]) if "gamma" in kv else None,
+        D=D, lam=_num(kv["lam"]) if "lam" in kv else None,
+        R=_num(kv["R"]) if "R" in kv else None)
+
+
+def _branch_dual(name: str, kv: dict) -> str:
+    k, n = int(kv["k"]), int(kv["n"])
+    return f"branch:{kv['kind']}:k={n - k + 1}:n={n}"
+
+
+def _self_dual(name: str, kv: dict) -> str:
+    return name
+
+
+# family -> (constructor from the parsed parameters, dual rule or None).
+# A dual rule maps (name, parameters) to the catalog name of the dual.
+_FAMILIES = {
+    "laplace": (lambda kv: _laplace(int(kv["n"])), _self_dual),
+    "branch": (lambda kv: make_branch(kv["kind"], int(kv["k"]), int(kv["n"])),
+               _branch_dual),
+    "pcone": (lambda kv: make_pcone(_num(kv["p"]), int(kv["n"])), None),
+    "pbranch": (lambda kv: make_pbranch(int(kv["k"]), int(kv["p"]),
+                                        int(kv["n"])), None),
+    "pucci": (lambda kv: make_uniformly_elliptic(
+        "pucci", int(kv["n"]), lam=_num(kv["lam"]), Lam=_num(kv["Lam"])),
+        None),
+    "delta": (lambda kv: make_uniformly_elliptic("delta", int(kv["n"]),
+                                                 d=_num(kv["d"])), None),
+    "deltabranch": (lambda kv: make_delta_branch(int(kv["k"]), _num(kv["d"]),
+                                                 int(kv["n"])), None),
+    "sigma": (lambda kv: _sigma(int(kv["k"]), int(kv["n"])), None),
+    "slag": (lambda kv: _slag(_num(kv.get("c", "0")), int(kv["n"])),
+             lambda name, kv: f"slag:c={-_num(kv.get('c', '0')):g}:"
+                              f"n={int(kv['n'])}"),
+    "cy": (lambda kv: _calabi_yau(int(kv["n"])), None),
+    "klap": (lambda kv: _k_laplacian(_num(kv["k"]), int(kv["n"])),
+             _self_dual),
+    "geom": (lambda kv: _geometric(grassmann_sample(
+        int(kv["p"]), int(kv["n"]), count=int(kv.get("frames", "256")))),
+        None),
+    "appb": (_appb, None),
+}
+
+
+class _Params(dict):
+    """key=value parameters of one catalog name; a missing key raises
+    :class:`ConfigError`.  The branch kind is the parameter "kind"."""
+
+    def __init__(self, name: str):
+        self.name = name
+        fam, *parts = name.split(":")
+        if fam == "branch":
+            if not parts:
+                raise ConfigError(f"{name!r}: missing branch kind")
+            parts[0] = "kind=" + parts[0]
+        for part in parts:
+            if "=" not in part:
+                raise ConfigError(f"malformed parameter {part!r}")
+            key, val = part.split("=", 1)
+            self[key] = val
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.name!r}: missing parameter {key!r}")
+
+
 def parse_name(name: str) -> Subequation:
     """Resolve a catalog name like ``branch:real:k=1:n=2`` to a subequation.
 
     Families: laplace, branch:{real,complex,quaternionic}, pcone, pbranch,
     pucci, delta, deltabranch, sigma, slag, cy, klap, geom, appb.
     """
-    parts = name.split(":")
-    fam = parts[0]
-    try:
-        if fam == "laplace":
-            kv = _parse_params(parts[1:])
-            return make_named("laplace", int(kv["n"]))
-        if fam == "branch":
-            if len(parts) < 2:
-                raise ConfigError(f"{name!r}: missing branch kind")
-            kind = parts[1]
-            kv = _parse_params(parts[2:])
-            return make_branch(kind, int(kv["k"]), int(kv["n"]))
-        if fam == "pcone":
-            kv = _parse_params(parts[1:])
-            return make_pcone(_num(kv["p"]), int(kv["n"]))
-        if fam == "pbranch":
-            kv = _parse_params(parts[1:])
-            return make_pbranch(int(kv["k"]), int(kv["p"]), int(kv["n"]))
-        if fam == "pucci":
-            kv = _parse_params(parts[1:])
-            return make_uniformly_elliptic("pucci", int(kv["n"]),
-                                           lam=_num(kv["lam"]),
-                                           Lam=_num(kv["Lam"]))
-        if fam == "delta":
-            kv = _parse_params(parts[1:])
-            return make_uniformly_elliptic("delta", int(kv["n"]), d=_num(kv["d"]))
-        if fam == "deltabranch":
-            kv = _parse_params(parts[1:])
-            return make_delta_branch(int(kv["k"]), _num(kv["d"]), int(kv["n"]))
-        if fam == "sigma":
-            kv = _parse_params(parts[1:])
-            return make_named("sigma_k", int(kv["n"]), k=int(kv["k"]))
-        if fam == "slag":
-            kv = _parse_params(parts[1:])
-            return make_named("special_lagrangian", int(kv["n"]),
-                              c=_num(kv.get("c", "0")))
-        if fam == "cy":
-            kv = _parse_params(parts[1:])
-            return make_named("calabi_yau", int(kv["n"]))
-        if fam == "klap":
-            kv = _parse_params(parts[1:])
-            return make_named("k_laplacian", int(kv["n"]), k=kv["k"])
-        if fam == "geom":
-            kv = _parse_params(parts[1:])
-            n = int(kv["n"])
-            G = grassmann_sample(int(kv["p"]), n,
-                                 count=int(kv.get("frames", "256")))
-            return make_named("geometric", n, G=G)
-        if fam == "appb":
-            kv = _parse_params(parts[1:])
-            case = int(kv["case"])
-            n = int(kv["n"])
-            D = None
-            if case in (3, 4):
-                axis = np.zeros(n)
-                axis[0] = 1.0
-                if "axis" in kv:
-                    axis = np.asarray([_num(t) for t in kv["axis"].split(",")])
-                angle = math.radians(_num(kv.get("angle", "45")))
-                D = circular_cone(axis, angle)
-            return make_monotonicity_cone(
-                case, n, gamma=_num(kv["gamma"]) if "gamma" in kv else None,
-                D=D, lam=_num(kv["lam"]) if "lam" in kv else None,
-                R=_num(kv["R"]) if "R" in kv else None)
-    except KeyError as exc:
-        raise ConfigError(f"{name!r}: missing parameter {exc}") from exc
-    raise ConfigError(f"unknown catalog family {fam!r}")
+    fam = name.split(":")[0]
+    if fam not in _FAMILIES:
+        raise ConfigError(f"unknown catalog family {fam!r}")
+    return _FAMILIES[fam][0](_Params(name))
 
 
 def dual_name(name: str) -> Optional[str]:
-    """Catalog name of the dual, when the dual is itself a stock entry."""
-    parts = name.split(":")
-    fam = parts[0]
-    if fam == "branch":
-        kind = parts[1]
-        kv = _parse_params(parts[2:])
-        k, n = int(kv["k"]), int(kv["n"])
-        return f"branch:{kind}:k={n - k + 1}:n={n}"
-    if fam == "laplace":
-        return name
-    if fam == "klap":
-        return name
-    if fam == "slag":
-        kv = _parse_params(parts[1:])
-        c = _num(kv.get("c", "0"))
-        n = int(kv["n"])
-        return f"slag:c={-c:g}:n={n}"
-    return None
+    """Catalog name of the dual, when the dual is itself a stock entry;
+    None for the other families and for unknown ones."""
+    rule = _FAMILIES.get(name.split(":")[0], (None, None))[1]
+    return None if rule is None else rule(name, _Params(name))

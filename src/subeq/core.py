@@ -194,12 +194,8 @@ def dual(F: Subequation) -> Subequation:
     spec_dual = None if spec is None else (
         lambda lam: -spec(-lam[:, ::-1]))
 
-    if F.x_dependent:
-        def rho_dual(r, p, A, x):
-            return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A), x)
-    else:
-        def rho_dual(r, p, A):
-            return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A))
+    def rho_dual(r, p, A, *x):
+        return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A), *x)
 
     return replace(F, rho_batch=rho_dual, label=f"dual({F.label})",
                    member_sampler=None, spectral=spec_dual)
@@ -210,14 +206,9 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
     base = F.rho_batch
     r0, p0, A0 = jet0.r, jet0.p.copy(), jet0.A.mat.copy()
 
-    if F.x_dependent:
-        def rho_shift(r, p, A, x):
-            return base(np.asarray(r) - r0, np.asarray(p) - p0,
-                        np.asarray(A) - A0, x)
-    else:
-        def rho_shift(r, p, A):
-            return base(np.asarray(r) - r0, np.asarray(p) - p0,
-                        np.asarray(A) - A0)
+    def rho_shift(r, p, A, *x):
+        return base(np.asarray(r) - r0, np.asarray(p) - p0,
+                    np.asarray(A) - A0, *x)
 
     return replace(F, rho_batch=rho_shift, label=f"shift({F.label})",
                    cone=False, member_sampler=None, spectral=None)

@@ -8,15 +8,16 @@ under the principal-branch cone, and defining m branch subequations.
 
 Root extraction is interpolation-based: q_A is sampled at Chebyshev nodes of
 an interval certain to contain the roots, fitted exactly (degree m), and the
-fit's companion roots are tested for realness.  Registered families (det,
-elementary symmetric functions) get closed-form coefficient fast paths that
-the tests cross-check against the generic route.
+fit's companion roots are tested for realness.  The named polynomials (det,
+elementary symmetric functions) are functions of the spectrum of A, so they
+carry a root map from the ascending eigenvalues to the ascending Gårding
+eigenvalues instead; the tests cross-check it against the generic route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +25,8 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import ConfigError, NotHyperbolicError
 from .core import Subequation
-from .linalg import _as_dense, esym_batch
+from .catalog import _spectral_entry
+from .linalg import _as_dense, eigvalsh_batch, esym_batch, poly_roots_batch
 
 _IMAG_TOL = 1e-6
 _RECON_TOL = 1e-8
@@ -51,14 +53,15 @@ class HyperbolicPolynomial:
     n: int
     eval_fn: Callable[[np.ndarray], float]
     label: str = "Q"
-    kind: Optional[tuple] = None    # ("det",) or ("sigma", k) fast paths
+    # ascending eigenvalues (N, n) -> ascending Garding eigenvalues (N, m);
+    # set by named_polynomial, None for the generic interpolation route
+    root_map: Optional[Callable] = None
 
     def __call__(self, A) -> float:
         return float(self.eval_fn(_as_dense(A)))
 
     @classmethod
     def from_callable(cls, m: int, n: int, raw: Callable, label: str = "Q",
-                      kind: Optional[tuple] = None,
                       check_homogeneity: bool = True) -> "HyperbolicPolynomial":
         if m < 1 or n < 1:
             raise ConfigError(f"bad degree/dimension m={m}, n={n}")
@@ -66,7 +69,7 @@ class HyperbolicPolynomial:
         if abs(qI) < 1e-300:
             raise NotHyperbolicError(f"{label}: Q(I) = 0, cannot normalize")
         fn = (lambda A, _r=raw, _c=qI: float(_r(A)) / _c)
-        Q = cls(m, n, fn, label=label, kind=kind)
+        Q = cls(m, n, fn, label=label)
         assert abs(Q(np.eye(n)) - 1.0) <= 1e-12
         if check_homogeneity:
             rng = np.random.default_rng(7)
@@ -87,20 +90,58 @@ class HyperbolicPolynomial:
 def named_polynomial(name: str, n: int) -> HyperbolicPolynomial:
     """Registry: "det" and "sigma:k" (elementary symmetric of the spectrum)."""
     if name == "det":
-        return HyperbolicPolynomial.from_callable(
-            n, n, lambda A: float(np.linalg.det(A)), label=f"det:n={n}",
-            kind=("det",))
-    if name.startswith("sigma:"):
-        k = int(name.split(":", 1)[1])
-        if not (1 <= k <= n):
-            raise ConfigError(f"sigma:{k} out of range for n={n}")
+        m = n
+        raw = lambda A: float(np.linalg.det(A))
+        label = f"det:n={n}"
+    elif name.startswith("sigma:"):
+        m = int(name.split(":", 1)[1])
+        if not (1 <= m <= n):
+            raise ConfigError(f"sigma:{m} out of range for n={n}")
 
-        def raw(A, _k=k):
-            return esym_batch(np.linalg.eigvalsh(A)[None], _k)[0, _k]
+        def raw(A, _m=m):
+            return esym_batch(eigvalsh_batch(A[None]), _m)[0, _m]
+        label = f"sigma:{m}:n={n}"
+    else:
+        raise ConfigError(f"unknown polynomial name {name!r}")
+    Q = HyperbolicPolynomial.from_callable(m, n, raw, label=label)
+    # sigma_n = det: the Garding eigenvalues are the eigenvalues
+    return replace(Q, root_map=(lambda eigs: eigs) if m == n
+                   else _sigma_root_map(n, m, label))
 
-        return HyperbolicPolynomial.from_callable(
-            k, n, raw, label=f"sigma:{k}:n={n}", kind=("sigma", k))
-    raise ConfigError(f"unknown polynomial name {name!r}")
+
+def _sigma_root_map(n: int, m: int, label: str) -> Callable:
+    """Root map of Q = sigma_m / binom(n, m), m < n.
+
+    sigma_m(A + tI) = sum_j binom(n-j, m-j) sigma_j(A) t^{m-j} turns the
+    restriction into explicit monic coefficients; their roots are closed
+    form for m = 2 and companion eigenvalues otherwise (for m = 1 the 1x1
+    companion matrix gives the root exactly).
+    """
+    # weights[j] multiplies sigma_j, the coefficient of t^(m-j)
+    weights = np.array([math.comb(n - j, m - j) / math.comb(n, m)
+                        for j in range(m + 1)])
+
+    def roots(eigs):
+        c = esym_batch(eigs, m) * weights
+        if m == 2:
+            half = 0.5 * c[:, 1]
+            d = np.sqrt(np.clip(half ** 2 - c[:, 2], 0.0, None))
+            return np.stack([half - d, half + d], axis=1)
+        return _negated_real_roots(c, label)
+
+    return roots
+
+
+def _negated_real_roots(c: np.ndarray, label: str) -> np.ndarray:
+    """Ascending negated roots of the monic rows of c (N, m+1); raises
+    :class:`NotHyperbolicError` when a root strays off the real axis."""
+    roots = poly_roots_batch(c)
+    tol = _imag_tol(c.shape[1] - 1)
+    bad = np.abs(roots.imag) > tol * (1.0 + np.abs(roots))
+    if np.any(bad):
+        worst = roots.flat[np.argmax(np.abs(roots.imag))]
+        raise NotHyperbolicError(f"{label}: complex root {worst:.6g}")
+    return np.sort(-roots.real, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +153,7 @@ def restriction_coefficients(Q: HyperbolicPolynomial, A) -> np.ndarray:
     by exact interpolation at m+1 Chebyshev nodes."""
     A = _as_dense(A)
     m = Q.m
-    s = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    s = 1.0 + float(np.max(np.abs(eigvalsh_batch(A[None]))))
     nodes = s * np.cos(np.pi * (np.arange(m + 1) + 0.5) / (m + 1))
     vals = np.array([Q(t * np.eye(Q.n) + A) for t in nodes])
     series = _cheb.chebfit(nodes, vals, m)
@@ -128,24 +169,17 @@ def restriction_coefficients(Q: HyperbolicPolynomial, A) -> np.ndarray:
 def garding_eigenvalues(Q: HyperbolicPolynomial, A) -> np.ndarray:
     """Ascending generalized eigenvalues of A: negatives of the roots of q_A.
 
-    Raises :class:`NotHyperbolicError` when a root strays off the real axis
-    beyond |Im| <= 1e-6 (1 + |root|), or when the product form fails to
-    reconstruct q_A.
+    Polynomials without a root map raise :class:`NotHyperbolicError` when a
+    root strays off the real axis beyond the realness tolerance, or when
+    the product form fails to reconstruct q_A.
     """
     A = _as_dense(A)
-    if Q.kind is not None:
-        return eigenvalues_batch(Q, np.asarray(A, dtype=float)[None])[0]
-    coeffs = restriction_coefficients(Q, A)
-    roots = np.roots(coeffs)
-    bad = np.abs(roots.imag) > _imag_tol(Q.m) * (1.0 + np.abs(roots))
-    if np.any(bad):
-        worst = roots[np.argmax(np.abs(roots.imag))]
-        raise NotHyperbolicError(
-            f"{Q.label}: complex root {worst:.6g} at this matrix")
-    lam = np.sort(-roots.real)
-    s = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    ts = np.linspace(-s, s, 5)
-    for t in ts:
+    if Q.root_map is not None:
+        return eigenvalues_batch(Q, A[None])[0]
+    lam = _negated_real_roots(restriction_coefficients(Q, A)[None], Q.label)[0]
+    # reconstruct q_A on an interval holding every root
+    s = 1.0 + float(np.max(np.abs(lam)))
+    for t in np.linspace(-s, s, 5):
         direct = Q(t * np.eye(Q.n) + A)
         recon = float(np.prod(t + lam))
         if abs(direct - recon) > _RECON_TOL * (1.0 + abs(direct) + abs(recon)):
@@ -198,47 +232,14 @@ def hyperbolicity_check(Q: HyperbolicPolynomial, trials: int = 200,
 
 
 # ---------------------------------------------------------------------------
-# batch eigenvalue paths for the branch subequations
-
-
-def _sigma_eigen_batch(A: np.ndarray, n: int, m: int) -> np.ndarray:
-    """All m generalized eigenvalues for Q = sigma_m / binom(n,m), batched.
-
-    Uses sigma_m(A + tI) = sum_j binom(n-j, m-j) sigma_j(A) t^{m-j}, which
-    turns the restriction into explicit monic coefficients.
-    """
-    w = np.linalg.eigvalsh(A)
-    e = esym_batch(w, m)
-    denom = math.comb(n, m)
-    # c[:, j] multiplies t^(m-j);  c[:, 0] = 1
-    c = np.stack([math.comb(n - j, m - j) / denom * e[:, j]
-                  for j in range(m + 1)], axis=1)
-    N = len(c)
-    if m == 1:
-        return c[:, 1:2]
-    if m == 2:
-        half = 0.5 * c[:, 1]
-        disc = np.clip(half ** 2 - c[:, 2], 0.0, None)
-        d = np.sqrt(disc)
-        return np.stack([half - d, half + d], axis=1)
-    out = np.empty((N, m))
-    tol = _imag_tol(m)
-    for i in range(N):
-        roots = np.roots(c[i])
-        bad = np.abs(roots.imag) > tol * (1.0 + np.abs(roots))
-        if np.any(bad):
-            raise NotHyperbolicError("sigma restriction produced complex roots")
-        out[i] = np.sort(-roots.real)
-    return out
+# batch eigenvalues and the branch subequations
 
 
 def eigenvalues_batch(Q: HyperbolicPolynomial, A: np.ndarray) -> np.ndarray:
-    """(N, m) ascending generalized eigenvalues; fast paths when registered."""
+    """(N, m) ascending generalized eigenvalues of a stack (N, n, n)."""
     A = np.asarray(A, dtype=float)
-    if Q.kind is not None and Q.kind[0] == "det":
-        return np.linalg.eigvalsh(A)
-    if Q.kind is not None and Q.kind[0] == "sigma":
-        return _sigma_eigen_batch(A, Q.n, Q.kind[1])
+    if Q.root_map is not None:
+        return Q.root_map(eigvalsh_batch(A))
     out = np.empty((len(A), Q.m))
     for i in range(len(A)):
         out[i] = garding_eigenvalues(Q, A[i])
@@ -247,14 +248,19 @@ def eigenvalues_batch(Q: HyperbolicPolynomial, A: np.ndarray) -> np.ndarray:
 
 def branch_subequation(Q: HyperbolicPolynomial, k: int) -> Subequation:
     """Branch {k-th generalized eigenvalue >= 0}; k = 1 is the convex
-    principal cone containing the identity."""
+    principal cone containing the identity.  A root map makes it a
+    spectral catalog entry: for det and sigma_n, ``branch:real:k``."""
     if not (1 <= k <= Q.m):
         raise ConfigError(f"branch index k={k} out of range 1..{Q.m}")
+    label = f"garding({Q.label}):k={k}"
+    if Q.root_map is not None:
+        return _spectral_entry(
+            Q.n, lambda eigs, _r=Q.root_map, _i=k - 1: _r(eigs)[:, _i], label)
 
     def rho(r, p, A, _Q=Q, _i=k - 1):
         return eigenvalues_batch(_Q, A)[:, _i]
 
-    return Subequation(Q.n, rho, f"garding({Q.label}):k={k}",
+    return Subequation(Q.n, rho, label,
                        pure_second_order=True, reduced=True, cone=True)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .core import Jet, Subequation
-from .linalg import SymMatrix, _as_dense, hermitian_part_batch, ComplexStructure
+from .linalg import (SymMatrix, _as_dense, hermitian_part_batch,
+                     ComplexStructure, eigvalsh_batch)
 
 MatField = Union[np.ndarray, Callable]      # (n,n) or x->(N,n,n)
 TenField = Union[np.ndarray, Callable]      # (n,n,n) or x->(N,n,n,n)
@@ -53,8 +54,7 @@ class AffineJetMap:
 
     @classmethod
     def identity(cls, n: int) -> "AffineJetMap":
-        return cls(n, np.eye(n), np.eye(n), np.zeros((n, n, n)),
-                   (0.0, np.zeros(n), np.zeros((n, n))), label="id")
+        return cls.linear(np.eye(n), np.eye(n), label="id")
 
     @classmethod
     def linear(cls, g, h, L=None, n: Optional[int] = None,
@@ -73,8 +73,7 @@ class AffineJetMap:
             r0, p0, A0 = S
             p0 = np.asarray(p0, dtype=float)
             n = n or len(p0)
-            S = (float(r0), p0, _as_dense(A0) if hasattr(A0, "packed")
-                 else np.asarray(A0, dtype=float))
+            S = (float(r0), p0, _as_dense(A0))
         elif n is None:
             raise ConfigError("x-dependent translation needs explicit n")
         return cls(n, np.eye(n), np.eye(n), np.zeros((n, n, n)), S, label=label)
@@ -132,137 +131,88 @@ def apply(Psi: AffineJetMap, x, J: Jet) -> Jet:
         0.5 * (A[0] + A[0].T), check=False))
 
 
-def _compose_const(P2: AffineJetMap, P1: AffineJetMap) -> AffineJetMap:
-    n = P1.n
-    g = P2.g @ P1.g
-    h = P2.h @ P1.h
-    # composed linear fill-in: conjugate the inner one, chain the outer
-    L = (np.einsum("ab,ibc,dc->iad", P2.h, P1.L, P2.h)
-         + np.einsum("jab,ji->iab", P2.L, P1.g))
-    r1, p1, A1 = P1.S
-    r0 = r1 + P2.S[0]
-    p0 = P2.g @ p1 + P2.S[1]
-    A0 = (P2.h @ A1 @ P2.h.T + np.einsum("iab,i->ab", P2.L, p1) + P2.S[2])
-    return AffineJetMap(n, g, h, L, (float(r0), p0, A0),
-                        label=f"{P2.label}*{P1.label}")
+def _field(fn: Callable, x_dependent: bool):
+    """A map field from its batched formula fn(x, N): a callback of x when
+    x_dependent, else the constant value of fn at N = 1."""
+    if x_dependent:
+        return lambda x: fn(x, len(np.atleast_2d(x)))
+    out = fn(None, 1)
+    if isinstance(out, tuple):                  # a translation jet
+        return float(out[0][0]), out[1][0], out[2][0]
+    return out[0]
+
+
+def _inv(M: np.ndarray, label: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"{label}: singular g or h") from exc
 
 
 def compose(P2: AffineJetMap, P1: AffineJetMap) -> AffineJetMap:
     """compose(P2, P1) acts as P2 after P1."""
     if P2.n != P1.n:
         raise DimensionMismatch("composing maps of different dimension")
-    if not (P2.x_dependent or P1.x_dependent):
-        return _compose_const(P2, P1)
-    n = P1.n
 
-    def g_c(x):
-        N = len(np.atleast_2d(x))
-        g2, _ = P2._gh(x, N)
-        g1, _ = P1._gh(x, N)
-        return np.einsum("nij,njk->nik", g2, g1)
+    def g(x, N):
+        return np.einsum("nij,njk->nik", P2._gh(x, N)[0], P1._gh(x, N)[0])
 
-    def h_c(x):
-        N = len(np.atleast_2d(x))
-        _, h2 = P2._gh(x, N)
-        _, h1 = P1._gh(x, N)
-        return np.einsum("nij,njk->nik", h2, h1)
+    def h(x, N):
+        return np.einsum("nij,njk->nik", P2._gh(x, N)[1], P1._gh(x, N)[1])
 
-    def L_c(x):
-        N = len(np.atleast_2d(x))
-        _, h2 = P2._gh(x, N)
-        g1, _ = P1._gh(x, N)
-        L1 = P1._Lten(x, N)
-        L2 = P2._Lten(x, N)
-        return (np.einsum("nab,nibc,ndc->niad", h2, L1, h2)
-                + np.einsum("njab,nji->niab", L2, g1))
+    def L(x, N):
+        # composed linear fill-in: conjugate the inner one, chain the outer
+        h2, g1 = P2._gh(x, N)[1], P1._gh(x, N)[0]
+        return (np.einsum("nab,nibc,ndc->niad", h2, P1._Lten(x, N), h2)
+                + np.einsum("njab,nji->niab", P2._Lten(x, N), g1))
 
-    def S_c(x):
-        N = len(np.atleast_2d(x))
+    def S(x, N):
         g2, h2 = P2._gh(x, N)
-        L2 = P2._Lten(x, N)
         r1, p1, A1 = P1._Sjet(x, N)
         r2, p2, A2 = P2._Sjet(x, N)
-        r0 = r1 + r2
-        p0 = np.einsum("nij,nj->ni", g2, p1) + p2
-        A0 = (np.einsum("nij,njk,nlk->nil", h2, A1, h2)
-              + np.einsum("niab,ni->nab", L2, p1) + A2)
-        return r0, p0, A0
+        return (r1 + r2, np.einsum("nij,nj->ni", g2, p1) + p2,
+                np.einsum("nij,njk,nlk->nil", h2, A1, h2)
+                + np.einsum("niab,ni->nab", P2._Lten(x, N), p1) + A2)
 
-    return AffineJetMap(n, g_c, h_c, L_c, S_c,
+    dep = P2.x_dependent or P1.x_dependent
+    return AffineJetMap(P1.n, *(_field(f, dep) for f in (g, h, L, S)),
                         label=f"{P2.label}*{P1.label}")
 
 
-def _invert_const(P: AffineJetMap) -> AffineJetMap:
-    n = P.n
-    try:
-        gi = np.linalg.inv(P.g)
-        hi = np.linalg.inv(P.h)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"{P.label}: singular g or h") from exc
-    Lg = np.einsum("jab,ji->iab", P.L, gi)
-    Li = -np.einsum("ab,ibc,dc->iad", hi, Lg, hi)
-    r1, p1, A1 = P.S
-    ri = -float(r1)
-    pi = -(gi @ p1)
-    Ai = -(hi @ A1 @ hi.T + np.einsum("iab,i->ab", Li, p1))
-    return AffineJetMap(n, gi, hi, Li, (ri, pi, Ai), label=f"{P.label}^-1")
-
-
 def invert(P: AffineJetMap) -> AffineJetMap:
-    if not P.x_dependent:
-        return _invert_const(P)
-    n = P.n
+    def g(x, N):
+        return _inv(P._gh(x, N)[0], P.label)
 
-    def g_i(x):
-        g, _ = P._gh(x, len(np.atleast_2d(x)))
-        return np.linalg.inv(g)
+    def h(x, N):
+        return _inv(P._gh(x, N)[1], P.label)
 
-    def h_i(x):
-        _, h = P._gh(x, len(np.atleast_2d(x)))
-        return np.linalg.inv(h)
-
-    def L_i(x):
-        N = len(np.atleast_2d(x))
-        g, h = P._gh(x, N)
-        gi, hi = np.linalg.inv(g), np.linalg.inv(h)
-        L = P._Lten(x, N)
-        Lg = np.einsum("njab,nji->niab", L, gi)
+    def L(x, N):
+        hi = h(x, N)
+        Lg = np.einsum("njab,nji->niab", P._Lten(x, N), g(x, N))
         return -np.einsum("nab,nibc,ndc->niad", hi, Lg, hi)
 
-    def S_i(x):
-        N = len(np.atleast_2d(x))
-        g, h = P._gh(x, N)
-        gi, hi = np.linalg.inv(g), np.linalg.inv(h)
-        Li = L_i(x)
+    def S(x, N):
+        hi = h(x, N)
         r1, p1, A1 = P._Sjet(x, N)
-        ri = -r1
-        pi = -np.einsum("nij,nj->ni", gi, p1)
-        Ai = -(np.einsum("nij,njk,nlk->nil", hi, A1, hi)
-               + np.einsum("niab,ni->nab", Li, p1))
-        return ri, pi, Ai
+        return (-r1, -np.einsum("nij,nj->ni", g(x, N), p1),
+                -(np.einsum("nij,njk,nlk->nil", hi, A1, hi)
+                  + np.einsum("niab,ni->nab", L(x, N), p1)))
 
-    return AffineJetMap(n, g_i, h_i, L_i, S_i, label=f"{P.label}^-1")
+    return AffineJetMap(P.n, *(_field(f, P.x_dependent) for f in (g, h, L, S)),
+                        label=f"{P.label}^-1")
 
 
 def linear_part(P: AffineJetMap) -> AffineJetMap:
-    zero = ((0.0, np.zeros(P.n), np.zeros((P.n, P.n)))
-            if not callable(P.S) else
-            (lambda x: ((lambda N: (np.zeros(N), np.zeros((N, P.n)),
-                                    np.zeros((N, P.n, P.n))))(len(np.atleast_2d(x))))))
-    return AffineJetMap(P.n, P.g, P.h, P.L, zero, label=f"lin({P.label})")
+    def zero(x, N):
+        return np.zeros(N), np.zeros((N, P.n)), np.zeros((N, P.n, P.n))
+    return replace(P, S=_field(zero, callable(P.S)), label=f"lin({P.label})")
 
 
 def negate_translation(P: AffineJetMap) -> AffineJetMap:
     """Same linear part, translation flipped to -S."""
-    if callable(P.S):
-        def S_neg(x, _S=P.S):
-            r0, p0, A0 = _S(x)
-            return (-np.asarray(r0, dtype=float), -np.asarray(p0, dtype=float),
-                    -np.asarray(A0, dtype=float))
-        return replace(P, S=S_neg, label=f"{P.label}(-S)")
-    r0, p0, A0 = P.S
-    return replace(P, S=(-float(r0), -np.asarray(p0, dtype=float),
-                         -np.asarray(A0, dtype=float)), label=f"{P.label}(-S)")
+    def S(x, N):
+        return tuple(-v for v in P._Sjet(x, N))
+    return replace(P, S=_field(S, callable(P.S)), label=f"{P.label}(-S)")
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +244,9 @@ def transform_subequation(F: Subequation, Psi: AffineJetMap) -> Subequation:
     base = F.rho_batch
     x_dep = F.x_dependent or Psi.x_dependent
 
-    if x_dep:
-        def rho(r, p, A, x):
-            rr, pp, AA = apply_batch(inv, r, p, A, x=x)
-            if F.x_dependent:
-                return base(rr, pp, AA, x)
-            return base(rr, pp, AA)
-    else:
-        def rho(r, p, A):
-            rr, pp, AA = apply_batch(inv, r, p, A)
-            return base(rr, pp, AA)
+    def rho(r, p, A, *x):
+        rr, pp, AA = apply_batch(inv, r, p, A, *x)
+        return base(rr, pp, AA, *(x if F.x_dependent else ()))
 
     pso = F.pure_second_order and _is_zero_tensor(Psi.L)
     cone = F.cone and _is_zero_translation(Psi.S) and not Psi.x_dependent
@@ -324,39 +267,36 @@ def inhom_branch(k: int, n: int, f: Callable) -> Subequation:
     """
     from .catalog import make_branch
 
-    def S(x, _f=f):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        N = len(x)
-        fx = np.asarray(_f(x), dtype=float)
-        A0 = fx[:, None, None] * np.eye(n)[None, :, :]
-        return np.zeros(N), np.zeros((N, n)), A0
+    def S(x, N):
+        fx = np.asarray(f(np.atleast_2d(np.asarray(x, dtype=float))),
+                        dtype=float)
+        return np.zeros(N), np.zeros((N, n)), fx[:, None, None] * np.eye(n)
 
-    Psi = AffineJetMap.translation(S, n=n, label=f"inhom:k={k}")
+    Psi = AffineJetMap.translation(_field(S, True), n=n,
+                                   label=f"inhom:k={k}")
     return transform_subequation(make_branch("real", k, n), Psi)
 
 
 def calabi_yau_map(h: Union[float, Callable], n: int) -> AffineJetMap:
     """(r, p, A) -> (r, p, h^2 A + (h^2 - 1) I), with h scalar or a field."""
-    if callable(h):
-        def h_mat(x, _h=h):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            hv = np.asarray(_h(x), dtype=float)
-            return hv[:, None, None] * np.eye(n)[None, :, :]
-
-        def S(x, _h=h):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            N = len(x)
-            hv = np.asarray(_h(x), dtype=float)
-            A0 = (hv ** 2 - 1.0)[:, None, None] * np.eye(n)[None, :, :]
-            return np.zeros(N), np.zeros((N, n)), A0
-
-        return AffineJetMap(n, np.eye(n), h_mat, np.zeros((n, n, n)), S,
-                            label="cy-map")
-    hv = float(h)
-    if hv == 0.0:
+    if not callable(h) and float(h) == 0.0:
         raise ConfigError("conformal factor h must be nonzero")
-    return AffineJetMap(n, np.eye(n), hv * np.eye(n), np.zeros((n, n, n)),
-                        (0.0, np.zeros(n), (hv ** 2 - 1.0) * np.eye(n)),
+
+    def hv(x, N):
+        if callable(h):
+            return np.asarray(h(np.atleast_2d(np.asarray(x, dtype=float))),
+                              dtype=float)
+        return np.full(N, float(h))
+
+    def h_mat(x, N):
+        return hv(x, N)[:, None, None] * np.eye(n)[None, :, :]
+
+    def S(x, N):
+        A0 = (hv(x, N) ** 2 - 1.0)[:, None, None] * np.eye(n)[None, :, :]
+        return np.zeros(N), np.zeros((N, n)), A0
+
+    return AffineJetMap(n, np.eye(n), _field(h_mat, callable(h)),
+                        np.zeros((n, n, n)), _field(S, callable(h)),
                         label="cy-map")
 
 
@@ -369,7 +309,7 @@ def complex_calabi_yau(m: int) -> Subequation:
     def rho(r, p, A, _s=structure):
         H = hermitian_part_batch(np.asarray(A, dtype=float), _s)
         B = H + np.eye(amb)[None, :, :]
-        eigs = np.linalg.eigvalsh(B)
+        eigs = eigvalsh_batch(B)
         detc = eigs[:, 0::2].prod(axis=1)   # one copy of each doubled value
         return np.minimum(eigs[:, 0], detc - 1.0)
 

@@ -3,7 +3,9 @@ used everywhere else in the package.
 
 Matrices here are small (n <= 16): second-derivative data of functions of a
 few variables.  The eigenvalue kernel is ``eigvalsh_batch`` (closed form
-for 2x2 stacks, LAPACK otherwise).
+for 2x2 stacks, LAPACK otherwise); polynomial roots come from the companion
+eigenvalues of ``poly_roots_batch``.  No other module calls an eigenvalue
+or root routine, except catalog appb case 5, which needs eigenvectors.
 """
 
 from __future__ import annotations
@@ -146,6 +148,18 @@ def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
         disc = np.sqrt((0.5 * (A[:, 0, 0] - A[:, 1, 1])) ** 2 + b * b)
         return np.stack([half_tr - disc, half_tr + disc], axis=1)
     return np.linalg.eigvalsh(A)
+
+
+def poly_roots_batch(c: np.ndarray) -> np.ndarray:
+    """Complex roots of monic polynomials, one per row of c (N, m+1) in
+    descending powers with c[:, 0] == 1: the eigenvalues of the companion
+    matrices, built as ``np.roots`` builds them.  Unlike ``np.roots`` no
+    zero coefficient is stripped, so every row has all m roots (N, m)."""
+    N, m = len(c), c.shape[1] - 1
+    C = np.zeros((N, m, m))
+    C[:, 0, :] = -c[:, 1:]
+    C[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    return np.linalg.eigvals(C)
 
 
 def esym_batch(eigs: np.ndarray, kmax: int) -> np.ndarray:

@@ -160,7 +160,7 @@ class _NodeUpdater:
         self.eps_b = eps_b
         self.p_slope, self.A_slope = P.assembler.slopes()
         self.p_static = not np.any(self.p_slope)
-        slope_eigs = np.linalg.eigvalsh(self.A_slope)
+        slope_eigs = eigvalsh_batch(self.A_slope[None])
         if slope_eigs.max() > 1e-12:
             # bisection leans on membership being monotone in r
             warnings.warn("stencil center slope not negative semidefinite; "

@@ -7,7 +7,8 @@ from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
 from subeq.core import Jet, shift
 from subeq.errors import ConfigError
-from subeq.garding import branch_subequation, garding_cone, named_polynomial
+from subeq.garding import (HyperbolicPolynomial, branch_subequation,
+                           garding_cone)
 from subeq.jetmaps import AffineJetMap, transform_subequation
 from subeq.linalg import ComplexStructure, eigvalsh_batch
 
@@ -316,6 +317,36 @@ class TestDualNameTable:
     def test_none_for_nonstock_duals(self):
         assert dual_name("pucci:lam=1:Lam=2:n=2") is None
 
+    @pytest.mark.parametrize("name,want", [
+        ("laplace:n=3", "laplace:n=3"),
+        ("klap:k=inf:n=2", "klap:k=inf:n=2"),
+        ("klap:k=3:n=2", "klap:k=3:n=2"),
+        ("branch:real:k=1:n=3", "branch:real:k=3:n=3"),
+        ("branch:real:k=2:n=3", "branch:real:k=2:n=3"),
+        ("branch:complex:k=1:n=2", "branch:complex:k=2:n=2"),
+        ("branch:quaternionic:k=1:n=1", "branch:quaternionic:k=1:n=1"),
+        ("slag:c=0.5:n=2", "slag:c=-0.5:n=2"),
+        ("slag:n=3", "slag:c=-0:n=3"),
+        ("pucci:lam=1:Lam=2:n=3", None),
+        ("pcone:p=2.5:n=4", None),
+        ("pbranch:k=1:p=2:n=3", None),
+        ("sigma:k=2:n=3", None),
+        ("cy:n=2", None),
+        ("geom:p=1:n=3:frames=8", None),
+        ("appb:case=2:n=2", None),
+        ("foo:n=2", None),
+    ])
+    def test_every_family(self, name, want):
+        assert dual_name(name) == want
+
+    @pytest.mark.parametrize("name", ["branch", "branch:real:k=1",
+                                      "slag:c=1", "branch:real:n=2"])
+    def test_malformed_names_raise_config_error(self, name):
+        with pytest.raises(ConfigError):
+            dual_name(name)
+        with pytest.raises(ConfigError):
+            parse_name(name)
+
 
 def _spectral_names(n):
     """Every catalog entry of dimension n that is a function of the ordered
@@ -381,6 +412,9 @@ class TestSpectralRepresentation:
         # jet-map images are built afresh, even the identity's
         Psi = AffineJetMap.identity(2)
         assert transform_subequation(F, Psi).spectral is None
-        assert garding_cone(named_polynomial("sigma:2", 2)).spectral is None
-        assert branch_subequation(named_polynomial("det", 2), 1).spectral \
-            is None
+        # Garding branches are spectral only through a root map; the named
+        # polynomials have one (tests/test_garding.py), the generic route not
+        Q = HyperbolicPolynomial.from_callable(
+            2, 2, lambda A: float(np.linalg.det(A)), label="gdet")
+        assert garding_cone(Q).spectral is None
+        assert branch_subequation(Q, 2).spectral is None

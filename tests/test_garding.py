@@ -8,10 +8,17 @@ A = diag(1, 1, -1), the spectrum of tI + A is (t+1, t+1, t-1), so
 with roots 1/3 and -1.  The ascending negated roots are (-1/3, 1).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subeq import parse_name
+from subeq.catalog import make_branch
+from subeq.grid import Grid, GridProblem
+from subeq.linalg import esym_batch
+from subeq.solver import perron_solve
 from subeq.garding import (HyperbolicPolynomial, named_polynomial,
                            restriction_coefficients, garding_eigenvalues,
                            hyperbolicity_check, eigenvalues_batch,
@@ -21,6 +28,16 @@ from subeq.errors import ConfigError, NotHyperbolicError
 from conftest import random_sym
 
 FROZEN_SIGMA2_EIGS = np.array([-1.0 / 3.0, 1.0])
+
+
+def roots_reference(A, m):
+    """Gårding eigenvalues of sigma_m / binom(n, m) by one ``np.roots`` call
+    per matrix on the explicit restriction coefficients."""
+    n = A.shape[-1]
+    e = esym_batch(np.linalg.eigvalsh(A), m)
+    c = np.stack([math.comb(n - j, m - j) / math.comb(n, m) * e[:, j]
+                  for j in range(m + 1)], axis=1)
+    return np.array([np.sort(-np.roots(ci).real) for ci in c])
 
 
 def generic_det(n):
@@ -100,6 +117,42 @@ class TestAlgebraicRelations:
             for i in range(len(A)):
                 assert np.allclose(batch[i], garding_eigenvalues(Q, A[i]),
                                    atol=1e-7)
+
+
+class TestRootMap:
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 5)])
+    def test_companion_roots_match_np_roots(self, rng, m, n):
+        Q = named_polynomial(f"sigma:{m}", n)
+        A = random_sym(rng, n, size=1000)
+        assert np.array_equal(eigenvalues_batch(Q, A), roots_reference(A, m))
+        # np.roots strips the zero coefficients of singular inputs; the
+        # batched roots keep them, so only the sign of zero may differ
+        S = np.stack([np.zeros((n, n)),
+                      np.diag([0.0, 0.0, 2.0] + [0.0] * (n - 3))])
+        got, want = eigenvalues_batch(Q, S), roots_reference(S, m)
+        assert got.shape == want.shape and np.all(got == want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_det_and_sigma_n_branches_are_real_branches(self, rng, n):
+        r = rng.uniform(-5, 5, 1000)
+        p = rng.standard_normal((1000, n))
+        A = random_sym(rng, n, size=1000)
+        for name in ("det", f"sigma:{n}"):
+            Q = named_polynomial(name, n)
+            for k in range(1, n + 1):
+                F, B = branch_subequation(Q, k), make_branch("real", k, n)
+                assert F.spectral is not None, (name, k)
+                assert np.array_equal(F.value_batch(r, p, A),
+                                      B.value_batch(r, p, A)), (name, k)
+
+    def test_det_branch_solve_is_the_real_branch_solve(self):
+        def bc(x):
+            return x[:, 0] ** 2
+        g = Grid.regular(((-1, 1), (-1, 1)), 17)
+        F = branch_subequation(named_polynomial("det", 2), 1)
+        a = perron_solve(GridProblem(g, F, bc))
+        b = perron_solve(GridProblem(g, parse_name("branch:real:k=1:n=2"), bc))
+        assert a.converged and np.array_equal(a.u, b.u, equal_nan=True)
 
 
 class TestValidation:

@@ -73,6 +73,18 @@ class TestGroupLaws:
         J = rand_jet(rng, 2)
         assert jets_close(apply(Pii, None, J), apply(P, None, J), tol=1e-7)
 
+    def test_constant_maps_stay_constant(self, rng):
+        P1, P2 = rand_map(rng, 2, label="a"), rand_map(rng, 2, label="b")
+        for P in (compose(P2, P1), invert(P1), linear_part(P1),
+                  negate_translation(P1)):
+            assert not P.x_dependent, P.label
+            assert P.g.shape == P.h.shape == (2, 2)
+            assert P.L.shape == (2, 2, 2) and isinstance(P.S[0], float)
+        F = parse_name("branch:real:k=1:n=2")
+        lin = AffineJetMap.linear(P1.g, P1.h)
+        G = transform_subequation(F, compose(lin, invert(lin)))
+        assert G.cone and G.pure_second_order and not G.x_dependent
+
     def test_linear_plus_translation_split(self, rng):
         # P = Lin + S pointwise, so P(J) + P_{-S}(J) = 2 Lin(J)
         P = rand_map(rng, 3)
@@ -108,6 +120,13 @@ class TestXDependent:
         x = rng.uniform(-1, 1, 2)
         J = rand_jet(rng, 2)
         assert jets_close(apply(Pi, x, apply(P, x, J)), J, tol=1e-9)
+
+    def test_translation_maps_keep_constant_fields(self):
+        # only S is rebuilt, so a constant S and L stay constant
+        P = self.scaling_by_position(2)
+        for Q in (linear_part(P), negate_translation(P)):
+            assert callable(Q.h) and not callable(Q.S)
+            assert not callable(Q.L)
 
     def test_compose_fields(self, rng):
         P = self.scaling_by_position(2)

@@ -1,12 +1,17 @@
 """Symmetric-matrix kernel tests against independent numpy oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subeq import dual, parse_name
+import subeq
 from subeq.linalg import (SymMatrix, eigvalsh_batch, esym_batch,
-                          ComplexStructure, hermitian_part_batch)
+                          ComplexStructure, hermitian_part_batch,
+                          poly_roots_batch)
 
 from conftest import random_sym
 
@@ -81,6 +86,43 @@ class TestEigen:
         for n in (2, 3):
             got = eigvalsh_batch(np.eye(n)[None] * 2.0)
             assert np.allclose(got, 2.0)
+
+
+    def test_poly_roots_match_np_roots(self, rng):
+        c = np.concatenate([np.ones((64, 1)), rng.uniform(-3, 3, (64, 4))],
+                           axis=1)
+        got = poly_roots_batch(c)
+        for ci, gi in zip(c, got):
+            assert np.array_equal(gi, np.roots(ci))
+
+
+EIGEN_CALLS = {"eigvalsh", "eigh", "eigvals", "eig", "roots"}
+
+
+def _eigen_call_sites(path):
+    """Dotted names of numpy eigenvalue and root routines used in a module,
+    code only: ``np.linalg.eigvalsh``, ``np.roots``, their imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in EIGEN_CALLS:
+            base = ast.unparse(node.value)
+            if base in ("np", "numpy", "np.linalg", "numpy.linalg"):
+                found.append(f"{base}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("numpy"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name in EIGEN_CALLS]
+    return found
+
+
+def test_eigen_and_root_calls_live_in_linalg():
+    """Outside linalg.py the only eigen call is appb case 5's eigh, which
+    needs eigenvectors; every other module goes through the kernels."""
+    sites = {}
+    for path in sorted(Path(subeq.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py" and _eigen_call_sites(path):
+            sites[path.name] = _eigen_call_sites(path)
+    assert sites == {"catalog.py": ["np.linalg.eigh"]}
 
 
 class TestSigmaAndPucci:
