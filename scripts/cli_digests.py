@@ -88,6 +88,13 @@ CONFIGS = [
                               "--stencil", "wide16", "--m", "25"]),
     ("solve-cy-ball", ["solve", "--subeq", "cy:n=2", "--bc", "0",
                        "--domain", "ball:n=2", "--m", "21"]),
+    ("solve-pucci-ball", ["solve", "--subeq", "pucci:lam=1:Lam=2:n=2",
+                          "--bc", "x^2+0.5*y^2+0.25*x*y^2",
+                          "--domain", "ball:n=2", "--m", "21"]),
+    # a double eigenvalue: the margin touches zero quadratically
+    ("solve-sigma2-ball", ["solve", "--subeq", "sigma:k=2:n=2",
+                           "--bc", "x^2+y^2", "--domain", "ball:n=2",
+                           "--m", "21"]),
     ("solve-laplace-lex", ["solve", "--subeq", "laplace:n=2",
                            "--bc", "x^2-y^2", "--order", "lex", "--m", "9"]),
     ("solve-klapinf-ball", ["solve", "--subeq", "klap:k=inf:n=2",

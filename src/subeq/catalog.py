@@ -507,6 +507,13 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
 # string registry: "family:key=value:..."
 
 
+def _int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad integer {s!r}") from exc
+
+
 def _num(s: str) -> float:
     if s.lower() in ("inf", "infinity"):
         return math.inf
@@ -517,7 +524,7 @@ def _num(s: str) -> float:
 
 
 def _appb(kv: dict) -> Subequation:
-    case, n = int(kv["case"]), int(kv["n"])
+    case, n = _int(kv["case"]), _int(kv["n"])
     D = None
     if case in (3, 4):
         axis = np.zeros(n)
@@ -532,7 +539,7 @@ def _appb(kv: dict) -> Subequation:
 
 
 def _branch_dual(name: str, kv: dict) -> str:
-    k, n = int(kv["k"]), int(kv["n"])
+    k, n = _int(kv["k"]), _int(kv["n"])
     return f"branch:{kv['kind']}:k={n - k + 1}:n={n}"
 
 
@@ -543,28 +550,29 @@ def _self_dual(name: str, kv: dict) -> str:
 # family -> (constructor from the parsed parameters, dual rule or None).
 # A dual rule maps (name, parameters) to the catalog name of the dual.
 _FAMILIES = {
-    "laplace": (lambda kv: _laplace(int(kv["n"])), _self_dual),
-    "branch": (lambda kv: make_branch(kv["kind"], int(kv["k"]), int(kv["n"])),
+    "laplace": (lambda kv: _laplace(_int(kv["n"])), _self_dual),
+    "branch": (lambda kv: make_branch(kv["kind"], _int(kv["k"]),
+                                      _int(kv["n"])),
                _branch_dual),
-    "pcone": (lambda kv: make_pcone(_num(kv["p"]), int(kv["n"])), None),
-    "pbranch": (lambda kv: make_pbranch(int(kv["k"]), int(kv["p"]),
-                                        int(kv["n"])), None),
+    "pcone": (lambda kv: make_pcone(_num(kv["p"]), _int(kv["n"])), None),
+    "pbranch": (lambda kv: make_pbranch(_int(kv["k"]), _int(kv["p"]),
+                                        _int(kv["n"])), None),
     "pucci": (lambda kv: make_uniformly_elliptic(
-        "pucci", int(kv["n"]), lam=_num(kv["lam"]), Lam=_num(kv["Lam"])),
+        "pucci", _int(kv["n"]), lam=_num(kv["lam"]), Lam=_num(kv["Lam"])),
         None),
-    "delta": (lambda kv: make_uniformly_elliptic("delta", int(kv["n"]),
+    "delta": (lambda kv: make_uniformly_elliptic("delta", _int(kv["n"]),
                                                  d=_num(kv["d"])), None),
-    "deltabranch": (lambda kv: make_delta_branch(int(kv["k"]), _num(kv["d"]),
-                                                 int(kv["n"])), None),
-    "sigma": (lambda kv: _sigma(int(kv["k"]), int(kv["n"])), None),
-    "slag": (lambda kv: _slag(_num(kv.get("c", "0")), int(kv["n"])),
+    "deltabranch": (lambda kv: make_delta_branch(_int(kv["k"]), _num(kv["d"]),
+                                                 _int(kv["n"])), None),
+    "sigma": (lambda kv: _sigma(_int(kv["k"]), _int(kv["n"])), None),
+    "slag": (lambda kv: _slag(_num(kv.get("c", "0")), _int(kv["n"])),
              lambda name, kv: f"slag:c={-_num(kv.get('c', '0')):g}:"
-                              f"n={int(kv['n'])}"),
-    "cy": (lambda kv: _calabi_yau(int(kv["n"])), None),
-    "klap": (lambda kv: _k_laplacian(_num(kv["k"]), int(kv["n"])),
+                              f"n={_int(kv['n'])}"),
+    "cy": (lambda kv: _calabi_yau(_int(kv["n"])), None),
+    "klap": (lambda kv: _k_laplacian(_num(kv["k"]), _int(kv["n"])),
              _self_dual),
     "geom": (lambda kv: _geometric(grassmann_sample(
-        int(kv["p"]), int(kv["n"]), count=int(kv.get("frames", "256")))),
+        _int(kv["p"]), _int(kv["n"]), count=_int(kv.get("frames", "256")))),
         None),
     "appb": (_appb, None),
 }

@@ -28,6 +28,7 @@ from .linalg import SymMatrix
 
 DEFAULT_EPS_B = 1e-9
 REJECTION_CAP = 10 ** 6
+ILLINOIS_SLACK = 4      # steps a value-mode bisect may take beyond bisection's
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,9 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
 # bisection
 
 
-def bisect(accept: Callable, lo, hi, steps: int, done: Optional[Callable] = None):
+def bisect(accept: Callable, lo, hi, steps: int,
+           done: Optional[Callable] = None, *, ends: Optional[tuple] = None,
+           tol: float = 0.0):
     """Elementwise bisection of a monotone predicate; returns ``(lo, hi)``.
 
     Each step evaluates ``accept(mid)`` once at ``mid = (lo + hi) / 2``;
@@ -227,7 +230,23 @@ def bisect(accept: Callable, lo, hi, steps: int, done: Optional[Callable] = None
     ``lo``.  At most ``steps`` halvings are made.  When ``done(lo, hi)`` is
     given it is checked before every step: entries where it holds keep
     their bracket, and the loop stops once it holds everywhere.
+
+    Value mode, given ``ends = (g_lo, g_hi)``: ``accept(x, idx)`` returns a
+    nonincreasing margin g at ``x`` for the entries ``idx`` (indices into
+    ``lo``), membership is g >= 0, and the ends hold g(lo) >= 0 > g(hi).
+    Entries whose bracket is wider than ``tol`` > 0 step until it is not
+    (``done`` is not used); the others are never evaluated.  A step is an
+    Illinois step (Dowell and Jarratt, BIT 1971): the false-position point,
+    clipped to [lo + tol/2, hi - tol/2], with the margin of an end that
+    stays put twice in a row halved.  An entry takes one only while
+    k + 1 + ceil(log2(w / tol)) <= ceil(log2(w0 / tol)) + ``ILLINOIS_SLACK``
+    (k steps taken, w its width, w0 its starting width), and midpoints from
+    then on, so it needs at most ``ILLINOIS_SLACK`` steps more than
+    bisection (Oliveira and Takahashi, ACM TOMS 2020).  Every step keeps
+    ``lo`` a member and ``hi`` a non-member.
     """
+    if ends is not None:
+        return _illinois(accept, lo, hi, steps, ends, tol)
     for _ in range(steps):
         if done is None:
             mid = 0.5 * (lo + hi)
@@ -242,6 +261,54 @@ def bisect(accept: Callable, lo, hi, steps: int, done: Optional[Callable] = None
         ok = accept(mid)
         lo = np.where(ok & ~stop, mid, lo)
         hi = np.where(ok | stop, hi, mid)
+    return lo, hi
+
+
+def _illinois(g: Callable, lo, hi, steps: int, ends: tuple, tol: float):
+    """The value mode of :func:`bisect`.  The working arrays hold only the
+    entries still wider than ``tol``; finished ones are written back."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.flatnonzero(hi - lo > tol)
+    l, h = lo[live], hi[live]
+    gl, gh = np.asarray(ends[0])[live], np.asarray(ends[1])[live]
+    # the budget as a width: an Illinois step is allowed at w <= cap,
+    # cap = tol * 2^(B - 1 - k), halved after every step
+    cap = tol * np.exp2(np.ceil(np.log2((h - l) / tol)) + (ILLINOIS_SLACK - 1))
+    ill = np.ones(len(live), dtype=bool)
+    prev = None
+    for _ in range(steps):
+        if not len(live):
+            break
+        w = h - l
+        ill &= w <= cap
+        if ill.any():
+            x = np.fmin(np.fmax(l + gl * (w / (gl - gh)), l + 0.5 * tol),
+                        h - 0.5 * tol)
+            if not ill.all():
+                x = np.where(ill, x, 0.5 * (l + h))
+            v = g(x, live)
+            ok = v >= 0
+            if prev is not None:
+                gh = np.where(ok & prev, 0.5 * gh, gh)
+                gl = np.where(ok | prev, gl, 0.5 * gl)
+            gl = np.where(ok, v, gl)
+            gh = np.where(ok, gh, v)
+            prev = ok
+        else:
+            x = 0.5 * (l + h)
+            ok = g(x, live) >= 0
+        l = np.where(ok, x, l)
+        h = np.where(ok, h, x)
+        cap *= 0.5
+        keep = h - l > tol
+        if not keep.all():
+            out = live[~keep]
+            lo[out], hi[out] = l[~keep], h[~keep]
+            live, l, h, gl, gh, cap, ill = (
+                a[keep] for a in (live, l, h, gl, gh, cap, ill))
+            if prev is not None:
+                prev = prev[keep]
+    lo[live], hi[live] = l, h
     return lo, hi
 
 

@@ -215,12 +215,18 @@ def hyperbolicity_check(Q: HyperbolicPolynomial, trials: int = 200,
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    B = rng.uniform(-scale, scale, (trials, Q.n, Q.n))
+    mats = 0.5 * (B + np.swapaxes(B, 1, 2))
+    if Q.root_map is not None:
+        try:
+            eigenvalues_batch(Q, mats)
+            return HyperbolicityReport(Q.label, trials, 0)
+        except NotHyperbolicError:
+            pass        # some trial failed: the loop below finds which
     failures = 0
     witness = None
     detail = ""
-    for _ in range(trials):
-        B = rng.uniform(-scale, scale, (Q.n, Q.n))
-        A = 0.5 * (B + B.T)
+    for A in mats:
         try:
             garding_eigenvalues(Q, A)
         except NotHyperbolicError as exc:

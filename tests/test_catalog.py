@@ -74,6 +74,17 @@ class TestGrammar:
         with pytest.raises(ConfigError):
             parse_name(bad)
 
+    @pytest.mark.parametrize("name, msg", [
+        ("laplace:n=x", "bad integer 'x'"),
+        ("branch:real:k=1.5:n=2", "bad integer '1.5'"),
+        ("geom:p=1:n=3:frames=many", "bad integer 'many'"),
+        ("pcone:p=abc:n=2", "bad number 'abc'"),
+        ("slag:c=zero:n=2", "bad number 'zero'"),
+    ])
+    def test_bad_parameter_values(self, name, msg):
+        with pytest.raises(ConfigError, match=msg):
+            parse_name(name)
+
 
 class TestRealBranches:
     def test_vs_sorted_eigs(self, rng):

@@ -264,6 +264,100 @@ class TestBisect:
         assert hi - lo == 1.0 / 32 and lo <= 0.123 < hi
 
 
+def plain_bisection(accept, lo, hi, steps, done=None):
+    """The predicate-only bisection as it was before the value mode."""
+    for _ in range(steps):
+        stop = np.zeros(np.shape(lo), dtype=bool) if done is None \
+            else done(lo, hi)
+        if np.all(stop):
+            break
+        mid = 0.5 * (lo + hi)
+        ok = accept(mid)
+        lo = np.where(ok & ~stop, mid, lo)
+        hi = np.where(ok | stop, hi, mid)
+    return lo, hi
+
+
+class TestBisectValueMode:
+    """``bisect`` with ``ends``: budgeted Illinois steps on a margin."""
+
+    @staticmethod
+    def counted(g, n):
+        """g(x, idx) that counts the evaluations of every entry."""
+        steps = np.zeros(n, dtype=int)
+
+        def gi(x, idx):
+            steps[idx] += 1
+            return g(x, idx)
+        return gi, steps
+
+    @staticmethod
+    def budget(w0, tol):
+        from subeq.core import ILLINOIS_SLACK
+        return np.ceil(np.log2(w0 / tol)).astype(int) + ILLINOIS_SLACK
+
+    @pytest.mark.parametrize("done", [None, "width"])
+    def test_predicate_mode_is_plain_bisection(self, done):
+        from subeq.core import bisect
+        rng = np.random.default_rng(3)
+        c = rng.uniform(-1.0, 1.0, 257)
+        lo0, hi0 = np.full(257, -1.5), rng.uniform(1.0, 2.0, 257)
+        tol = rng.uniform(1e-12, 1e-3, 257)
+        stop = None if done is None else (lambda lo, hi: hi - lo <= tol)
+        got = bisect(lambda m: m <= c, lo0, hi0, 45, done=stop)
+        want = plain_bisection(lambda m: m <= c, lo0, hi0, 45, done=stop)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_one_sided_quadratic_zero_stays_in_budget(self):
+        # the member side touches zero quadratically, as at a double
+        # eigenvalue: false position creeps there, so the budget must hold
+        from subeq.core import bisect
+        rng = np.random.default_rng(7)
+        n, tol = 400, 1e-11
+        c = rng.uniform(0.1, 0.9, n)
+        s = rng.uniform(0.1, 10.0, n)
+
+        def g(x, idx):
+            d = c[idx] - x
+            return np.where(d >= 0, d * d, s[idx] * d)
+
+        lo, hi = np.zeros(n), np.ones(n)
+        ends = (c * c, s * (c - 1.0))
+        gi, steps = self.counted(g, n)
+        lo, hi = bisect(gi, lo, hi, 64, ends=ends, tol=tol)
+        assert np.all(lo <= c) and np.all(c < hi) and np.all(hi - lo <= tol)
+        assert np.all(steps <= self.budget(np.ones(n), tol))
+
+    def test_smooth_convex_margin_beats_bisection(self):
+        from subeq.core import bisect
+        rng = np.random.default_rng(8)
+        n, tol = 300, 1e-10
+        c = rng.uniform(-1.0, 1.0, n)
+        g = lambda x, idx: np.exp(-x) - np.exp(-c[idx])
+        lo, hi = np.full(n, -2.0), np.full(n, 2.0)
+        gi, steps = self.counted(g, n)
+        lo, hi = bisect(gi, lo, hi, 64,
+                        ends=(np.exp(2.0) - np.exp(-c),
+                              np.exp(-2.0) - np.exp(-c)), tol=tol)
+        idx = np.arange(n)
+        assert np.all(g(lo, idx) >= 0) and np.all(g(hi, idx) < 0)
+        assert np.all(hi - lo <= tol) and np.all(np.abs(lo - c) <= tol)
+        bisection = int(np.ceil(np.log2(4.0 / tol)))
+        assert steps.max() < bisection and steps.mean() < bisection / 3
+
+    def test_narrow_entries_are_not_evaluated(self):
+        from subeq.core import bisect
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1e-12])
+        gi, steps = self.counted(lambda x, idx: 0.3 - x, 2)
+        new_lo, new_hi = bisect(gi, lo, hi, 64, ends=(np.full(2, 0.3),
+                                                      np.array([-0.7, 0.3])),
+                                tol=1e-9)
+        assert steps[1] == 0 and new_lo[1] == 0.0 and new_hi[1] == 1e-12
+        assert new_lo[0] <= 0.3 < new_hi[0] and new_hi[0] - new_lo[0] <= 1e-9
+        assert hi[0] == 1.0           # the inputs are not written to
+
+
 class TestSharedSamplers:
     def test_jet_batch_is_uniform_then_ball_then_haar(self):
         from subeq.core import _ball, _haar_psd

@@ -9,6 +9,7 @@ with roots 1/3 and -1.  The ascending negated roots are (-1/3, 1).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,44 @@ class TestHyperbolicityCheck:
     def test_trials_guard(self):
         with pytest.raises(ConfigError):
             hyperbolicity_check(generic_det(2), trials=0)
+
+    @staticmethod
+    def per_trial(Q, trials, seed, scale=3.0):
+        """The reference: one draw and one eigenvalue call per trial."""
+        rng = np.random.default_rng(seed)
+        failures, witness, detail = 0, None, ""
+        for _ in range(trials):
+            B = rng.uniform(-scale, scale, (Q.n, Q.n))
+            A = 0.5 * (B + B.T)
+            try:
+                garding_eigenvalues(Q, A)
+            except NotHyperbolicError as exc:
+                failures += 1
+                if witness is None:
+                    witness, detail = A.tolist(), str(exc)
+        return failures, witness, detail
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_root_map_batch_matches_per_trial_loop(self, seed):
+        Q = named_polynomial("sigma:2", 3)
+        rep = hyperbolicity_check(Q, trials=300, seed=seed)
+        assert (rep.failures, rep.witness, rep.detail) == \
+            self.per_trial(Q, 300, seed)
+
+    def test_root_map_failure_falls_back_to_per_trial(self):
+        # a root map that rejects every matrix with a large top eigenvalue:
+        # the batch call raises, and the loop must find the same trials
+        def picky(eigs):
+            if np.any(eigs[:, -1] > 2.5):
+                raise NotHyperbolicError(
+                    f"picky: top eigenvalue {eigs[:, -1].max():.6g}")
+            return eigs
+
+        Q = replace(named_polynomial("det", 3), root_map=picky)
+        rep = hyperbolicity_check(Q, trials=200, seed=4)
+        assert 0 < rep.failures < 200
+        assert (rep.failures, rep.witness, rep.detail) == \
+            self.per_trial(Q, 200, 4)
 
 
 class TestBranches:

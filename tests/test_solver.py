@@ -183,7 +183,8 @@ def square(x):
 
 class TestNodeSolvePaths:
     """The spectral margin f(lam_base + c r) and the full-jet margin reach
-    the same fixed point; both run the same false-position root-find."""
+    the same fixed point; both run the same root-find (a false-position
+    point, its probes, then budgeted Illinois steps)."""
 
     BOX = ((-1, 1), (-1, 1))
 
@@ -217,7 +218,8 @@ class TestNodeSolvePaths:
         assert np.nanmax(np.abs(spec.u - full.u)) <= spec.sweep_tol
         assert spec.bisect_capped == full.bisect_capped == 0
         if affine:
-            # the false-position point is the root: no bisection is needed
+            # the false-position point is the root: no Illinois step is
+            # needed
             assert spec.evals <= 8 * self._node_updates(P, spec)
 
     def test_fallback_paths(self):
@@ -236,6 +238,53 @@ class TestNodeSolvePaths:
         assert 4 * n <= rep.evals <= 8 * n
         d = rep.to_json_dict()
         assert not {"evals", "level_sweeps", "bisect_capped"} & set(d)
+
+
+def radial(x):
+    return x[:, 0] ** 2 + x[:, 1] ** 2
+
+
+class TestIllinoisFinisher:
+    """Node solves on margins nonlinear in r: the Illinois steps after the
+    probes need a few margin calls per node update, and never more than
+    ILLINOIS_SLACK beyond bisection's."""
+
+    @staticmethod
+    def ball(name, bc, m=21):
+        g = Grid.regular([(-1.2, 1.2)] * 2, m)
+        return GridProblem(g, parse_name(name), bc, domain=ball_domain(2))
+
+    @pytest.mark.parametrize("name, bc", [
+        ("cy:n=2", radial),
+        ("pucci:lam=1:Lam=2:n=2", cubic),
+    ])
+    def test_few_calls_per_update(self, name, bc):
+        P = self.ball(name, bc)
+        rep = perron_solve(P)
+        assert rep.converged and rep.bisect_capped == 0
+        # bisection needed 22.5 (cy) and 17.2 (Pucci)
+        assert rep.evals <= 8 * rep.sweeps * len(P.interior_idx)
+
+    def test_double_root_within_slack_of_bisection(self, monkeypatch):
+        # sigma_2 = lam_1 lam_2 at a double eigenvalue: the margin touches
+        # zero quadratically on the member side
+        import subeq.solver
+        from subeq.core import ILLINOIS_SLACK, bisect
+
+        def bisection(g, lo, hi, steps, ends, tol):
+            return bisect(lambda mid: g(mid) >= 0, lo, hi, steps,
+                          done=lambda lo, hi: hi - lo <= tol)
+
+        P = self.ball("sigma:k=2:n=2", radial)
+        rep = perron_solve(P)
+        monkeypatch.setattr(subeq.solver, "bisect", bisection)
+        ref = perron_solve(P)
+        assert rep.converged and ref.converged
+        assert rep.bisect_capped == ref.bisect_capped == 0
+        assert np.nanmax(np.abs(rep.u - ref.u)) <= rep.sweep_tol
+        n = len(P.interior_idx)
+        assert (rep.evals / (rep.sweeps * n)
+                <= ref.evals / (ref.sweeps * n) + ILLINOIS_SLACK)
 
 
 def field_on(g, f):
