@@ -270,8 +270,9 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     For each lam on the grid, the jets (lam, nu, t nu⊗nu + II_ambient) are
     pushed through the asymptotic-interior test along the geometric t-grid
     1, 2, 4, ..., t_max; the verdict per lam is stabilization (membership at
-    the last four grid points), and the overall verdict requires all lam.
-    Reduced F collapses the grid to a single representative.
+    the last four grid points, the only ones evaluated), and the overall
+    verdict requires all lam.  Reduced F collapses the grid to a single
+    representative.
     """
     x = np.asarray(x, dtype=float)
     nu, II, T = second_fundamental_form(D, x)
@@ -282,16 +283,15 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     ts = [1.0]
     while ts[-1] < t_max:
         ts.append(min(2.0 * ts[-1], t_max))
-    ts = np.array(ts)
 
     def verdict_at(lam: float) -> bool:
-        tail = []
-        for t in ts:
+        for t in ts[-n_last:]:
             A = t * np.outer(nu, nu) + II_amb
             J = Jet(lam, nu, SymMatrix.from_dense(A, check=False))
-            tail.append(asymptotic_interior_member(
-                F, J, x=x if F.x_dependent else None))
-        return all(tail[-n_last:])
+            if not asymptotic_interior_member(
+                    F, J, x=x if F.x_dependent else None):
+                return False
+        return True
 
     if reduced:
         per_lam = (verdict_at(0.0),) * len(grid)

@@ -38,15 +38,15 @@ def _trace(A) -> np.ndarray:
     return np.einsum("nii->n", _as_batch(A))
 
 
-def _spectral_entry(n: int, f, label: str, cone: bool = True,
-                    member_sampler=None) -> Subequation:
+def _spectral_entry(n: int, f, label: str, cone: bool = True) -> Subequation:
     """Pure second-order, O(n)-invariant entry given by f on the ascending
     spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
-    kept as ``spectral`` for the solver's one-eigensolve node update."""
+    kept as ``spectral`` for the solver's one-eigensolve node update and
+    for the spectrum-first draws of ``core.sample_members``."""
     def rho(r, p, A):
         return f(eigvalsh_batch(A))
     return Subequation(n, rho, label, pure_second_order=True, reduced=True,
-                       cone=cone, member_sampler=member_sampler, spectral=f)
+                       cone=cone, spectral=f)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +258,7 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
             neg = np.clip(eigs, None, 0.0).sum(axis=1)
             return _l * pos + _L * neg
 
-        def sampler(rng, size):
-            # eigenvalue profiles resampled until the Pucci value clears 0
-            out = []
-            got = 0
-            while got < size:
-                m = 4 * (size - got) + 64
-                A = _haar_psd(rng, n, m, eig_lo=-5.0, eig_hi=5.0)
-                A = A[f(eigvalsh_batch(A)) >= 0]
-                out.append(A)
-                got += len(A)
-            A = np.concatenate(out)[:size]
-            return rng.uniform(-5, 5, size), _ball(rng, n, size), A
-
-        return _spectral_entry(n, f, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}",
-                               member_sampler=sampler)
+        return _spectral_entry(n, f, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}")
     if kind == "delta":
         if d is None or d <= 0:
             raise ConfigError(f"need d > 0, got {d}")
@@ -357,12 +343,23 @@ def _k_laplacian(k: float, n: int) -> Subequation:
     return Subequation(n, rho, label, reduced=True, cone=True)
 
 
-def _geometric(G: GrassmannSet) -> Subequation:
-    W = G.stack  # (F, n, p)
+# rows of A per GEMM block in the geometric margin: bounds its
+# (rows, frames) temporary
+_GEOM_ROWS = 4096
 
-    def rho(r, p, A, _W=W):
-        vals = np.einsum("fip,nij,fjp->nf", _W, _as_batch(A), _W)
-        return vals.min(axis=1)
+
+def _geometric(G: GrassmannSet) -> Subequation:
+    """min over frames W of tr(W^t A W) = <A, W W^t>_F: one GEMM of the
+    flattened matrices against the frame projectors W W^t, (n^2, F)."""
+    W = G.stack  # (F, n, p)
+    P = np.einsum("fip,fjp->ijf", W, W).reshape(G.n * G.n, len(W))
+
+    def rho(r, p, A, _P=P):
+        A = _as_batch(A).reshape(-1, _P.shape[0])
+        out = np.empty(len(A))
+        for i in range(0, len(A), _GEOM_ROWS):
+            out[i:i + _GEOM_ROWS] = (A[i:i + _GEOM_ROWS] @ _P).min(axis=1)
+        return out
 
     return Subequation(G.n, rho,
                        f"geom:p={G.p}:n={G.n}:frames={len(G.frames)}",

@@ -17,6 +17,7 @@ which realizes ~(-Int F) and is an involution.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -329,17 +330,43 @@ class JetBox:
 
 
 def _haar_psd(rng: np.random.Generator, n: int, size: int,
-              eig_lo: float = 0.0, eig_hi: float = 5.0) -> np.ndarray:
-    """Haar-rotated symmetric matrices with spectrum uniform in
-    [eig_lo, eig_hi] (PSD for the default range)."""
-    G = rng.standard_normal((size, n, n))
-    Q, R = np.linalg.qr(G)
-    sign = np.sign(np.einsum("nii->ni", R))
-    sign[sign == 0] = 1.0
-    Q = Q * sign[:, None, :]
-    eigs = rng.uniform(eig_lo, eig_hi, (size, n))
-    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
-    return 0.5 * (A + np.swapaxes(A, 1, 2))
+              eig_lo: float = 0.0, eig_hi: float = 5.0,
+              eigs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Symmetric matrices Q diag(eigs) Q^t with Q Haar on O(n) and the
+    spectrum uniform in [eig_lo, eig_hi] (PSD for the default range), or
+    taken from ``eigs``, an (size, n) array, when it is given.
+
+    Q is Stewart's product H_1 ... H_{n-1} of random Householder
+    reflections (SIAM J. Numer. Anal. 1980): H_k reflects the last n-k+1
+    coordinates and is built from a fresh standard normal vector, as in
+    the Householder QR of a Gaussian matrix.  That QR's sign fix is a
+    diagonal +-1 factor, which commutes with diag(eigs) and drops out.
+    Each reflection H = I - s s^t, |s|^2 = 2, conjugates the stack in
+    place as the symmetric rank-two update M - s y^t - y s^t with
+    y = M s - (s^t M s / 2) s, on (n, n, N) arrays, so every step is an
+    elementwise operation over the whole batch and every returned matrix
+    is exactly symmetric.  No QR or eigensolve is made.
+    """
+    if eigs is None:
+        eigs = rng.uniform(eig_lo, eig_hi, (size, n))
+    lam = np.asarray(eigs, dtype=float).T
+    N = lam.shape[1]
+    X = rng.standard_normal((n * (n + 1) // 2 - 1, N))
+    M = np.zeros((n, n, N))
+    M[np.arange(n), np.arange(n)] = lam
+    row = 0
+    for k in range(n - 2, -1, -1):
+        x = X[row:row + n - k]
+        row += n - k
+        # s = sqrt(2) v / |v|, v = x + sign(x_0) |x| e_0
+        v = x.copy()
+        v[0] += np.copysign(np.sqrt((x * x).sum(0)), x[0])
+        s = v * (np.sqrt(2.0) / np.maximum(np.sqrt((v * v).sum(0)), 1e-300))
+        B = M[k:, k:]
+        w = (B * s[None]).sum(1)
+        y = w - 0.5 * (s * w).sum(0) * s
+        B -= s[:, None] * y[None] + y[:, None] * s[None]
+    return np.ascontiguousarray(M.transpose(2, 0, 1))
 
 
 def _ball(rng: np.random.Generator, n: int, size: int,
@@ -360,33 +387,66 @@ def sample_jet_batch(box: JetBox, n: int, size: int,
     return r, p, A
 
 
+def _spectral_draw(F: Subequation, box: JetBox, rng: np.random.Generator,
+                   m: int, need: int, margin_min: float):
+    """Draw ``m`` spectra from the box, keep the first ``need`` whose
+    ``F.spectral`` clears ``margin_min``, and only for those draw r, p and
+    the rotation."""
+    eigs = rng.uniform(box.eig_lo, box.eig_hi, (m, F.n))
+    eigs = eigs[F.spectral(np.sort(eigs, axis=1)) >= margin_min][:need]
+    k = len(eigs)
+    r = rng.uniform(box.r_lo, box.r_hi, k)
+    p = _ball(rng, F.n, k, box.p_radius)
+    return r, p, _haar_psd(rng, F.n, k, eigs=eigs)
+
+
 def sample_members(F: Subequation, count: int, rng: np.random.Generator,
                    box: Optional[JetBox] = None, margin_min: float = 0.0,
                    x=None, cap: int = REJECTION_CAP):
-    """Rejection-sample ``count`` jets with rho >= margin_min.
+    """Sample ``count`` jets of F with rho >= margin_min.
 
-    Subequations may carry a constructive ``member_sampler``; when present it
-    is used instead of rejection (needed for thin cones whose rejection rate
-    would exhaust the cap).
+    Jets are drawn in chunks by one of three recipes, and every drawn jet
+    is checked with ``F.value_batch``; those below ``margin_min`` are
+    dropped and the chunks are topped up until ``count`` are kept.
+
+    * A constructive ``member_sampler``, when F has one (thin cones whose
+      rejection rate would exhaust the cap); its first chunk is ``count``.
+    * For a spectral F that does not read x: spectra uniform in the box,
+      rejected on ``F.spectral`` before anything else is drawn; r, p and a
+      Haar rotation are drawn for the survivors only, and no more of them
+      than are still needed.  Since membership depends on the spectrum
+      alone, the kept jets have the same law as those of plain rejection.
+    * Otherwise plain rejection from the box (:func:`sample_jet_batch`).
+
+    Raises :class:`SamplerExhausted` once ``cap`` jets (spectra, on the
+    spectral recipe) have been drawn without keeping ``count``.
     """
-    if F.member_sampler is not None:
-        r, p, A = F.member_sampler(rng, count)
-        return r, p, A
     box = box or JetBox()
+    chunk = max(1024, min(count * 4, 65536))
+    if F.member_sampler is not None:
+        first = count
+        draw = lambda m, need: F.member_sampler(rng, m)
+    elif F.spectral is not None and not F.x_dependent:
+        first = chunk
+        draw = lambda m, need: _spectral_draw(F, box, rng, m, need,
+                                              margin_min)
+    else:
+        first = chunk
+        draw = lambda m, need: sample_jet_batch(box, F.n, m, rng)
     out_r, out_p, out_A = [], [], []
     drawn = 0
     got = 0
-    chunk = max(1024, min(count * 4, 65536))
     while got < count:
         if drawn >= cap:
             raise SamplerExhausted(
                 f"{F.label}: drew {drawn} jets, kept {got} < {count}"
             )
-        m = min(chunk, cap - drawn)
-        r, p, A = sample_jet_batch(box, F.n, m, rng)
+        m = min(chunk if drawn else first, cap - drawn)
+        r, p, A = draw(m, count - got)
         drawn += m
         vals = F.value_batch(r, p, A, x=None if not F.x_dependent else
-                             np.repeat(np.asarray(x, dtype=float)[None, :], m, 0))
+                             np.repeat(np.asarray(x, dtype=float)[None, :],
+                                       len(r), 0))
         keep = vals >= margin_min
         out_r.append(r[keep])
         out_p.append(p[keep])
@@ -538,8 +598,14 @@ def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
 # strict and asymptotic membership
 
 
+@functools.lru_cache(maxsize=64)
 def _unit_sphere_qmc(dim: int, k: int, seed: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy points on the unit sphere in R^dim."""
+    """Deterministic low-discrepancy points on the unit sphere in R^dim.
+
+    A pure function of its arguments, memoised because the boundary tests
+    ask for the same few point sets thousands of times; the returned array
+    is shared between callers and therefore read-only.
+    """
     from scipy.stats import qmc
     from scipy.special import ndtri
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
@@ -549,7 +615,9 @@ def _unit_sphere_qmc(dim: int, k: int, seed: int = 0) -> np.ndarray:
         U = eng.random(k)
     Z = ndtri(np.clip(U, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    return Z / np.maximum(norms, 1e-300)
+    U = Z / np.maximum(norms, 1e-300)
+    U.flags.writeable = False
+    return U
 
 
 def _jet_dim(n: int) -> int:

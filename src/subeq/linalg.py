@@ -266,5 +266,5 @@ def hermitian_part_batch(A: np.ndarray, structure: ComplexStructure) -> np.ndarr
     """
     acc = A.copy()
     for S in structure.mats:
-        acc = acc - np.einsum("ij,njk,kl->nil", S, A, S)
+        acc = acc - S @ A @ S
     return acc / (1 + len(structure.mats))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from subeq import parse_name
-from subeq.boundary import (DomainSpec, ball_domain, annulus_domain,
-                            ellipsoid_domain, star_domain,
+from subeq.boundary import (DEFAULT_LAMBDA_GRID, DomainSpec, ball_domain,
+                            annulus_domain, ellipsoid_domain, star_domain,
                             second_fundamental_form, sample_boundary_points,
                             strict_convexity_test, tangent_trace_test)
+from subeq.core import Jet, asymptotic_interior_member
+from subeq.linalg import SymMatrix
 from subeq.errors import GeometryError
 
 
@@ -155,6 +157,57 @@ class TestConvexityVerdicts:
         d = v.to_json_dict()
         json.dumps(d)
         assert d["overall"] is True
+
+
+def full_grid_verdicts(F, D, x, lambda_grid=DEFAULT_LAMBDA_GRID,
+                       t_max=2.0 ** 16):
+    """Reference per-lambda verdicts: every t of the geometric grid is
+    evaluated, and the last four decide."""
+    x = np.asarray(x, dtype=float)
+    nu, II, T = second_fundamental_form(D, x)
+    II_amb = T @ II.mat @ T.T
+    ts = [1.0]
+    while ts[-1] < t_max:
+        ts.append(min(2.0 * ts[-1], t_max))
+
+    def verdict_at(lam):
+        tail = [asymptotic_interior_member(
+            F, Jet(lam, nu, SymMatrix.from_dense(
+                t * np.outer(nu, nu) + II_amb, check=False)),
+            x=x if F.x_dependent else None) for t in ts]
+        return all(tail[-4:])
+
+    if F.reduced or F.pure_second_order:
+        return (verdict_at(0.0),) * len(lambda_grid)
+    return tuple(verdict_at(lam) for lam in lambda_grid)
+
+
+class TestConvexityTail:
+    """Only the last four t-values are evaluated; the verdicts are those of
+    the full grid on the benchmark battery's points."""
+
+    def cases(self):
+        k1, kinf = parse_name("klap:k=1:n=2"), parse_name("klap:k=inf:n=2")
+        disk, annulus = ball_domain(2), annulus_domain(2, 1.0, 2.0)
+        star = star_domain(2, amplitude=0.15, lobes=5, seed=2)
+        th = 2.0 * np.pi * np.arange(20) / 20.0
+        wall = np.stack([np.cos(th), np.sin(th)], axis=1)
+        return [(k1, disk, sample_boundary_points(disk, 20, seed=3)),
+                (k1, annulus, wall),
+                (kinf, disk, sample_boundary_points(disk, 20, seed=5)),
+                (kinf, annulus, sample_boundary_points(annulus, 20, seed=5)),
+                (kinf, star, sample_boundary_points(star, 20, seed=5)),
+                (parse_name("branch:real:k=1:n=2"), annulus, wall[:4]),
+                (parse_name("cy:n=2"), annulus, wall[:4])]
+
+    def test_verdicts_equal_full_grid(self):
+        seen = set()
+        for F, D, pts in self.cases():
+            for x in pts:
+                v = strict_convexity_test(F, D, x)
+                assert v.per_lambda == full_grid_verdicts(F, D, x)
+                seen.add(v.overall)
+        assert seen == {True, False}
 
 
 class TestTangentTrace:

@@ -5,6 +5,7 @@ import pytest
 
 from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
+from subeq.catalog import _geometric, grassmann_sample
 from subeq.core import Jet, shift
 from subeq.errors import ConfigError
 from subeq.garding import (HyperbolicPolynomial, branch_subequation,
@@ -276,6 +277,18 @@ class TestGeometric:
         A = random_sym(rng, 3, size=64)
         exact = oracle_pcone(A, 2)       # inf over 2-planes = lambda_1+lambda_2
         assert np.all(pso_vals(F, A) >= exact - 1e-10)
+
+    @pytest.mark.parametrize("p,n", [(1, 3), (2, 3), (2, 4)])
+    def test_blocked_gemm_matches_einsum(self, rng, p, n):
+        # more rows than one GEMM block, so the blocking is exercised
+        G = grassmann_sample(p, n)
+        F = _geometric(G)
+        A = random_sym(rng, n, size=10_000)
+        W = G.stack
+        want = np.einsum("fip,nij,fjp->nf", W, A, W).min(axis=1)
+        got = pso_vals(F, A)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+        assert np.array_equal(got > 0, want > 0)
 
 
 class TestAppBCones:

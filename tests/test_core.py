@@ -1,14 +1,18 @@
 """Jet algebra, duality, membership and the sampled axiom machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from subeq import (Jet, JetBox, JetNorm, Subequation, dual, shift, member,
                    classify, axiom_check, monotonicity_check, sample_members,
                    sample_jet_batch, validate_registration,
                    asymptotic_interior_member, strict_member, parse_name)
-from subeq.errors import DimensionMismatch
+from subeq.core import _haar_psd, _unit_sphere_qmc
+from subeq.errors import DimensionMismatch, SamplerExhausted
 
 from conftest import random_sym
 
@@ -124,6 +128,119 @@ class TestSampling:
         F = laplace(3)
         r, p, A = sample_members(F, 100, rng, margin_min=0.5)
         assert F.value_batch(r, p, A).min() >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("name", ["pucci:lam=1:Lam=2:n=3",
+                                      "appb:case=4:n=2:gamma=1"])
+    def test_margin_min_holds_on_every_recipe(self, name):
+        # appb:case=4 draws through its member_sampler, Pucci spectrum-first
+        F = parse_name(name)
+        r, p, A = sample_members(F, 2000, np.random.default_rng(3),
+                                 margin_min=0.5)
+        assert len(r) == 2000
+        assert F.value_batch(r, p, A).min() >= 0.5
+
+    def test_member_sampler_exhausts_at_cap(self):
+        F = parse_name("appb:case=4:n=2:gamma=1")
+        with pytest.raises(SamplerExhausted):
+            sample_members(F, 100, np.random.default_rng(0), margin_min=1e3,
+                           cap=5000)
+
+
+def haar_psd_qr(rng, n, size, eig_lo=0.0, eig_hi=5.0):
+    """Reference Haar sampler: Q from the QR of a Gaussian matrix with the
+    signs of diag(R) moved into Q, then Q diag(eigs) Q^t."""
+    G = rng.standard_normal((size, n, n))
+    Q, R = np.linalg.qr(G)
+    sign = np.sign(np.einsum("nii->ni", R))
+    sign[sign == 0] = 1.0
+    Q = Q * sign[:, None, :]
+    eigs = rng.uniform(eig_lo, eig_hi, (size, n))
+    A = np.einsum("nij,nj,nkj->nik", Q, eigs, Q)
+    return 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
+class TestHaarSampler:
+    SIZE = 200_000
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_law_matches_qr_reference(self, n):
+        A = _haar_psd(np.random.default_rng(17), n, self.SIZE, -5.0, 5.0)
+        B = haar_psd_qr(np.random.default_rng(18), n, self.SIZE, -5.0, 5.0)
+        stats = [lambda M: M[:, 0, 0], lambda M: M[:, n - 1, n - 1],
+                 lambda M: M[:, 0, 1]]
+        if n >= 3:
+            stats.append(lambda M: M[:, 0, 1] * M[:, 1, 2] * M[:, 0, 2])
+        for f in stats:
+            assert ks_2samp(f(A), f(B)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_given_spectrum_exact_symmetry(self, n):
+        rng = np.random.default_rng(23)
+        eigs = rng.uniform(-5.0, 5.0, (self.SIZE, n))
+        A = _haar_psd(rng, n, self.SIZE, eigs=eigs)
+        assert np.array_equal(A, np.swapaxes(A, 1, 2))
+        want = np.sort(eigs, axis=1)
+        err = np.abs(np.linalg.eigvalsh(A) - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
+
+class TestSpectrumFirst:
+    """Spectral sets draw spectra, reject on them, and rotate survivors."""
+
+    @staticmethod
+    def counting(F):
+        seen = {"drawn": 0, "passed": 0}
+        f = F.spectral
+
+        def spectral(eigs):
+            vals = f(eigs)
+            seen["drawn"] += len(eigs)
+            seen["passed"] += int((vals >= 0.5).sum())
+            return vals
+        return replace(F, spectral=spectral), seen
+
+    @pytest.mark.parametrize("name", ["sigma:k=2:n=3", "pucci:lam=1:Lam=2:n=3",
+                                      "branch:real:k=2:n=3"])
+    def test_acceptance_and_law_match_plain_rejection(self, name):
+        F, seen = self.counting(parse_name(name))
+        r, p, A = sample_members(F, 20_000, np.random.default_rng(1),
+                                 margin_min=0.5)
+        assert len(r) == 20_000
+        assert F.value_batch(r, p, A).min() >= 0.5
+        # plain rejection: the same set with its spectral form dropped
+        G = replace(F, spectral=None)
+        r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(2),
+                                    margin_min=0.5)
+        rb, pb, Ab = sample_jet_batch(JetBox(), 3, 200_000,
+                                      np.random.default_rng(4))
+        box_rate = np.mean(G.value_batch(rb, pb, Ab) >= 0.5)
+        rate = seen["passed"] / seen["drawn"]
+        sd = np.sqrt(box_rate * (1 - box_rate) / seen["drawn"]
+                     + box_rate * (1 - box_rate) / len(rb))
+        assert abs(rate - box_rate) <= 5 * sd
+        for a, b in [(r, r2), (np.linalg.norm(p, axis=1),
+                               np.linalg.norm(p2, axis=1)),
+                     (A[:, 0, 0], A2[:, 0, 0]), (A[:, 0, 1], A2[:, 0, 1]),
+                     (np.einsum("nii->n", A), np.einsum("nii->n", A2))]:
+            assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_dual_forms_keep_the_spectral_recipe(self):
+        Fd = dual(parse_name("pucci:lam=1:Lam=2:n=3"))
+        assert Fd.spectral is not None
+        r, p, A = sample_members(Fd, 5000, np.random.default_rng(6),
+                                 margin_min=1e-9)
+        assert len(r) == 5000 and Fd.value_batch(r, p, A).min() >= 1e-9
+
+
+class TestSphereQMC:
+    def test_cached_points_equal_a_fresh_draw_and_are_read_only(self):
+        U = _unit_sphere_qmc(10, 64, seed=3)
+        assert U is _unit_sphere_qmc(10, 64, seed=3)
+        fresh = _unit_sphere_qmc.__wrapped__(10, 64, seed=3)
+        assert np.array_equal(U, fresh)
+        assert not U.flags.writeable
+        with pytest.raises(ValueError):
+            U[0, 0] = 0.0
 
 
 class TestAxioms:

@@ -179,6 +179,17 @@ class TestHermitianPart:
         want = 0.5 * (A + np.einsum("ji,njk,kl->nil", J, A, J))
         assert np.allclose(hermitian_part_batch(A, S), want, atol=1e-12)
 
+    @pytest.mark.parametrize("S", [ComplexStructure.standard_complex(3),
+                                   ComplexStructure.standard_quaternionic(2)])
+    def test_matches_einsum_reference(self, rng, S):
+        A = random_sym(rng, S.mats[0].shape[0], size=64)
+        want = A.copy()
+        for J in S.mats:
+            want = want - np.einsum("ij,njk,kl->nil", J, A, J)
+        want /= 1 + len(S.mats)
+        assert np.allclose(hermitian_part_batch(A, S), want, rtol=0.0,
+                           atol=1e-13)
+
     def test_quaternionic_eigen_multiplicity(self, rng):
         # quaternionic-hermitian matrices have spectra of multiplicity 4
         Q = ComplexStructure.standard_quaternionic(2)
