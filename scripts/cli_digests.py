@@ -20,12 +20,13 @@ fixed point.  ``--compare OTHER`` runs every config in both checkouts and,
 for the solve, obstacle and bracket configs, prints numbers instead of
 digests:
 
-    <name> exit=<a>/<b> converged=<a>/<b> sweeps=<a>/<b> du/sweep_tol=<q>
+    <name> exit=<a>/<b> converged=<a>/<b> sweeps=<a>/<b> du/sweep_tol=<q> <same>
 
 where ``du`` is the largest |u_a - u_b| over all field CSVs of the config
 (the NaN masks must agree, else ``du`` is ``inf``) and ``sweep_tol`` the
 one quoted in the first checkout's report.  Every other config keeps its
-digest line, followed by ``same`` or ``DIFFERS`` against the other side.
+digest line.  Each line ends in ``same`` when all digests agree with the
+other side, else ``DIFFERS``.
 
 Usage:  python3 scripts/cli_digests.py [checkout] [--compare OTHER]
         (checkout defaults to this one)
@@ -99,6 +100,14 @@ CONFIGS = [
                            "--bc", "x^2-y^2", "--order", "lex", "--m", "9"]),
     ("solve-klapinf-ball", ["solve", "--subeq", "klap:k=inf:n=2",
                             "--bc", "x", "--domain", "ball:n=2", "--m", "17"]),
+    # Newton is abandoned on the coarsest level: the Perron cascade
+    ("solve-klapinf-box-m33", ["solve", "--subeq", "klap:k=inf:n=2",
+                               "--bc", "abs(x)^(4/3)-abs(y)^(4/3)",
+                               "--box=-1,1", "--m", "33"]),
+    # Newton is abandoned on the finest level (Krylov growth)
+    ("solve-cone-m129", ["solve", "--subeq", "branch:real:k=1:n=2",
+                         "--bc", "(x^2+y^2)^0.5", "--box=1,3,-1,1",
+                         "--m", "129"]),
     ("solve-lambda1-tol", ["solve", "--subeq", "branch:real:k=1:n=2",
                            "--bc", "x^2", "--box=-1,1", "--m", "17",
                            "--sweep-tol", "1e-8"]),
@@ -166,14 +175,15 @@ def _max_du(fa: dict, fb: dict) -> float:
 
 
 def compare_line(argv: list, a: dict, b: dict) -> str:
+    same = "same" if a["line"] == b["line"] else "DIFFERS"
     if argv[0] not in SOLVES:
-        return f"{a['line']} {'same' if a['line'] == b['line'] else 'DIFFERS'}"
+        return f"{a['line']} {same}"
     conv_a, sweeps_a, tol = _solve_stats(a["report"])
     conv_b, sweeps_b, _ = _solve_stats(b["report"])
     du = _max_du(a["fields"], b["fields"])
     q = f"{du / tol:.3g}" if tol else "-"
     return (f"exit={a['exit']}/{b['exit']} converged={conv_a}/{conv_b} "
-            f"sweeps={sweeps_a}/{sweeps_b} du/sweep_tol={q}")
+            f"sweeps={sweeps_a}/{sweeps_b} du/sweep_tol={q} {same}")
 
 
 def _src(root) -> Path:

@@ -232,7 +232,8 @@ def _config_to_argv(cfg: dict) -> list:
         flag = "--" + str(key).replace("_", "-")
         if isinstance(val, bool):
             raise ConfigError(f"boolean config values unsupported ({key})")
-        argv += [flag, str(val)]
+        # one argv item, so that values starting with '-' stay values
+        argv.append(f"{flag}={val}")
     return argv
 
 
@@ -422,7 +423,9 @@ def _resolve_subeq(name: str, *exprs):
         return parse_name(f"{name}:n={_infer_n(*exprs)}")
 
 
-_NAMED_DOMAINS = ("ball", "annulus", "ellipsoid", "star")
+# each named domain family and the parameters it reads besides n
+_NAMED_DOMAINS = {"ball": ("radius",), "annulus": ("r_in", "r_out"),
+                  "ellipsoid": ("axes",), "star": ("lobes", "amp")}
 
 
 def _resolve_domain(text: str, n: int = None):
@@ -440,22 +443,24 @@ def _resolve_domain(text: str, n: int = None):
             raise ConfigError(f"bad domain parameter {part!r}")
         k, v = part.split("=", 1)
         kv[k] = v
-    dn = int(kv.pop("n", n or 2))
+    unknown = sorted(set(kv) - {"n"} - set(_NAMED_DOMAINS[head]))
+    if unknown:
+        raise ConfigError(
+            f"unknown {head} parameter(s) {', '.join(unknown)}; expected "
+            f"{', '.join(('n',) + _NAMED_DOMAINS[head])}")
+    dn = int(kv.get("n", n or 2))
     if head == "ball":
-        return _bd.ball_domain(dn, radius=float(kv.pop("radius", 1.0)),
-                               **{k: float(v) for k, v in kv.items()})
+        return _bd.ball_domain(dn, radius=float(kv.get("radius", 1.0)))
     if head == "annulus":
-        return _bd.annulus_domain(dn, r_in=float(kv.pop("r_in", 0.5)),
-                                  r_out=float(kv.pop("r_out", 1.0)))
+        return _bd.annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
+                                  r_out=float(kv.get("r_out", 1.0)))
     if head == "ellipsoid":
-        axes = tuple(float(v) for v in kv.pop("axes", "1.5,1").split(","))
+        axes = tuple(float(v) for v in kv.get("axes", "1.5,1").split(","))
         if len(axes) != dn:
             raise ConfigError(f"ellipsoid needs {dn} axes, got {len(axes)}")
         return _bd.ellipsoid_domain(axes)
-    if head == "star":
-        return _bd.star_domain(dn, lobes=int(kv.pop("lobes", 5)),
-                               amplitude=float(kv.pop("amp", 0.15)))
-    raise ConfigError(f"unknown domain family {head!r}")
+    return _bd.star_domain(dn, lobes=int(kv.get("lobes", 5)),
+                           amplitude=float(kv.get("amp", 0.15)))
 
 
 def _build_problem(args):

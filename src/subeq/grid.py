@@ -211,25 +211,15 @@ class Grid:
 class SolverParams:
     max_sweeps: int = 100_000
     sweep_tol: Optional[float] = None       # default 1e-10 * data range
-    bisection_tol: Optional[float] = None   # default sweep_tol / 16
     stencil: str = "9pt"
     order: str = "color"                    # "color" (blocked) or "lex"
-    eps_b: float = 1e-9
     omega: Optional[float] = None           # over-relaxation; None = auto
-    # start of perron_solve on a rectangle with a cascade ladder: "auto" or
-    # its synonym "cascade" (nested Newton, certified by Perron sweeps; the
-    # Perron cascade when Newton is abandoned) or "flat" (one level from the
-    # boundary minimum); anything else is a ConfigError
-    init: str = "auto"
 
-    def resolved(self, data_range: float):
-        st = self.sweep_tol
-        if st is None:
-            st = 1e-10 * (data_range if data_range > 0 else 1.0)
-        bt = self.bisection_tol
-        if bt is None:
-            bt = st / 16.0
-        return st, bt
+    def resolved(self, data_range: float) -> float:
+        """The sweep tolerance, its default filled in."""
+        if self.sweep_tol is not None:
+            return self.sweep_tol
+        return 1e-10 * (data_range if data_range > 0 else 1.0)
 
     def resolved_omega(self, min_cells: int) -> float:
         """Acceleration factor; the classical optimum for the model problem

@@ -6,8 +6,9 @@ definition: each node is raised to the largest value whose discrete jet
 predicate monotone in the node value — raising r lowers the assembled
 Hessian by a PSD multiple — and negativity keeps the r-slot itself
 monotone.  So the node value is the root of the nonincreasing margin
-g(r) = rho(J(r)) + eps_b, and membership is g(r) >= 0.  Sweeps repeat until
-the largest node change drops below tolerance.
+g(r) = rho(J(r)) + eps_b (``core.DEFAULT_EPS_B``), and membership is
+g(r) >= 0.  Sweeps repeat until the largest node change drops below the
+tolerance.
 
 Margin.  When the set is spectral (``Subequation.spectral``) and the
 stencil moves only A, by c*I per unit of r (the direct stencils, masked or
@@ -38,36 +39,40 @@ scalar reference schedule, lexicographic then reversed, alternating.
 Updates are over-relaxed by default (SolverParams.omega, auto-tuned from
 the grid resolution); omega=1.0 recovers the plain envelope iteration.
 
-Newton start.  Relaxation needs sweeps in proportion to m.  With
-``init="auto"`` (or its synonym "cascade") on a rectangle with a cascade
-ladder (``_cascade_ladder``: an odd number of at least 33 nodes per axis),
-``perron_solve`` first runs damped Newton on G(u) = rho(J(u)) + eps_b = 0,
-nested over the ladder: the coarsest level starts from the discrete Laplace
-solve, each level's result is prolonged to the next, and the finest result
-is handed to the Perron sweeps.  The Jacobian is never formed.  It is
-applied as grad rho . (v, J(v)), with grad rho a one-sided difference of
+Nested iteration.  Relaxation needs sweeps in proportion to m.  On a
+rectangle with a cascade ladder (``_cascade_ladder``: an odd number of at
+least 33 nodes per axis), ``perron_solve`` makes one pass over the ladder,
+coarsest level first, and each level starts from the prolongation of the
+field below it (the coarsest from the boundary minimum).  Damped Newton on
+G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
+abandonment; on the coarsest level it starts from the discrete Laplace
+solve.  The Jacobian is never formed.  It is applied as
+grad rho . (v, J(v)), with grad rho a one-sided difference of
 ``value_batch`` in jet coordinates and J(v) the stencil's jet of v.  Each
 linear solve is restarted GMRES, right preconditioned by the
 fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
 d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
 backtrack on max|G|; a level is done at max|G| / |c| <= 1e-3 sweep_tol,
-c the stencil's dA/dr diagonal.
+c the stencil's dA/dr diagonal.  A level Newton solved is handed on as it
+is, with no sweeps.
 
-Certification and fallback.  Newton's field only starts the Perron sweeps
-on the finest grid, so every answer is a Perron fixed point and
-``converged`` still means final_update <= sweep_tol (one sweep, typically).
-The attempt is abandoned on the first GMRES solve that misses its
-tolerance within its cap, on a line search that finds no decrease, on a
-non-finite residual, at the per-level iteration cap, or before a finer
+Certification.  The level where Newton is abandoned and every finer level
+run the Perron sweeps from their start, and the finest level runs them
+whatever Newton did: every answer is a Perron fixed point, and
+``converged`` still means final_update <= sweep_tol (one sweep, typically,
+after Newton).  Newton is abandoned on the first GMRES solve that misses
+its tolerance within its cap, on a line search that finds no decrease, on
+a non-finite residual, at the per-level iteration cap, or before a finer
 level when one GMRES solve on the level below needed more than half the
 cap (the mean-coefficient preconditioner loses about a factor two per
 refinement where d rho / dA varies across the grid, so the finer level
-would miss the cap after paying for most of its iterations).  Then the
-Perron cascade runs from the original start, exactly as it does without a
-Newton start.  ``SolveReport.newton_abandoned`` records why and on which
-level, and the ``subeq`` logger says so at INFO.  Masked domains, grids
-without a ladder, ``init="flat"`` and ``obstacle_solve`` use Perron alone;
-``dual_bracket_solve`` is two ``perron_solve`` calls and inherits the start.
+would miss the cap after paying for most of its iterations).  Abandoned on
+the coarsest level, the pass is the Perron cascade; abandoned higher up,
+the levels below keep Newton's fields.  ``SolveReport.newton_abandoned``
+records why and on which level, and the ``subeq`` logger says so at INFO.
+Masked domains, grids without a ladder and ``obstacle_solve`` use Perron
+sweeps on one level from the boundary minimum; ``dual_bracket_solve`` is
+two ``perron_solve`` calls.
 """
 
 from __future__ import annotations
@@ -81,14 +86,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BracketError, ConfigError, SamplerExhausted
-from .core import ILLINOIS_SLACK, Subequation, bisect, dual, axiom_check
+from .core import (DEFAULT_EPS_B, ILLINOIS_SLACK, Subequation, bisect, dual,
+                   axiom_check)
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
 from .linalg import eigvalsh_batch
 
 log = logging.getLogger("subeq")
 
 _BRACKET_PAD = 10.0
-_INITS = ("auto", "cascade", "flat")
 
 # nested Newton start
 _NEWTON_TOL = 1e-3      # stop at max|G| / |c| <= this * sweep_tol
@@ -159,10 +164,9 @@ def _widen(edge: np.ndarray, full: np.ndarray, step: np.ndarray,
 class _NodeUpdater:
     """Vectorized largest-member-value solve at a subset of interior nodes."""
 
-    def __init__(self, P: GridProblem, bt: float, eps_b: float):
+    def __init__(self, P: GridProblem, bt: float):
         self.P = P
         self.bt = bt
-        self.eps_b = eps_b
         self.p_slope, self.A_slope = P.assembler.slopes()
         self.p_static = not np.any(self.p_slope)
         slope_eigs = eigvalsh_batch(self.A_slope[None])
@@ -182,21 +186,21 @@ class _NodeUpdater:
     def margin_fn(self, p_base, A_base, xb):
         """g(r) = rho(J(r)) + eps_b on the base jets of one node update;
         ``g(r, idx)`` evaluates it at the nodes ``idx`` only."""
-        F, eps_b = self.P.F, self.eps_b
+        F = self.P.F
         if self.shift is not None:
             lam, c = eigvalsh_batch(A_base), self.shift
 
             def g(rr, idx=slice(None)):
                 self.evals += len(rr)
-                return F.spectral(lam[idx] + c * rr[:, None]) + eps_b
+                return F.spectral(lam[idx] + c * rr[:, None]) + DEFAULT_EPS_B
         else:
             def g(rr, idx=slice(None)):
                 self.evals += len(rr)
                 p = (p_base[idx] if self.p_static
                      else p_base[idx] + rr[:, None] * self.p_slope)
                 A = A_base[idx] + rr[:, None, None] * self.A_slope
-                return F.value_batch(rr, p, A,
-                                     x=None if xb is None else xb[idx]) + eps_b
+                x = None if xb is None else xb[idx]
+                return F.value_batch(rr, p, A, x=x) + DEFAULT_EPS_B
         return g
 
     def solve(self, u: np.ndarray, sel: np.ndarray, warm: float):
@@ -286,14 +290,14 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
                 label: str = "", u0: Optional[np.ndarray] = None) -> SolveReport:
     t0 = time.perf_counter()
-    st, bt = P.params.resolved(P.data_range())
+    st = P.params.resolved(P.data_range())
     omega = P.params.resolved_omega(min(P.grid.shape) - 1)
     # the delivered field error is the per-sweep update amplified by the
     # iteration's contraction gap (~2-omega), so iterate past the reported
     # tolerance; the report still quotes the documented sweep_tol
     st_run = st * (2.0 - omega) / 8.0 if omega > 1.0 else 0.5 * st
-    bt = min(bt, st_run / 16.0)
-    upd = _NodeUpdater(P, bt, P.params.eps_b)
+    bt = st_run / 16.0
+    upd = _NodeUpdater(P, bt)
     u = P.initial_field()
     if u0 is not None:
         ii0 = P.interior_idx
@@ -516,19 +520,19 @@ class _NewtonLevel:
         G = np.empty(len(self.P.interior_idx))
         for sel, r, p, A, xb in self._classes(u):
             G[sel] = self.P.F.value_batch(r, p, A, x=xb)
-        return G + self.P.params.eps_b
+        return G + DEFAULT_EPS_B
 
     def linearize(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Stores the gradient of rho at the jets of u (where G is the
         residual) and returns the mean of d rho / dA_ii over the nodes."""
-        F, eps_b = self.P.F, self.P.params.eps_b
+        F = self.P.F
         N, n = len(G), self.P.grid.n
         dr = None if F.reduced else np.empty(N)
         dp = None if F.pure_second_order else np.empty((N, n))
         dA = np.empty((N, len(self.pairs)))
         step = lambda x: _FD_STEP * (1.0 + float(np.abs(x).max()))
         for sel, r, p, A, xb in self._classes(u):
-            rho0 = G[sel] - eps_b
+            rho0 = G[sel] - DEFAULT_EPS_B
             rho = lambda r, p, A: F.value_batch(r, p, A, x=xb)
             if dr is not None:
                 t = step(r)
@@ -576,13 +580,19 @@ class _NewtonLevel:
         u[P.interior_idx] = -self.fd.solve(b, np.ones(P.grid.n))
         return u
 
-    def run(self, u: np.ndarray, level: int):
-        """Damped Newton from u.  Returns (u, iterations, the GMRES
+    def run(self, start: Optional[np.ndarray], level: int):
+        """Damped Newton from the interior values of ``start``, or from the
+        Laplace solve when it is None.  Returns (u, iterations, the GMRES
         iterations of each linear solve, reason): reason is None on success,
         else why the attempt stopped."""
         P = self.P
         ii = P.interior_idx
-        st, _ = P.params.resolved(P.data_range())
+        if start is None:
+            u = self.laplace_start()
+        else:
+            u = P.initial_field()
+            u[ii] = start[ii]
+        st = P.params.resolved(P.data_range())
         target = _NEWTON_TOL * st * abs(P.assembler.slopes()[1][0, 0])
         G = self.residual(u)
         gmax = float(np.abs(G).max())
@@ -620,83 +630,70 @@ class _NewtonLevel:
             u, G, gmax = u_try, G_try, g_try
 
 
-def _nested_newton(levels: list):
-    """Newton on each level, coarsest first, prolonging each result to the
-    next level; the coarsest starts from the Laplace solve.  Returns the
-    finest field (None when abandoned), the Newton iterations per level, the
-    Krylov iterations and the abandon reason with its level."""
-    iters, krylov, kmax, u = [], 0, 0, None
+def _ladder_pass(levels: list) -> SolveReport:
+    """One pass over ``levels``, coarsest first, the problem itself last.
+    Each level starts from the prolongation of the field below it, the
+    coarsest from the boundary minimum.  Newton runs on each level (the
+    coarsest from the Laplace solve) until its first abandonment, and a
+    level it solved is handed on unchanged.  The level where it is abandoned
+    and every finer one run the Perron sweeps from their start, and so does
+    the finest level in any case: the sweeps certify the answer."""
+    iters, krylov, kmax, abandoned = [], 0, 0, None
+    u, perron, level_sweeps = None, [], []
     for level, Q in enumerate(levels):
-        lev = _NewtonLevel(Q)
-        it, ks, reason = 0, [], None
-        if level == 0:
-            u = lev.laplace_start()
-        else:
-            up = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
-            u = Q.initial_field()
-            u[Q.interior_idx] = up[Q.interior_idx]
+        # u: the level's start (None: the boundary minimum), then its field
+        if level:
+            u = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
+        solved = None
+        if abandoned is None:
             if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
-                reason = "krylov growth"
-        if reason is None:
-            u, it, ks, reason = lev.run(u, level)
-        iters.append(it)
-        krylov += sum(ks)
-        kmax = max(ks, default=0)
-        if reason is not None:
-            log.info("%s: Newton start abandoned at level %d of %d (%s); "
-                     "running the Perron cascade", Q.F.label, level,
-                     len(levels), reason)
-            return None, iters, krylov, (reason, level)
-    return u, iters, krylov, None
-
-
-def _perron_cascade(P: GridProblem, ladder: list) -> SolveReport:
-    u0 = None
-    coarse = []
-    for Pc in ladder:
-        rep_c = _solve_loop(Pc, u0=u0)
-        coarse.append(rep_c)
-        u0 = _prolong(rep_c.u)          # now at the next level's resolution
-    rep = _solve_loop(P, u0=u0)
-    for rep_c in coarse:
+                it, ks, reason = 0, [], "krylov growth"
+            else:
+                solved, it, ks, reason = _NewtonLevel(Q).run(u, level)
+            iters.append(it)
+            krylov += sum(ks)
+            kmax = max(ks, default=0)
+            if reason is not None:
+                log.info("%s: Newton start abandoned at level %d of %d (%s); "
+                         "running the Perron cascade", Q.F.label, level,
+                         len(levels), reason)
+                abandoned, solved = (reason, level), None
+        if solved is not None:
+            u = solved
+        if solved is None or level == len(levels) - 1:
+            rep = _solve_loop(Q, u0=u)
+            perron.append(rep)
+            level_sweeps.append(rep.sweeps)
+            u = rep.u
+        else:
+            level_sweeps.append(0)
+    rep = perron[-1]
+    for rep_c in perron[:-1]:
         rep.sweeps += rep_c.sweeps
         rep.evals += rep_c.evals
         rep.bisect_capped += rep_c.bisect_capped
-    rep.level_sweeps = [r.sweeps for r in coarse] + rep.level_sweeps
+    rep.level_sweeps = level_sweeps
+    rep.newton_iters, rep.krylov_iters = iters, krylov
+    rep.newton_abandoned = abandoned
     return rep
 
 
 def perron_solve(P: GridProblem) -> SolveReport:
     """Upper-envelope solve for the Dirichlet problem on P.
 
-    ``params.init`` picks the start.  On plain rectangles with a cascade
-    ladder (an odd number of at least 33 nodes per axis), "auto" and its
-    synonym "cascade" run nested Newton on G(u) = rho(J(u)) + eps_b and
-    certify its field with Perron sweeps; if Newton is abandoned, they run
-    the Perron cascade instead: Perron sweeps on coarsened grids, each level
-    warm-starting the next.  "flat" starts a single level at the boundary
-    minimum.  Masked domains and grids without a ladder use the flat start
-    whatever the value.  Any other value raises ``ConfigError``.  Never
-    raises on slow convergence: the report carries converged=False.
+    On plain rectangles with a cascade ladder (an odd number of at least 33
+    nodes per axis), one pass over the ladder, coarsest level first: nested
+    Newton on G(u) = rho(J(u)) + eps_b while it holds, Perron sweeps from
+    the level where it is abandoned, and Perron sweeps on the finest level
+    in any case, which certify the answer.  Masked domains and grids
+    without a ladder run the Perron sweeps on one level from the boundary
+    minimum.  Never raises on slow convergence: the report carries
+    converged=False.
     """
     t0 = time.perf_counter()
-    init = P.params.init
-    if init not in _INITS:
-        raise ConfigError(f"unknown init {init!r}; expected one of "
-                          f"{', '.join(_INITS)}")
     _precheck(P.F)
-    ladder = _cascade_ladder(P) if init != "flat" and P.domain is None else []
-    if not ladder:
-        rep = _solve_loop(P)
-    else:
-        u, iters, krylov, abandoned = _nested_newton(ladder + [P])
-        if u is None:
-            rep = _perron_cascade(P, ladder)
-        else:
-            rep = _solve_loop(P, u0=u)
-            rep.level_sweeps = [0] * len(ladder) + rep.level_sweeps
-        rep.newton_iters, rep.krylov_iters = iters, krylov
-        rep.newton_abandoned = abandoned
+    ladder = _cascade_ladder(P) if P.domain is None else []
+    rep = _ladder_pass(ladder + [P]) if ladder else _solve_loop(P)
     rep.wall_time = time.perf_counter() - t0
     return rep
 

@@ -275,3 +275,47 @@ class TestConfigErrors:
                         "--out-field", str(tmp_path / "f.csv"))
         assert code == 0
         assert json.loads(out.read_text())["config"]["h"] == 0.25
+
+    @pytest.mark.parametrize("domain", [
+        "ball:n=2:r=1", "ball:n=2:foo=3", "annulus:n=2:r_inner=0.5",
+        "ellipsoid:n=2:axis=1,1", "star:n=2:amplitude=0.1",
+    ])
+    def test_unknown_named_domain_key(self, tmp_path, domain):
+        code, out = run(tmp_path, "solve", "--subeq", "laplace", "--bc",
+                        "x*x-y*y", "--domain", domain, "--m", "9",
+                        "--out-field", str(tmp_path / "f.csv"))
+        assert code == 3
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "config_error"
+        assert domain.rsplit(":", 1)[1].split("=")[0] in rep["error"]
+
+    def test_ball_radius(self, tmp_path):
+        code, out = run(tmp_path, "convexity", "--subeq", "klap:k=inf:n=2",
+                        "--domain", "ball:n=2:radius=0.5",
+                        "--out-csv", str(tmp_path / "c.csv"))
+        assert code == 0
+        pts = [v["point"] for v in json.loads(out.read_text())["per_point"]]
+        assert np.allclose(np.linalg.norm(pts, axis=1), 0.5, atol=1e-6)
+
+
+class TestConfigValues:
+    def test_values_starting_with_minus(self, tmp_path):
+        # the box, the data and the lambda grid all start with '-'
+        _, out1 = run(tmp_path, "solve", "--subeq", "branch:real:k=1:n=2",
+                      "--bc=-x^2+2", "--box=-1,1", "--m", "9",
+                      "--out-field", str(tmp_path / "f1.csv"))
+        cfg = tmp_path / "cfg.json"
+        out2 = tmp_path / "report2.json"
+        cfg.write_text(json.dumps({
+            "command": "solve", "subeq": "branch:real:k=1:n=2",
+            "bc": "-x^2+2", "box": "-1,1", "m": 9, "out": str(out2),
+            "out_field": str(tmp_path / "f2.csv")}))
+        assert main(["--config", str(cfg)]) == 0
+        assert out2.read_bytes() == out1.read_bytes()
+        cfg.write_text(json.dumps({
+            "command": "convexity", "subeq": "klap:k=inf:n=2",
+            "domain": "ball:n=2", "lambda_grid": "-2,-1,0,1,2",
+            "points": 4, "out": str(out2),
+            "out_csv": str(tmp_path / "c.csv")}))
+        assert main(["--config", str(cfg)]) == 0
+        assert json.loads(out2.read_text())["lambda_grid"] == [-2, -1, 0, 1, 2]

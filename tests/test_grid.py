@@ -219,12 +219,10 @@ class TestGridProblem:
 
 class TestSolverParams:
     def test_resolved_defaults(self):
-        st, bt = SolverParams().resolved(2.0)
-        assert np.isclose(st, 2e-10) and np.isclose(bt, st / 16)
+        assert np.isclose(SolverParams().resolved(2.0), 2e-10)
 
     def test_explicit_values_pass_through(self):
-        st, bt = SolverParams(sweep_tol=1e-6, bisection_tol=1e-9).resolved(5.0)
-        assert st == 1e-6 and bt == 1e-9
+        assert SolverParams(sweep_tol=1e-6).resolved(5.0) == 1e-6
 
     def test_omega_auto_grows_with_resolution(self):
         p = SolverParams()

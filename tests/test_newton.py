@@ -15,11 +15,10 @@ import pytest
 
 from subeq import parse_name
 from subeq.boundary import ball_domain
-from subeq.errors import ConfigError
 from subeq.expressions import parse_expression
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
-                          _perron_cascade, _solve_loop, dual_bracket_solve,
+                          _prolong, _solve_loop, dual_bracket_solve,
                           obstacle_solve, perron_solve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,8 +35,17 @@ def problem(name, m, bc=cubic, bounds=BOX, domain=None, **params):
 
 
 def cascade(P):
-    """The Perron cascade alone: the reference for the Newton start."""
-    return _perron_cascade(P, _cascade_ladder(P))
+    """The Perron cascade alone, the reference for the ladder pass: Perron
+    sweeps on every level of the ladder and then on P, coarsest first, each
+    level starting from the prolonged field below it."""
+    reps, u0 = [], None
+    for Q in _cascade_ladder(P) + [P]:
+        reps.append(_solve_loop(Q, u0=u0))
+        u0 = _prolong(reps[-1].u)
+    rep = reps[-1]
+    rep.level_sweeps = [r.sweeps for r in reps]
+    rep.sweeps = sum(rep.level_sweeps)
+    return rep
 
 
 class TestNewtonStart:
@@ -70,14 +78,22 @@ class TestNewtonStart:
 
     def test_krylov_growth_abandons_before_the_finer_level(self):
         # one GMRES solve on level 1 needs more than half the cap, so level 2
-        # is not attempted; the cascade stalls here, hence the short run
+        # is not attempted: the Perron sweeps start there from the prolonged
+        # Newton field of level 1.  The cascade stalls on this data, hence
+        # the short run.
         P = problem("branch:real:k=1:n=2", 65, max_sweeps=30)
         auto = perron_solve(P)
         assert auto.newton_abandoned == ("krylov growth", 2)
         assert auto.newton_iters[2] == 0 and min(auto.newton_iters[:2]) > 0
-        ref = cascade(P)
+        assert auto.level_sweeps[:2] == [0, 0]
+        assert auto.sweeps == auto.level_sweeps[2] == 30
+        coarse, mid = _cascade_ladder(P)
+        u = _NewtonLevel(coarse).run(None, 0)[0]
+        u = _NewtonLevel(mid).run(_prolong(u.reshape(coarse.grid.shape))
+                                  .ravel(), 1)[0]
+        ref = _solve_loop(P, u0=_prolong(u.reshape(mid.grid.shape)))
         assert np.array_equal(auto.u, ref.u, equal_nan=True)
-        assert auto.level_sweeps == ref.level_sweeps
+        assert auto.sweeps < cascade(P).sweeps
 
     def test_lambda1_cascade_stall_converges(self):
         # the over-relaxed Perron cascade stalls at final_update 1.9e-3 on
@@ -117,14 +133,8 @@ class TestNewtonStart:
                 == json.dumps(b.to_json_dict(), sort_keys=True))
 
     def test_scope(self):
-        # "cascade" is a synonym of "auto"
-        auto = perron_solve(problem("laplace:n=2", 33))
-        syn = perron_solve(problem("laplace:n=2", 33, init="cascade"))
-        assert syn.newton_iters == auto.newton_iters
-        assert np.array_equal(syn.u, auto.u)
-        # no ladder below 33 nodes, masks and "flat" stay on Perron
+        # no ladder below 33 nodes, and masks stay on Perron
         for P in (problem("laplace:n=2", 17),
-                  problem("laplace:n=2", 33, init="flat"),
                   problem("laplace:n=2", 33, bounds=[(-1.2, 1.2)] * 2,
                           domain=ball_domain(2))):
             assert perron_solve(P).newton_iters == []
@@ -133,11 +143,6 @@ class TestNewtonStart:
         assert rep.newton_iters == []
         res = dual_bracket_solve(problem("laplace:n=2", 33))
         assert res.report.newton_iters and res.report_dual.newton_iters
-
-    @pytest.mark.parametrize("init", ["Cascade", "newton", ""])
-    def test_unknown_init_rejected(self, init):
-        with pytest.raises(ConfigError, match="init"):
-            perron_solve(problem("laplace:n=2", 33, init=init))
 
 
 def axis_operator(x, h, a):

@@ -12,8 +12,8 @@ from subeq.core import Subequation
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.solver import (SolveReport, _NodeUpdater, _refine_axis, _prolong,
-                          _cascade_ladder, perron_solve, obstacle_solve,
-                          dual_bracket_solve, comparison_check,
+                          _cascade_ladder, _solve_loop, perron_solve,
+                          obstacle_solve, dual_bracket_solve, comparison_check,
                           membership_scan, _precheck)
 
 
@@ -80,7 +80,7 @@ class TestPerron:
 
     def test_plain_iteration_same_fixed_point(self):
         a = perron_solve(box_problem(saddle, m=17))
-        b = perron_solve(box_problem(saddle, m=17, omega=1.0, init="flat"))
+        b = perron_solve(box_problem(saddle, m=17, omega=1.0))
         assert np.nanmax(np.abs(a.u - b.u)) < 1e-7
 
     def test_lex_schedule_agrees(self):
@@ -90,11 +90,11 @@ class TestPerron:
 
     def test_cascade_agrees_with_flat(self):
         a = perron_solve(box_problem(saddle, m=33))            # ladder [17]
-        b = perron_solve(box_problem(saddle, m=33, init="flat"))
+        b = _solve_loop(box_problem(saddle, m=33))
         assert np.nanmax(np.abs(a.u - b.u)) < 1e-7
 
     def test_sweep_cap_reports_unconverged(self):
-        P = box_problem(saddle, m=17, max_sweeps=3, init="flat")
+        P = box_problem(saddle, m=17, max_sweeps=3)
         rep = perron_solve(P)
         assert not rep.converged and rep.sweeps == 3
 
@@ -209,10 +209,10 @@ class TestNodeSolvePaths:
         g = Grid.regular([(-1.2, 1.2)] * 2 if ball else self.BOX, m)
         dom = ball_domain(2) if ball else None
         P = GridProblem(g, F, bc, domain=dom)
-        assert _NodeUpdater(P, 1e-12, 1e-9).shift == -2.0 / g.h ** 2
+        assert _NodeUpdater(P, 1e-12).shift == -2.0 / g.h ** 2
         spec = perron_solve(P)
         P_full = GridProblem(g, replace(F, spectral=None), bc, domain=dom)
-        assert _NodeUpdater(P_full, 1e-12, 1e-9).shift is None
+        assert _NodeUpdater(P_full, 1e-12).shift is None
         full = perron_solve(P_full)
         assert spec.converged and full.converged
         assert np.nanmax(np.abs(spec.u - full.u)) <= spec.sweep_tol
@@ -228,7 +228,7 @@ class TestNodeSolvePaths:
                            (parse_name("cy:n=2"), "9pt"),
                            (parse_name("klap:k=inf:n=2"), "9pt")):
             P = GridProblem(g, F, saddle, params=SolverParams(stencil=stencil))
-            assert _NodeUpdater(P, 1e-12, 1e-9).shift is None, F.label
+            assert _NodeUpdater(P, 1e-12).shift is None, F.label
 
     def test_counters_add_up_over_levels(self):
         P = box_problem(saddle, m=33)
