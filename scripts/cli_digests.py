@@ -111,6 +111,13 @@ CONFIGS = [
     ("solve-lambda1-tol", ["solve", "--subeq", "branch:real:k=1:n=2",
                            "--bc", "x^2", "--box=-1,1", "--m", "17",
                            "--sweep-tol", "1e-8"]),
+    # a masked domain with 33 or more nodes per axis: one Newton level
+    ("solve-cy-ball-m65", ["solve", "--subeq", "cy:n=2", "--bc", "x^2+y^2",
+                           "--domain", "ball:n=2", "--m", "65"]),
+    # Howard's rows for the clamp over the 25 -> 385 ladder
+    ("obstacle-well-m385", ["obstacle", "--subeq", "branch:real:k=1:n=1",
+                            "--bc", "(x*x-1)^2", "--obstacle", "(x*x-1)^2",
+                            "--box=-1.5,1.5", "--m", "385"]),
     ("obstacle-laplace", ["obstacle", "--subeq", "laplace:n=2", "--bc", "0",
                           "--obstacle", "(x-0.5)^2+(y-0.5)^2-0.05",
                           "--m", "17"]),

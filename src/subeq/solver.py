@@ -70,9 +70,13 @@ would miss the cap after paying for most of its iterations).  Abandoned on
 the coarsest level, the pass is the Perron cascade; abandoned higher up,
 the levels below keep Newton's fields.  ``SolveReport.newton_abandoned``
 records why and on which level, and the ``subeq`` logger says so at INFO.
-Masked domains, grids without a ladder and ``obstacle_solve`` use Perron
-sweeps on one level from the boundary minimum; ``dual_bracket_solve`` is
-two ``perron_solve`` calls.
+A masked domain with at least 33 nodes per axis is one such level, Newton
+from the boundary minimum, preconditioned on the bounding block of its
+interior (``_FastDiag`` scatters into the block and gathers back).
+``obstacle_solve`` makes the same pass on min(G, |c| (g - u)) = 0 with
+every level clamped to g, the active obstacle rows -|c| I (Howard's rule).
+Smaller grids run the Perron sweeps alone; ``dual_bracket_solve`` is two
+``perron_solve`` calls.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -268,10 +273,6 @@ class _NodeUpdater:
         return r_new, degen
 
 
-def _clamp(r_new: np.ndarray, cap: Optional[np.ndarray]) -> np.ndarray:
-    return r_new if cap is None else np.minimum(r_new, cap)
-
-
 def _refine_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """Double the resolution along one axis (midpoint interpolation)."""
     a = np.moveaxis(a, axis, 0)
@@ -288,7 +289,10 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
 
 
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
-                label: str = "", u0: Optional[np.ndarray] = None) -> SolveReport:
+                label: str = "", u0: Optional[np.ndarray] = None,
+                newton_start: bool = False) -> SolveReport:
+    """Perron sweeps from the boundary minimum or from u0.  A u0 that
+    Newton solved starts from the warm bracket, 1024 bt about each node."""
     t0 = time.perf_counter()
     st = P.params.resolved(P.data_range())
     omega = P.params.resolved_omega(min(P.grid.shape) - 1)
@@ -298,12 +302,11 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     st_run = st * (2.0 - omega) / 8.0 if omega > 1.0 else 0.5 * st
     bt = st_run / 16.0
     upd = _NodeUpdater(P, bt)
+    ii = P.interior_idx
     u = P.initial_field()
     if u0 is not None:
-        ii0 = P.interior_idx
-        u[ii0] = np.asarray(u0, dtype=float).ravel()[ii0]
+        u[ii] = np.asarray(u0, dtype=float).ravel()[ii]
     if cap is not None:
-        ii = P.interior_idx
         u[ii] = np.minimum(u[ii], cap)
     order = P.params.order
     if order not in ("color", "lex"):
@@ -311,10 +314,9 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
 
     sweeps = 0
     final_update = np.inf
-    warm = np.inf
+    warm = 1024.0 * bt if newton_start else np.inf
     degen_total = 0
     converged = False
-    ii = P.interior_idx
     n_int = len(ii)
     for sweep in range(1, P.params.max_sweeps + 1):
         max_upd = 0.0
@@ -331,7 +333,8 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
             # over-relax toward the envelope value (same fixed point);
             # degenerate fibers take their fallback value verbatim
             r_new = np.where(degen, r_star, r_old + omega * (r_star - r_old))
-            r_new = _clamp(r_new, None if cap is None else cap[sel])
+            if cap is not None:
+                r_new = np.minimum(r_new, cap[sel])
             delta = np.abs(r_new - r_old)
             if len(delta):
                 max_upd = max(max_upd, float(delta.max()))
@@ -408,28 +411,52 @@ class _FastDiag:
     """Exact inverse of sum_i a_i D_ii on a rectangular block with zero data
     outside it, D_ii the 3-point second difference along axis i (Lynch, Rice
     and Thomas 1964).  The orthogonal sine matrix S of one axis diagonalizes
-    its D_ii, S D_ii S = diag(mu); S is symmetric, so it also undoes itself."""
+    its D_ii, S D_ii S = diag(mu); S is symmetric, so it also undoes itself.
 
-    def __init__(self, shape: tuple, h: float):
+    A vector on a masked interior is scattered into the block at the C-order
+    positions ``index`` (zero elsewhere), solved there and gathered back: the
+    embedding of Buzbee, Dorr, George and Golub without its capacitance
+    correction.  ``index=None`` is the whole block."""
+
+    def __init__(self, shape: tuple, h: float,
+                 index: Optional[np.ndarray] = None):
         self.shape = tuple(shape)
-        self.S, self.mu = [], []
+        self.index = index
+        self.mu = [-4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, N + 1)
+                                          / (N + 1)) ** 2 for N in self.shape]
+
+    @cached_property
+    def S(self) -> list:
+        """The sine matrices, built at the first solve: a level that Newton
+        leaves at once never holds them."""
+        out = []
         for N in self.shape:
             k = np.arange(1, N + 1)
-            self.S.append(np.sqrt(2.0 / (N + 1))
-                          * np.sin(np.pi * np.outer(k, k) / (N + 1)))
-            self.mu.append(-4.0 / h ** 2 * np.sin(0.5 * np.pi * k / (N + 1)) ** 2)
+            out.append(np.sqrt(2.0 / (N + 1))
+                       * np.sin(np.pi * np.outer(k, k) / (N + 1)))
+        return out
 
     def _sine(self, y: np.ndarray) -> np.ndarray:
         for ax, S in enumerate(self.S):
             y = np.moveaxis(np.tensordot(S, y, axes=(1, ax)), 0, ax)
         return y
 
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        if self.index is None:
+            return x.reshape(self.shape)
+        y = np.zeros(self.shape)
+        y.flat[self.index] = x
+        return y
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        return y.ravel() if self.index is None else y.ravel()[self.index]
+
     def solve(self, x: np.ndarray, a) -> np.ndarray:
-        """(sum_i a_i D_ii)^-1 x for a flat C-order block vector x."""
+        """(sum_i a_i D_ii)^-1 x on the block, for a vector x on its nodes."""
         n = len(self.shape)
         lam = sum(ai * mu.reshape([-1 if j == i else 1 for j in range(n)])
                   for i, (ai, mu) in enumerate(zip(a, self.mu)))
-        return self._sine(self._sine(x.reshape(self.shape)) / lam).ravel()
+        return self.gather(self._sine(self._sine(self.scatter(x)) / lam))
 
 
 def _gmres(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float,
@@ -495,19 +522,28 @@ class _NewtonLevel:
     ``value_batch`` in (r, p, A), skipping r for reduced sets and p for pure
     second-order ones: one code path for every set.  J(u) is linear in u, so
     the Jacobian applied to v is the gradient dotted with the jet that the
-    stencil assembles from v (zero on boundary nodes)."""
+    stencil assembles from v (zero on boundary nodes).
 
-    def __init__(self, P: GridProblem):
+    With an obstacle ``cap`` (at the interior nodes) the residual is
+    H = min(G, |c| (cap - u)), c the stencil's dA/dr diagonal; rows where
+    the obstacle branch is the smaller are -|c| I in the Jacobian and the
+    preconditioner (Howard's policy rule)."""
+
+    def __init__(self, P: GridProblem, cap: Optional[np.ndarray] = None):
         self.P = P
         ii = P.interior_idx
-        block = tuple(int(a.max() - a.min() + 1)
-                      for a in np.unravel_index(ii, P.grid.shape))
-        self.fd = _FastDiag(block, P.grid.h)
+        multi = np.unravel_index(ii, P.grid.shape)
+        block = tuple(int(a.max() - a.min() + 1) for a in multi)
+        index = np.ravel_multi_index(tuple(a - a.min() for a in multi), block)
+        self.fd = _FastDiag(block, P.grid.h,
+                            None if len(ii) == np.prod(block) else index)
         self.xb = P.pts[ii] if P.F.x_dependent else None
         n = P.grid.n
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self.diag = [k for k, (i, j) in enumerate(self.pairs) if i == j]
         self.grad = None
+        self.cap, self.active = cap, None
+        self.c = abs(P.assembler.slopes()[1][0, 0])
 
     def _classes(self, u: np.ndarray):
         P = self.P
@@ -522,9 +558,18 @@ class _NewtonLevel:
             G[sel] = self.P.F.value_batch(r, p, A, x=xb)
         return G + DEFAULT_EPS_B
 
+    def clamped(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """H = min(G, |c| (cap - u)), or G itself without an obstacle."""
+        if self.cap is None:
+            return G
+        return np.minimum(G, self.c * (self.cap - u[self.P.interior_idx]))
+
     def linearize(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Stores the gradient of rho at the jets of u (where G is the
-        residual) and returns the mean of d rho / dA_ii over the nodes."""
+        residual) and the rows where the obstacle branch is active, and
+        returns the mean of d rho / dA_ii over the nodes."""
+        if self.cap is not None:
+            self.active = self.clamped(u, G) < G
         F = self.P.F
         N, n = len(G), self.P.grid.n
         dr = None if F.reduced else np.empty(N)
@@ -565,7 +610,17 @@ class _NewtonLevel:
                 out[sel] += dA[sel, k] * A[:, i, j]
             if dp is not None:
                 out[sel] += np.einsum("mk,mk->m", dp[sel], p)
+        if self.active is not None:
+            out[self.active] = -self.c * v[self.active]
         return out
+
+    def precond(self, y: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The fast-diagonalization inverse with coefficients a, the active
+        obstacle rows taken out of the embedding and inverted as -|c| I."""
+        if self.active is None:
+            return self.fd.solve(y, a)
+        z = self.fd.solve(np.where(self.active, 0.0, y), a)
+        return np.where(self.active, -y / self.c, z)
 
     def laplace_start(self) -> np.ndarray:
         """The discrete harmonic field with the level's boundary data: the
@@ -581,21 +636,26 @@ class _NewtonLevel:
         return u
 
     def run(self, start: Optional[np.ndarray], level: int):
-        """Damped Newton from the interior values of ``start``, or from the
-        Laplace solve when it is None.  Returns (u, iterations, the GMRES
-        iterations of each linear solve, reason): reason is None on success,
-        else why the attempt stopped."""
+        """Damped Newton from the interior values of ``start`` clamped to the
+        obstacle; a None start is the Laplace solve on a rectangle, the
+        boundary minimum on a masked interior.  Returns (u, iterations, the
+        GMRES iterations of each linear solve, reason): reason is None on
+        success, else why the attempt stopped."""
         P = self.P
         ii = P.interior_idx
-        if start is None:
+        if start is None and self.fd.index is None:
             u = self.laplace_start()
         else:
             u = P.initial_field()
-            u[ii] = start[ii]
+            if start is not None:
+                u[ii] = start[ii]
+        if self.cap is not None:
+            u[ii] = np.minimum(u[ii], self.cap)
         st = P.params.resolved(P.data_range())
-        target = _NEWTON_TOL * st * abs(P.assembler.slopes()[1][0, 0])
+        target = _NEWTON_TOL * st * self.c
         G = self.residual(u)
-        gmax = float(np.abs(G).max())
+        H = self.clamped(u, G)
+        gmax = float(np.abs(H).max())
         krylov = []
         for it in range(_NEWTON_ITERS + 1):
             log.debug("newton level %d iteration %d: max|G| %.3e (target "
@@ -609,7 +669,10 @@ class _NewtonLevel:
             a = np.maximum(self.linearize(u, G), 0.0)
             if not a.max() > 0.0:
                 return u, it, krylov, "no elliptic mean coefficient"
-            du, k, ok = _gmres(self.jvp, lambda y: self.fd.solve(y, a), -G,
+            if self.active is not None:
+                log.debug("newton level %d iteration %d: %d active obstacle "
+                          "rows", level, it, int(self.active.sum()))
+            du, k, ok = _gmres(self.jvp, lambda y: self.precond(y, a), -H,
                                _GMRES_RTOL, _GMRES_RESTART, _GMRES_ITERS)
             krylov.append(k)
             if not ok:
@@ -619,7 +682,8 @@ class _NewtonLevel:
                 u_try = u.copy()
                 u_try[ii] += step * du
                 G_try = self.residual(u_try)
-                g_try = float(np.abs(G_try).max())
+                H_try = self.clamped(u_try, G_try)
+                g_try = float(np.abs(H_try).max())
                 if g_try < gmax:
                     break
                 step *= 0.5
@@ -627,41 +691,45 @@ class _NewtonLevel:
                 return u, it, krylov, "line search"
             log.debug("newton level %d: %d gmres iterations, step %g",
                       level, k, step)
-            u, G, gmax = u_try, G_try, g_try
+            u, G, H, gmax = u_try, G_try, H_try, g_try
 
 
-def _ladder_pass(levels: list) -> SolveReport:
+def _ladder_pass(levels: list, g: Optional[Callable] = None,
+                 label: str = "") -> SolveReport:
     """One pass over ``levels``, coarsest first, the problem itself last.
     Each level starts from the prolongation of the field below it, the
-    coarsest from the boundary minimum.  Newton runs on each level (the
-    coarsest from the Laplace solve) until its first abandonment, and a
-    level it solved is handed on unchanged.  The level where it is abandoned
-    and every finer one run the Perron sweeps from their start, and so does
-    the finest level in any case: the sweeps certify the answer."""
+    coarsest from the boundary minimum (Newton from ``_NewtonLevel.run``'s
+    start); with an obstacle g every start is clamped to g, so the contact
+    set is carried upward.  Newton runs on each level until its first
+    abandonment, and a level it solved is handed on unchanged.  The level where it is abandoned and every finer one run
+    the Perron sweeps from their start, and so does the finest level in any
+    case: the sweeps certify the answer."""
     iters, krylov, kmax, abandoned = [], 0, 0, None
     u, perron, level_sweeps = None, [], []
     for level, Q in enumerate(levels):
         # u: the level's start (None: the boundary minimum), then its field
         if level:
             u = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
+        cap = _cap(Q, g)
         solved = None
         if abandoned is None:
             if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
                 it, ks, reason = 0, [], "krylov growth"
             else:
-                solved, it, ks, reason = _NewtonLevel(Q).run(u, level)
+                solved, it, ks, reason = _NewtonLevel(Q, cap).run(u, level)
             iters.append(it)
             krylov += sum(ks)
             kmax = max(ks, default=0)
             if reason is not None:
                 log.info("%s: Newton start abandoned at level %d of %d (%s); "
-                         "running the Perron cascade", Q.F.label, level,
+                         "running the Perron sweeps", Q.F.label, level,
                          len(levels), reason)
                 abandoned, solved = (reason, level), None
         if solved is not None:
             u = solved
         if solved is None or level == len(levels) - 1:
-            rep = _solve_loop(Q, u0=u)
+            rep = _solve_loop(Q, cap=cap, label=label, u0=u,
+                              newton_start=solved is not None)
             perron.append(rep)
             level_sweeps.append(rep.sweeps)
             u = rep.u
@@ -678,28 +746,38 @@ def _ladder_pass(levels: list) -> SolveReport:
     return rep
 
 
-def perron_solve(P: GridProblem) -> SolveReport:
-    """Upper-envelope solve for the Dirichlet problem on P.
+def _cap(P: GridProblem, g: Optional[Callable]) -> Optional[np.ndarray]:
+    return None if g is None else np.asarray(g(P.pts[P.interior_idx]), float)
 
-    On plain rectangles with a cascade ladder (an odd number of at least 33
-    nodes per axis), one pass over the ladder, coarsest level first: nested
-    Newton on G(u) = rho(J(u)) + eps_b while it holds, Perron sweeps from
-    the level where it is abandoned, and Perron sweeps on the finest level
-    in any case, which certify the answer.  Masked domains and grids
-    without a ladder run the Perron sweeps on one level from the boundary
-    minimum.  Never raises on slow convergence: the report carries
-    converged=False.
-    """
+
+def _solve(P: GridProblem, g: Optional[Callable] = None,
+           label: str = "") -> SolveReport:
+    """The pass of ``perron_solve``, with the obstacle g if one is given."""
     t0 = time.perf_counter()
     _precheck(P.F)
-    ladder = _cascade_ladder(P) if P.domain is None else []
-    rep = _ladder_pass(ladder + [P]) if ladder else _solve_loop(P)
+    if P.domain is None:
+        ladder = _cascade_ladder(P)
+        levels = ladder + [P] if ladder else []
+    else:
+        levels = [P] if min(P.grid.shape) >= 33 else []
+    rep = (_ladder_pass(levels, g, label) if levels
+           else _solve_loop(P, cap=_cap(P, g), label=label))
     rep.wall_time = time.perf_counter() - t0
     return rep
 
 
+def perron_solve(P: GridProblem) -> SolveReport:
+    """Upper-envelope solve for the Dirichlet problem on P: the ladder pass
+    on a rectangle with a cascade ladder, one Newton level on a masked
+    domain with at least 33 nodes per axis, Perron sweeps alone otherwise;
+    the finest level's Perron sweeps certify every answer.  Never raises on
+    slow convergence: the report carries converged=False."""
+    return _solve(P)
+
+
 def obstacle_solve(P: GridProblem, g: Callable) -> SolveReport:
-    """Perron solve constrained below the obstacle g (node updates clamped).
+    """Perron solve constrained below the obstacle g: ``perron_solve``'s
+    pass on min(G, |c| (g - u)) = 0, node updates clamped to g.
 
     Boundary data exceeding the obstacle is rejected up front.
     """
@@ -710,10 +788,7 @@ def obstacle_solve(P: GridProblem, g: Callable) -> SolveReport:
         raise ConfigError(
             f"boundary data exceeds the obstacle at node {P.boundary_idx[k]}: "
             f"phi={P.phi[k]:.6g} > g={gb[k]:.6g}")
-    _precheck(P.F)
-    gi = np.asarray(g(P.pts[P.interior_idx]), dtype=float)
-    rep = _solve_loop(P, cap=gi, label=f"obstacle({P.F.label})")
-    return rep
+    return _solve(P, g, label=f"obstacle({P.F.label})")
 
 
 @dataclass

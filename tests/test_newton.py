@@ -15,7 +15,7 @@ import pytest
 
 from subeq import parse_name
 from subeq.boundary import ball_domain
-from subeq.expressions import parse_expression
+from subeq.expressions import expression_domain, parse_expression
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
                           _prolong, _solve_loop, dual_bracket_solve,
@@ -23,6 +23,7 @@ from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BOX = ((-1, 1), (-1, 1))
+DISK = ((-1.2, 1.2), (-1.2, 1.2))
 
 
 def cubic(x):
@@ -133,16 +134,128 @@ class TestNewtonStart:
                 == json.dumps(b.to_json_dict(), sort_keys=True))
 
     def test_scope(self):
-        # no ladder below 33 nodes, and masks stay on Perron
+        # below 33 nodes per axis, masked or not, the Perron sweeps run alone
         for P in (problem("laplace:n=2", 17),
-                  problem("laplace:n=2", 33, bounds=[(-1.2, 1.2)] * 2,
+                  problem("laplace:n=2", 31, bounds=DISK,
                           domain=ball_domain(2))):
             assert perron_solve(P).newton_iters == []
+        # a mask at 33 nodes takes one level; an obstacle takes the ladder
+        rep = perron_solve(problem("laplace:n=2", 33, bounds=DISK,
+                                   domain=ball_domain(2)))
+        assert len(rep.newton_iters) == len(rep.level_sweeps) == 1
         rep = obstacle_solve(problem("laplace:n=2", 33),
                              lambda x: np.full(len(x), 10.0))
-        assert rep.newton_iters == []
+        assert len(rep.newton_iters) == 2 and rep.newton_abandoned is None
         res = dual_bracket_solve(problem("laplace:n=2", 33))
         assert res.report.newton_iters and res.report_dual.newton_iters
+
+
+def radial(x):
+    return x[:, 0] ** 2 + x[:, 1] ** 2
+
+
+def saddle(x):
+    return x[:, 0] ** 2 - x[:, 1] ** 2
+
+
+def disk_problem(name, bc, **params):
+    return problem(name, 65, bc=bc, bounds=DISK, domain=ball_domain(2),
+                   **params)
+
+
+class TestMaskedNewton:
+    """One Newton level on a masked domain, preconditioned by the
+    fast-diagonalization inverse on the bounding block of the interior."""
+
+    @pytest.mark.parametrize("name, bc, domain, stencil", [
+        ("cy:n=2", radial, ball_domain(2), "9pt"),
+        ("laplace:n=2", saddle, expression_domain("x^2+y^2-1", 2), "wide16"),
+    ])
+    def test_certified_field_matches_perron(self, name, bc, domain, stencil):
+        rep = perron_solve(problem(name, 65, bc=bc, bounds=DISK,
+                                   domain=domain, stencil=stencil))
+        ref = _solve_loop(problem(name, 65, bc=bc, bounds=DISK,
+                                  domain=domain, stencil=stencil))
+        assert rep.newton_abandoned is None and len(rep.newton_iters) == 1
+        assert rep.krylov_iters >= rep.newton_iters[0] > 0
+        assert rep.converged and ref.converged
+        assert rep.sweeps <= 2 < ref.sweeps
+        assert np.nanmax(np.abs(rep.u - ref.u)) <= rep.sweep_tol
+
+    @pytest.mark.parametrize("name, bc, reason", [
+        ("pucci:lam=1:Lam=2:n=2", radial, "iteration cap"),
+        ("slag:c=0:n=2", saddle, "gmres"),
+    ])
+    def test_abandoned_attempt_is_perron(self, name, bc, reason):
+        rep = perron_solve(disk_problem(name, bc))
+        ref = _solve_loop(disk_problem(name, bc))
+        assert rep.newton_abandoned == (reason, 0)
+        assert np.array_equal(rep.u, ref.u, equal_nan=True)
+        assert (rep.sweeps, rep.evals) == (ref.sweeps, ref.evals)
+        assert rep.to_json_dict() == ref.to_json_dict()
+
+    def test_lambda1_ball_converges(self):
+        # the Perron sweeps alone raise BracketError here: the over-relaxed
+        # sweeps diverge until a node's bracket holds no member.  Newton
+        # reaches the fixed point, and one sweep certifies it.
+        rep = perron_solve(disk_problem("branch:real:k=1:n=2",
+                                        lambda x: x[:, 0] ** 2))
+        assert rep.newton_abandoned is None
+        assert rep.converged and rep.sweeps <= 2
+
+
+class TestObstacleNewton:
+    """Howard's rows for the clamp: the obstacle branch of
+    min(G, |c| (g - u)) is -|c| I in the Jacobian and the preconditioner."""
+
+    @pytest.mark.parametrize("name, bounds, m, bc, obstacle, contacts", [
+        ("branch:real:k=1:n=1", [(-1.5, 1.5)], 385, "(x*x-1)^2",
+         "(x*x-1)^2", 144),
+        ("laplace:n=2", [(0, 1)] * 2, 65, "0",
+         "(x-0.5)^2+(y-0.5)^2-0.05", 805),
+    ])
+    def test_contact_set_and_field_match_perron(self, name, bounds, m, bc,
+                                                obstacle, contacts, caplog):
+        g = parse_expression(obstacle)
+        P = problem(name, m, bc=parse_expression(bc), bounds=bounds)
+        with caplog.at_level(logging.DEBUG, logger="subeq"):
+            rep = obstacle_solve(P, g)
+        ref = _solve_loop(P, cap=g(P.pts[P.interior_idx]))
+        assert rep.newton_abandoned is None
+        assert len(rep.newton_iters) == len(_cascade_ladder(P)) + 1
+        assert any("active obstacle rows" in r.getMessage()
+                   for r in caplog.records)
+        assert rep.converged and ref.converged and rep.sweeps <= 2
+        assert rep.label == f"obstacle({P.F.label})"
+        assert rep.contact_nodes == ref.contact_nodes == contacts
+        gi = g(P.pts[P.interior_idx])
+
+        def contact(u):
+            return u.ravel()[P.interior_idx] >= gi - 2.0 * P.grid.h
+
+        assert np.array_equal(contact(rep.u), contact(ref.u))
+        inside = ~np.isnan(ref.u)
+        assert np.abs(rep.u[inside] - ref.u[inside]).max() <= rep.sweep_tol
+
+    def test_howard_rows(self, rng):
+        # active rows are -|c| I in the Jacobian and the preconditioner;
+        # the free rows keep the Jacobian of G
+        P = problem("slag:c=0.5:n=2", 9)
+        ii = P.interior_idx
+        u = P.initial_field()
+        u[ii] = cubic(P.pts[ii]) + 0.01 * rng.standard_normal(len(ii))
+        cap = u[ii] + np.where(rng.random(len(ii)) < 0.5, 0.0, 1.0)
+        free, lev = _NewtonLevel(P), _NewtonLevel(P, cap)
+        G = free.residual(u)
+        a = free.linearize(u, G)
+        lev.linearize(u, G)
+        act = lev.active
+        assert np.array_equal(act, lev.clamped(u, G) < G) and 0 < act.sum()
+        assert np.array_equal(lev.clamped(u, G), np.where(act, 0.0, G))
+        v = rng.standard_normal(len(ii))
+        c = 2.0 / P.grid.h ** 2
+        assert np.array_equal(lev.jvp(v), np.where(act, -c * v, free.jvp(v)))
+        assert np.array_equal(lev.precond(v, a)[act], -v[act] / c)
 
 
 def axis_operator(x, h, a):
@@ -168,6 +281,21 @@ class TestFastDiag:
         x = rng.standard_normal(shape)
         y = _FastDiag(shape, h).solve(axis_operator(x, h, a).ravel(), a)
         assert np.abs(y - x.ravel()).max() <= 1e-12 * np.abs(x).max()
+
+    def test_scatter_and_gather(self, rng):
+        # the identity on a full rectangle; zero off a masked interior
+        box = _NewtonLevel(problem("laplace:n=2", 17)).fd
+        x = rng.standard_normal(15 * 15)
+        assert box.index is None
+        assert np.array_equal(box.scatter(x).ravel(), x)
+        assert np.array_equal(box.gather(box.scatter(x)), x)
+        P = problem("laplace:n=2", 17, bounds=DISK, domain=ball_domain(2))
+        fd = _NewtonLevel(P).fd
+        x = rng.standard_normal(len(P.interior_idx))
+        y = fd.scatter(x)
+        assert fd.index is not None and y.shape == fd.shape
+        assert np.count_nonzero(y) == len(x)
+        assert np.array_equal(fd.gather(y), x)
 
 
 class TestJacobian:
