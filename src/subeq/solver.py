@@ -71,12 +71,11 @@ the coarsest level, the pass is the Perron cascade; abandoned higher up,
 the levels below keep Newton's fields.  ``SolveReport.newton_abandoned``
 records why and on which level, and the ``subeq`` logger says so at INFO.
 A masked domain with at least 33 nodes per axis is one such level, Newton
-from the boundary minimum, preconditioned on the bounding block of its
-interior (``_FastDiag`` scatters into the block and gathers back).
-``obstacle_solve`` makes the same pass on min(G, |c| (g - u)) = 0 with
-every level clamped to g, the active obstacle rows -|c| I (Howard's rule).
-Smaller grids run the Perron sweeps alone; ``dual_bracket_solve`` is two
-``perron_solve`` calls.
+from the boundary minimum preconditioned on the bounding block of its
+interior.  ``obstacle_solve`` makes the same pass on min(G, |c| (g - u)) = 0,
+every level clamped to g and the active obstacle rows -|c| I (Howard's
+rule).  Smaller grids run the Perron sweeps alone; ``dual_bracket_solve``
+is two ``perron_solve`` calls.
 """
 
 from __future__ import annotations
@@ -101,6 +100,7 @@ log = logging.getLogger("subeq")
 _BRACKET_PAD = 10.0
 
 # nested Newton start
+_NEWTON_MIN_NODES = 33  # per axis, for a ladder or a masked Newton start
 _NEWTON_TOL = 1e-3      # stop at max|G| / |c| <= this * sweep_tol
 _NEWTON_ITERS = 30      # per level
 _LINE_SEARCH = 12       # step halvings before the attempt is abandoned
@@ -394,8 +394,8 @@ def _cascade_ladder(P: GridProblem) -> list:
     g = P.grid
     shape = g.shape
     h = g.h
-    while (min(shape) >= 33 and all((s - 1) % 2 == 0 for s in shape)
-           and len(levels) < 6):
+    while (min(shape) >= _NEWTON_MIN_NODES
+           and all((s - 1) % 2 == 0 for s in shape) and len(levels) < 6):
         shape = tuple((s - 1) // 2 + 1 for s in shape)
         h = 2.0 * h
         levels.append(GridProblem(Grid(g.lo, h, shape), P.F, P.bc,
@@ -413,15 +413,15 @@ class _FastDiag:
     and Thomas 1964).  The orthogonal sine matrix S of one axis diagonalizes
     its D_ii, S D_ii S = diag(mu); S is symmetric, so it also undoes itself.
 
-    A vector on a masked interior is scattered into the block at the C-order
-    positions ``index`` (zero elsewhere), solved there and gathered back: the
-    embedding of Buzbee, Dorr, George and Golub without its capacitance
-    correction.  ``index=None`` is the whole block."""
+    A vector on the nodes where the block-shaped mask ``inside`` holds is
+    scattered into the block (zero elsewhere), solved there and gathered back
+    in C order: on a masked interior, the embedding of Buzbee, Dorr, George
+    and Golub without its capacitance correction; on a rectangle, ``inside``
+    holds everywhere."""
 
-    def __init__(self, shape: tuple, h: float,
-                 index: Optional[np.ndarray] = None):
-        self.shape = tuple(shape)
-        self.index = index
+    def __init__(self, inside: np.ndarray, h: float):
+        self.shape = inside.shape
+        self.inside = inside
         self.mu = [-4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, N + 1)
                                           / (N + 1)) ** 2 for N in self.shape]
 
@@ -442,14 +442,12 @@ class _FastDiag:
         return y
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
-        if self.index is None:
-            return x.reshape(self.shape)
         y = np.zeros(self.shape)
-        y.flat[self.index] = x
+        y[self.inside] = x
         return y
 
     def gather(self, y: np.ndarray) -> np.ndarray:
-        return y.ravel() if self.index is None else y.ravel()[self.index]
+        return y[self.inside]
 
     def solve(self, x: np.ndarray, a) -> np.ndarray:
         """(sum_i a_i D_ii)^-1 x on the block, for a vector x on its nodes."""
@@ -533,10 +531,9 @@ class _NewtonLevel:
         self.P = P
         ii = P.interior_idx
         multi = np.unravel_index(ii, P.grid.shape)
-        block = tuple(int(a.max() - a.min() + 1) for a in multi)
-        index = np.ravel_multi_index(tuple(a - a.min() for a in multi), block)
-        self.fd = _FastDiag(block, P.grid.h,
-                            None if len(ii) == np.prod(block) else index)
+        inside = np.zeros([a.max() - a.min() + 1 for a in multi], dtype=bool)
+        inside[tuple(a - a.min() for a in multi)] = True
+        self.fd = _FastDiag(inside, P.grid.h)
         self.xb = P.pts[ii] if P.F.x_dependent else None
         n = P.grid.n
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -643,7 +640,7 @@ class _NewtonLevel:
         success, else why the attempt stopped."""
         P = self.P
         ii = P.interior_idx
-        if start is None and self.fd.index is None:
+        if start is None and P.domain is None:
             u = self.laplace_start()
         else:
             u = P.initial_field()
@@ -698,12 +695,12 @@ def _ladder_pass(levels: list, g: Optional[Callable] = None,
                  label: str = "") -> SolveReport:
     """One pass over ``levels``, coarsest first, the problem itself last.
     Each level starts from the prolongation of the field below it, the
-    coarsest from the boundary minimum (Newton from ``_NewtonLevel.run``'s
-    start); with an obstacle g every start is clamped to g, so the contact
-    set is carried upward.  Newton runs on each level until its first
-    abandonment, and a level it solved is handed on unchanged.  The level where it is abandoned and every finer one run
-    the Perron sweeps from their start, and so does the finest level in any
-    case: the sweeps certify the answer."""
+    coarsest from the boundary minimum (Newton's from ``_NewtonLevel.run``);
+    with an obstacle g every start is clamped to g, so the contact set is
+    carried upward.  Newton runs on each level until its first abandonment,
+    and a level it solved is handed on unchanged.  The level where it is
+    abandoned and every finer one run the Perron sweeps from their start,
+    and so does the finest level in any case: the sweeps certify the answer."""
     iters, krylov, kmax, abandoned = [], 0, 0, None
     u, perron, level_sweeps = None, [], []
     for level, Q in enumerate(levels):
@@ -755,11 +752,9 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
     """The pass of ``perron_solve``, with the obstacle g if one is given."""
     t0 = time.perf_counter()
     _precheck(P.F)
-    if P.domain is None:
-        ladder = _cascade_ladder(P)
-        levels = ladder + [P] if ladder else []
-    else:
-        levels = [P] if min(P.grid.shape) >= 33 else []
+    ladder = _cascade_ladder(P) if P.domain is None else []
+    masked = P.domain is not None and min(P.grid.shape) >= _NEWTON_MIN_NODES
+    levels = ladder + [P] if ladder or masked else []
     rep = (_ladder_pass(levels, g, label) if levels
            else _solve_loop(P, cap=_cap(P, g), label=label))
     rep.wall_time = time.perf_counter() - t0
@@ -777,10 +772,8 @@ def perron_solve(P: GridProblem) -> SolveReport:
 
 def obstacle_solve(P: GridProblem, g: Callable) -> SolveReport:
     """Perron solve constrained below the obstacle g: ``perron_solve``'s
-    pass on min(G, |c| (g - u)) = 0, node updates clamped to g.
-
-    Boundary data exceeding the obstacle is rejected up front.
-    """
+    pass on min(G, |c| (g - u)) = 0, node updates clamped to g.  Boundary
+    data exceeding the obstacle is rejected up front."""
     gb = np.asarray(g(P.pts[P.boundary_idx]), dtype=float)
     scale = max(1.0, float(np.abs(P.phi).max()))
     if np.any(P.phi > gb + 1e-12 * scale):

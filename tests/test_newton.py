@@ -279,23 +279,30 @@ class TestFastDiag:
     def test_inverts_the_axis_operator(self, shape, a, rng):
         h = 0.1
         x = rng.standard_normal(shape)
-        y = _FastDiag(shape, h).solve(axis_operator(x, h, a).ravel(), a)
+        fd = _FastDiag(np.ones(shape, dtype=bool), h)
+        y = fd.solve(axis_operator(x, h, a).ravel(), a)
         assert np.abs(y - x.ravel()).max() <= 1e-12 * np.abs(x).max()
 
     def test_scatter_and_gather(self, rng):
         # the identity on a full rectangle; zero off a masked interior
         box = _NewtonLevel(problem("laplace:n=2", 17)).fd
         x = rng.standard_normal(15 * 15)
-        assert box.index is None
+        assert box.inside.shape == (15, 15) and box.inside.all()
         assert np.array_equal(box.scatter(x).ravel(), x)
         assert np.array_equal(box.gather(box.scatter(x)), x)
         P = problem("laplace:n=2", 17, bounds=DISK, domain=ball_domain(2))
         fd = _NewtonLevel(P).fd
         x = rng.standard_normal(len(P.interior_idx))
         y = fd.scatter(x)
-        assert fd.index is not None and y.shape == fd.shape
+        assert y.shape == fd.shape
         assert np.count_nonzero(y) == len(x)
         assert np.array_equal(fd.gather(y), x)
+        # each value lands on its own node of the bounding block
+        w = np.zeros(P.grid.size())
+        w[P.interior_idx] = x
+        lo = [a.min() for a in np.unravel_index(P.interior_idx, P.grid.shape)]
+        block = tuple(slice(b, b + k) for b, k in zip(lo, fd.shape))
+        assert np.array_equal(y, w.reshape(P.grid.shape)[block])
 
 
 class TestJacobian:
