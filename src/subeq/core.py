@@ -249,13 +249,7 @@ def bisect(accept: Callable, lo, hi, steps: int,
     if ends is not None:
         return _illinois(accept, lo, hi, steps, ends, tol)
     for _ in range(steps):
-        if done is None:
-            mid = 0.5 * (lo + hi)
-            ok = accept(mid)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-            continue
-        stop = done(lo, hi)
+        stop = np.False_ if done is None else done(lo, hi)
         if np.all(stop):
             break
         mid = 0.5 * (lo + hi)
@@ -400,6 +394,11 @@ def _spectral_draw(F: Subequation, box: JetBox, rng: np.random.Generator,
     return r, p, _haar_psd(rng, F.n, k, eigs=eigs)
 
 
+def _repeat_x(x, k: int) -> np.ndarray:
+    """The single base point x repeated to a batch of k."""
+    return np.repeat(np.asarray(x, dtype=float)[None, :], k, 0)
+
+
 def sample_members(F: Subequation, count: int, rng: np.random.Generator,
                    box: Optional[JetBox] = None, margin_min: float = 0.0,
                    x=None, cap: int = REJECTION_CAP):
@@ -444,9 +443,8 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
         m = min(chunk if drawn else first, cap - drawn)
         r, p, A = draw(m, count - got)
         drawn += m
-        vals = F.value_batch(r, p, A, x=None if not F.x_dependent else
-                             np.repeat(np.asarray(x, dtype=float)[None, :],
-                                       len(r), 0))
+        vals = F.value_batch(r, p, A, x=_repeat_x(x, len(r))
+                             if F.x_dependent else None)
         keep = vals >= margin_min
         out_r.append(r[keep])
         out_p.append(p[keep])
@@ -509,6 +507,20 @@ def _witness_dict(r, p, A, r2=None, p2=None, A2=None, margin=None) -> dict:
     return w
 
 
+def _violations(label: str, axiom: str, vals: np.ndarray, eps_b: float,
+                base: tuple, added: tuple) -> ViolationReport:
+    """Report on the sums base + added, one per entry of their margins
+    ``vals``: those below -eps_b are violations, the first the witness."""
+    bad = vals < -eps_b
+    nviol = int(bad.sum())
+    witness = None
+    if nviol:
+        i = int(np.argmax(bad))
+        witness = _witness_dict(*(a[i] for a in base + added),
+                                margin=vals[i])
+    return ViolationReport(label, axiom, len(vals), nviol, witness)
+
+
 # ---------------------------------------------------------------------------
 # axiom and monotonicity checks
 
@@ -533,18 +545,10 @@ def axiom_check(F: Subequation, axiom: str, trials: int = 10_000,
     else:
         dA = np.zeros_like(A)
         dr = -rng.uniform(0.0, 5.0, size)
-    xb = None
-    if F.x_dependent:
-        xb = np.repeat(np.asarray(x, dtype=float)[None, :], size, 0)
+    xb = _repeat_x(x, size) if F.x_dependent else None
     vals = F.value_batch(r + dr, p, A + dA, x=xb)
-    bad = vals < -eps_b
-    nviol = int(bad.sum())
-    witness = None
-    if nviol:
-        i = int(np.argmax(bad))
-        witness = _witness_dict(r[i], p[i], A[i], dr[i], np.zeros(F.n), dA[i],
-                                margin=vals[i])
-    return ViolationReport(F.label, axiom, size, nviol, witness)
+    return _violations(F.label, axiom, vals, eps_b, (r, p, A),
+                       (dr, np.zeros_like(p), dA))
 
 
 def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
@@ -564,15 +568,8 @@ def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
     rM, pM, AM = sample_members(M, trials, rng, box=box)
     k = min(len(rF), len(rM))
     vals = F.value_batch(rF[:k] + rM[:k], pF[:k] + pM[:k], AF[:k] + AM[:k])
-    bad = vals < -eps_b
-    nviol = int(bad.sum())
-    witness = None
-    if nviol:
-        i = int(np.argmax(bad))
-        witness = _witness_dict(rF[i], pF[i], AF[i], rM[i], pM[i], AM[i],
-                                margin=vals[i])
-    direct = ViolationReport(f"{F.label}+{M.label}", "monotonicity", k,
-                             nviol, witness)
+    direct = _violations(f"{F.label}+{M.label}", "monotonicity", vals, eps_b,
+                         (rF, pF, AF), (rM, pM, AM))
 
     Fd = dual(F)
     Md = dual(M)
@@ -580,18 +577,11 @@ def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
     k2 = min(len(rF), len(rD))
     vals2 = Md.value_batch(rF[:k2] + rD[:k2], pF[:k2] + pD[:k2],
                            AF[:k2] + AD[:k2])
-    bad2 = vals2 < -eps_b
-    nviol2 = int(bad2.sum())
-    witness2 = None
-    if nviol2:
-        i = int(np.argmax(bad2))
-        witness2 = _witness_dict(rF[i], pF[i], AF[i], rD[i], pD[i], AD[i],
-                                 margin=vals2[i])
-    dual_form = ViolationReport(f"{F.label}+{Fd.label} in {Md.label}",
-                                "monotonicity-dual", k2, nviol2, witness2)
-
+    dual_form = _violations(f"{F.label}+{Fd.label} in {Md.label}",
+                            "monotonicity-dual", vals2, eps_b, (rF, pF, AF),
+                            (rD, pD, AD))
     return MonotonicityReport(direct, dual_form,
-                              agreement=(nviol == 0) == (nviol2 == 0))
+                              agreement=direct.passed == dual_form.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +647,7 @@ def strict_member(F: Subequation, jet: Jet, c: float,
     r = jet.r + dr
     p = jet.p[None, :] + dp
     A = jet.A.mat[None, :, :] + dA
-    xb = None
-    if F.x_dependent:
-        xb = np.repeat(np.asarray(x, dtype=float)[None, :], samples, 0)
+    xb = _repeat_x(x, samples) if F.x_dependent else None
     vals = F.value_batch(r, p, A, x=xb)
     center = F.value(jet, x=x)
     return bool(center >= 0.0 and vals.min() >= 0.0)
@@ -685,9 +673,7 @@ def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
     pts = np.concatenate([jet.p[None, :], p])
     As = np.concatenate([jet.A.mat[None, :, :], A])
     rs = np.full(len(pts), jet.r)
-    xb = None
-    if F.x_dependent:
-        xb = np.repeat(np.asarray(x, dtype=float)[None, :], len(rs), 0)
+    xb = _repeat_x(x, len(rs)) if F.x_dependent else None
     if F.cone and (F.reduced or F.pure_second_order):
         vals = F.value_batch(rs, pts, As, x=xb)
         return bool(vals.min() > eps_b)

@@ -267,6 +267,7 @@ class GridProblem:
         boundary_nd = inside_nd & ~interior_nd
         self.inside = inside
         self.interior_idx = np.flatnonzero(interior_nd)
+        self.xb = pts[self.interior_idx] if self.F.x_dependent else None
         self.boundary_idx = np.flatnonzero(boundary_nd)
         if len(self.interior_idx) == 0:
             raise ConfigError("no interior nodes at this resolution")
@@ -300,14 +301,17 @@ class GridProblem:
         u[self.boundary_idx] = self.phi
         return u
 
-    def jets_at(self, u: np.ndarray, which: Optional[np.ndarray] = None):
-        """Batched discrete jets (r, p, A) at interior nodes (or a subset)."""
-        sel = slice(None) if which is None else which
-        nb = self.nb[:, sel]
-        V = u[nb]
-        r = u[self.interior_idx[sel]]
-        p, A = self.assembler.assemble(V, r)
+    def jets_at(self, u: np.ndarray):
+        """Batched discrete jets (r, p, A) at the interior nodes."""
+        r = u[self.interior_idx]
+        p, A = self.assembler.assemble(u[self.nb], r)
         return r, p, A
+
+    def rho_at(self, u: np.ndarray) -> np.ndarray:
+        """rho at the discrete jets of the field u, one value per interior
+        node (x the interior base points ``xb``, None for sets that do not
+        read x)."""
+        return self.F.value_batch(*self.jets_at(u), x=self.xb)
 
 
 def discrete_jet(u: np.ndarray, node, h: float, stencil: str = "9pt") -> Jet:

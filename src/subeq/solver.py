@@ -48,13 +48,14 @@ G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
 abandonment; on the coarsest level it starts from the discrete Laplace
 solve.  The Jacobian is never formed.  It is applied as
 grad rho . (v, J(v)), with grad rho a one-sided difference of
-``value_batch`` in jet coordinates and J(v) the stencil's jet of v.  Each
-linear solve is restarted GMRES, right preconditioned by the
-fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
-d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
-backtrack on max|G|; a level is done at max|G| / |c| <= 1e-3 sweep_tol,
-c the stencil's dA/dr diagonal.  A level Newton solved is handed on as it
-is, with no sweeps.
+``value_batch`` in jet coordinates, its step scaled per node by that
+node's own jet, and J(v) the stencil's jet of v, all over the whole
+interior through ``GridProblem.jets_at``.  Each linear solve is restarted
+GMRES, right preconditioned by the fast-diagonalization inverse of
+sum_i a_i D_ii (a_i the mean of d rho / dA_ii, D_ii the axis second
+difference); numpy only.  Steps backtrack on max|G|; a level is done at
+max|G| / |c| <= 1e-3 sweep_tol, c the stencil's dA/dr diagonal.  A level
+Newton solved is handed on as it is, with no sweeps.
 
 Certification.  The level where Newton is abandoned and every finer level
 run the Perron sweeps from their start, and the finest level runs them
@@ -108,7 +109,7 @@ _GMRES_RTOL = 0.1
 _GMRES_RESTART = 20
 _GMRES_ITERS = 40       # a solve that needs more abandons the attempt
 _KRYLOV_GROWTH = 2.0    # expected growth of the GMRES count per refinement
-_FD_STEP = 1.5e-8       # one-sided difference step, relative to the jets
+_FD_STEP = 1.5e-8       # one-sided difference step, relative to a node's jet
 
 
 @dataclass
@@ -179,7 +180,6 @@ class _NodeUpdater:
             # bisection leans on membership being monotone in r
             warnings.warn("stencil center slope not negative semidefinite; "
                           "bisection may be unreliable", RuntimeWarning)
-        self.xb_all = P.pts[P.interior_idx] if P.F.x_dependent else None
         # the spectral margin needs dp/dr = 0 and dA/dr = c*I
         c = self.A_slope[0, 0]
         rigid = self.p_static and np.array_equal(
@@ -214,7 +214,7 @@ class _NodeUpdater:
         nb_vals = u[P.nb[:, sel]]
         r_cur = u[P.interior_idx[sel]]
         p_base, A_base = P.assembler.assemble(nb_vals, np.zeros_like(r_cur))
-        xb = None if self.xb_all is None else self.xb_all[sel]
+        xb = None if P.xb is None else P.xb[sel]
 
         min_nb = nb_vals.min(axis=0)
         max_nb = nb_vals.max(axis=0)
@@ -349,9 +349,7 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
             break
     converged = converged or final_update <= st
 
-    r, p, A = P.jets_at(u)
-    xb = P.pts[ii] if P.F.x_dependent else None
-    vals = P.F.value_batch(r, p, A, x=xb)
+    vals = P.rho_at(u)
     if cap is not None:
         off = u[ii] < cap - 2.0 * P.grid.h
         residual = float(np.abs(vals[off]).max()) if off.any() else 0.0
@@ -515,11 +513,14 @@ class _NewtonLevel:
     """G(u) = rho(J(u)) + eps_b at the interior nodes of one rectangle, its
     gradient in jet coordinates, and the Jacobian applied to a vector.
 
-    G and the gradient are evaluated per colour class, so no temporary is
-    larger than a Perron sweep's.  The gradient is a one-sided difference of
-    ``value_batch`` in (r, p, A), skipping r for reduced sets and p for pure
-    second-order ones: one code path for every set.  J(u) is linear in u, so
-    the Jacobian applied to v is the gradient dotted with the jet that the
+    G, the gradient and the Jacobian's jets are evaluated on the whole
+    interior through ``GridProblem.jets_at``.  The gradient is a one-sided
+    difference of ``value_batch`` in (r, p, A), skipping r for reduced sets
+    and p for pure second-order ones: one code path for every set.  Its step
+    is per node, ``_FD_STEP`` (1 + the largest |coordinate| of that node's r,
+    p or A; Dennis and Schnabel's per-component step), so each node's
+    gradient depends on its own jet alone.  J(u) is linear in u, so the
+    Jacobian applied to v is the gradient dotted with the jet that the
     stencil assembles from v (zero on boundary nodes).
 
     With an obstacle ``cap`` (at the interior nodes) the residual is
@@ -529,12 +530,10 @@ class _NewtonLevel:
 
     def __init__(self, P: GridProblem, cap: Optional[np.ndarray] = None):
         self.P = P
-        ii = P.interior_idx
-        multi = np.unravel_index(ii, P.grid.shape)
+        multi = np.unravel_index(P.interior_idx, P.grid.shape)
         inside = np.zeros([a.max() - a.min() + 1 for a in multi], dtype=bool)
         inside[tuple(a - a.min() for a in multi)] = True
         self.fd = _FastDiag(inside, P.grid.h)
-        self.xb = P.pts[ii] if P.F.x_dependent else None
         n = P.grid.n
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self.diag = [k for k, (i, j) in enumerate(self.pairs) if i == j]
@@ -542,18 +541,8 @@ class _NewtonLevel:
         self.cap, self.active = cap, None
         self.c = abs(P.assembler.slopes()[1][0, 0])
 
-    def _classes(self, u: np.ndarray):
-        P = self.P
-        for sel in P.colors:
-            r, p, A = P.jets_at(u, sel)
-            xb = None if self.xb is None else self.xb[sel]
-            yield sel, r, p, A, xb
-
     def residual(self, u: np.ndarray) -> np.ndarray:
-        G = np.empty(len(self.P.interior_idx))
-        for sel, r, p, A, xb in self._classes(u):
-            G[sel] = self.P.F.value_batch(r, p, A, x=xb)
-        return G + DEFAULT_EPS_B
+        return self.P.rho_at(u) + DEFAULT_EPS_B
 
     def clamped(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
         """H = min(G, |c| (cap - u)), or G itself without an obstacle."""
@@ -567,31 +556,35 @@ class _NewtonLevel:
         returns the mean of d rho / dA_ii over the nodes."""
         if self.cap is not None:
             self.active = self.clamped(u, G) < G
-        F = self.P.F
-        N, n = len(G), self.P.grid.n
-        dr = None if F.reduced else np.empty(N)
-        dp = None if F.pure_second_order else np.empty((N, n))
-        dA = np.empty((N, len(self.pairs)))
-        step = lambda x: _FD_STEP * (1.0 + float(np.abs(x).max()))
-        for sel, r, p, A, xb in self._classes(u):
-            rho0 = G[sel] - DEFAULT_EPS_B
-            rho = lambda r, p, A: F.value_batch(r, p, A, x=xb)
-            if dr is not None:
-                t = step(r)
-                dr[sel] = (rho(r + t, p, A) - rho0) / t
-            if dp is not None:
-                t = step(p)
-                for k in range(n):
-                    q = p.copy()
-                    q[:, k] += t
-                    dp[sel, k] = (rho(r, q, A) - rho0) / t
-            t = step(A)
-            for k, (i, j) in enumerate(self.pairs):
-                B = A.copy()
-                B[:, i, j] += t
-                if i != j:
-                    B[:, j, i] += t
-                dA[sel, k] = (rho(r, p, B) - rho0) / t
+        P = self.P
+        r, p, A = P.jets_at(u)
+        rho0 = G - DEFAULT_EPS_B
+
+        def slope(r, p, A, t):
+            return (P.F.value_batch(r, p, A, x=P.xb) - rho0) / t
+
+        def step(a):
+            return _FD_STEP * (1.0 + np.abs(a).reshape(len(a), -1).max(1))
+
+        dr = dp = None
+        if not P.F.reduced:
+            t = step(r)
+            dr = slope(r + t, p, A, t)
+        if not P.F.pure_second_order:
+            t = step(p)
+            dp = np.empty_like(p)
+            for k in range(P.grid.n):
+                q = p.copy()
+                q[:, k] += t
+                dp[:, k] = slope(r, q, A, t)
+        t = step(A)
+        dA = np.empty((len(G), len(self.pairs)))
+        for k, (i, j) in enumerate(self.pairs):
+            B = A.copy()
+            B[:, i, j] += t
+            if i != j:
+                B[:, j, i] += t
+            dA[:, k] = slope(r, p, B, t)
         self.grad = (dr, dp, dA)
         return dA[:, self.diag].mean(axis=0)
 
@@ -600,13 +593,12 @@ class _NewtonLevel:
         dr, dp, dA = self.grad
         w = np.zeros(P.grid.size())
         w[P.interior_idx] = v
+        _, p, A = P.jets_at(w)
         out = np.zeros_like(v) if dr is None else dr * v
-        for sel in P.colors:
-            p, A = P.assembler.assemble(w[P.nb[:, sel]], v[sel])
-            for k, (i, j) in enumerate(self.pairs):
-                out[sel] += dA[sel, k] * A[:, i, j]
-            if dp is not None:
-                out[sel] += np.einsum("mk,mk->m", dp[sel], p)
+        for k, (i, j) in enumerate(self.pairs):
+            out += dA[:, k] * A[:, i, j]
+        if dp is not None:
+            out += np.einsum("mk,mk->m", dp, p)
         if self.active is not None:
             out[self.active] = -self.c * v[self.active]
         return out
@@ -626,9 +618,7 @@ class _NewtonLevel:
         P = self.P
         u = P.initial_field()
         u[P.interior_idx] = 0.0
-        b = np.empty(len(P.interior_idx))
-        for sel, _, _, A, _ in self._classes(u):
-            b[sel] = np.trace(A, axis1=1, axis2=2)
+        b = np.trace(P.jets_at(u)[2], axis1=1, axis2=2)
         u[P.interior_idx] = -self.fd.solve(b, np.ones(P.grid.n))
         return u
 

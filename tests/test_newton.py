@@ -16,7 +16,7 @@ import pytest
 from subeq import parse_name
 from subeq.boundary import ball_domain
 from subeq.expressions import expression_domain, parse_expression
-from subeq.grid import Grid, GridProblem, SolverParams
+from subeq.grid import Grid, GridProblem, JetAssembler, SolverParams
 from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
                           _prolong, _solve_loop, dual_bracket_solve,
                           obstacle_solve, perron_solve)
@@ -148,6 +148,31 @@ class TestNewtonStart:
         assert len(rep.newton_iters) == 2 and rep.newton_abandoned is None
         res = dual_bracket_solve(problem("laplace:n=2", 33))
         assert res.report.newton_iters and res.report_dual.newton_iters
+
+    def test_only_perron_sweeps_assemble_outside_jets_at(self, monkeypatch):
+        # the layer split of bench/tracing.py: a finest-level assembly that
+        # is not nested in jets_at is Perron work, one per colour per sweep
+        P = problem("laplace:n=2", 33, bc=saddle, bounds=((0, 1), (0, 1)))
+        assemble, jets_at = JetAssembler.assemble, GridProblem.jets_at
+        depth, outside = [0], []
+
+        def traced_jets_at(obj, *a, **kw):
+            depth[0] += 1
+            try:
+                return jets_at(obj, *a, **kw)
+            finally:
+                depth[0] -= 1
+
+        def traced_assemble(obj, V, r):
+            if obj is P.assembler and depth[0] == 0:
+                outside.append(len(r))
+            return assemble(obj, V, r)
+
+        monkeypatch.setattr(GridProblem, "jets_at", traced_jets_at)
+        monkeypatch.setattr(JetAssembler, "assemble", traced_assemble)
+        rep = perron_solve(P)
+        assert rep.newton_iters and rep.newton_abandoned is None
+        assert len(outside) == rep.sweeps * len(P.colors)
 
 
 def radial(x):
@@ -331,6 +356,27 @@ class TestJacobian:
         fd = (lev.residual(up) - lev.residual(um)) / (2 * eps)
         Jv = lev.jvp(v)
         assert np.abs(Jv - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_linearize_is_local(self, rng):
+        # each node's difference step is scaled by its own jet, so a far
+        # bump leaves its gradient row unchanged to the last bit
+        P = problem("slag:c=0.5:n=2", 9)
+        ii = P.interior_idx
+        u = P.initial_field()
+        u[ii] = cubic(P.pts[ii]) + 0.01 * rng.standard_normal(len(ii))
+        bumped = u.copy()
+        k = len(ii) // 2
+        bumped[ii[k]] += 50.0
+        rows = []
+        for field in (u, bumped):
+            lev = _NewtonLevel(P)
+            lev.linearize(field, lev.residual(field))
+            rows.append(lev.grad[2])
+        far = ~np.any(P.nb == ii[k], axis=0)
+        far[k] = False
+        assert far.sum() > len(ii) // 2
+        assert np.array_equal(rows[0][far], rows[1][far])
+        assert not np.array_equal(rows[0][~far], rows[1][~far])
 
 
 def test_no_sparse_or_dense_scipy_solvers_on_the_solve_path():
