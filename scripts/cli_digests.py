@@ -114,6 +114,10 @@ CONFIGS = [
     # a masked domain with 33 or more nodes per axis: one Newton level
     ("solve-cy-ball-m65", ["solve", "--subeq", "cy:n=2", "--bc", "x^2+y^2",
                            "--domain", "ball:n=2", "--m", "65"]),
+    # an even node count has no ladder: one Newton level from the Laplace
+    # start, as on a masked domain
+    ("solve-laplace-m64", ["solve", "--subeq", "laplace:n=2",
+                           "--bc", "x^2-y^2", "--m", "64"]),
     # Howard's rows for the clamp over the 25 -> 385 ladder
     ("obstacle-well-m385", ["obstacle", "--subeq", "branch:real:k=1:n=1",
                             "--bc", "(x*x-1)^2", "--obstacle", "(x*x-1)^2",

@@ -1,10 +1,12 @@
 """Masked rectangular grids, finite-difference stencils, and discrete jets.
 
 The solver reads second-order data off a uniform lattice: value r at the
-node, centered gradient p, and a Hessian A assembled from directional second
-differences (axis + diagonal directions), or from a least-squares quadratic
-fit for the wide stencil.  The center value enters A affinely, which the
-node update exploits: jets along the bisection line are base + r * slope.
+node, centered gradient p, and a Hessian A.  Each stencil is one linear map
+of the neighbor differences V_k - r (``JetAssembler.W``): centered axis and
+diagonal differences for the direct stencils, the least-squares quadratic
+fit for the wide one.  The center value enters the jet affinely, which the
+node update exploits: jets along the bisection line are base + r * slope,
+the slope being minus the column sums of that map.
 
 Dimensions 1, 2 and 3 are supported ("9pt" in 3-d means axes plus face
 diagonals; any stencil name degrades to the 3-point stencil in 1-d).
@@ -95,7 +97,18 @@ def stencil_table(mask: np.ndarray, offsets: np.ndarray):
 
 
 class JetAssembler:
-    """Maps frozen neighbor values (+ center r) to (p, A) batches."""
+    """One linear map per stencil: neighbor values (+ center r) to (p, A).
+
+    The discrete jet at a node is ``(V - r) @ W``, V its K neighbor values
+    and r its center value.  ``W`` has shape (K, n + n*n): column i holds the
+    weights of p_i, column n + n*i + j those of A_ij.  The columns of A_ij and
+    A_ji are equal, so the assembled A is exactly symmetric.  The direct
+    stencils take the centered axis pair (V[+e] - V[-e]) / 2h and
+    (V[+e] + V[-e] - 2r) / h^2, and the diagonal quadruple
+    (V[+d] + V[-d] - V[+s] - V[-s]) / 4h^2 for d = e_i + e_j, s = e_i - e_j;
+    wide16 takes the least-squares quadratic fit, the pseudo-inverse of the
+    ``_quad_columns`` rows.
+    """
 
     def __init__(self, stencil: str, n: int, h: float):
         self.name = stencil
@@ -103,74 +116,48 @@ class JetAssembler:
         self.h = float(h)
         self.offsets = stencil_offsets(stencil, n)
         self.K = len(self.offsets)
-        self.mode = "ls" if stencil == "wide16" else "direct"
-        key = {tuple(d): i for i, d in enumerate(self.offsets)}
-        if self.mode == "direct":
-            self._ax_plus = []
-            self._ax_minus = []
-            for i in range(n):
-                e = np.zeros(n, dtype=int)
-                e[i] = 1
-                self._ax_plus.append(key[tuple(e)])
-                self._ax_minus.append(key[tuple(-e)])
-            self._pairs = []
-            for i, j in itertools.combinations(range(n), 2):
-                d = np.zeros(n, dtype=int)
-                d[i], d[j] = 1, 1
-                s = np.zeros(n, dtype=int)
-                s[i], s[j] = 1, -1
-                if tuple(d) in key:
-                    self._pairs.append((i, j, key[tuple(d)], key[tuple(-d)],
-                                        key[tuple(s)], key[tuple(-s)]))
+        pairs = list(itertools.combinations(range(n), 2))
+        # C: (n + n + len(pairs), K) rows p_i, A_ii, A_ij (i < j), the
+        # coefficient order of _quad_columns
+        if stencil == "wide16":
+            C = np.linalg.pinv(np.stack([_quad_columns(self.h * d, n)
+                                         for d in self.offsets]))
         else:
-            M = np.stack([_quad_columns(self.h * d, n) for d in self.offsets])
-            self._pinv = np.linalg.pinv(M)
-            self._slope_vec = -self._pinv.sum(axis=1)
+            key = {tuple(d): k for k, d in enumerate(self.offsets)}
+            eye = np.eye(n, dtype=int)
+            C = np.zeros((2 * n + len(pairs), self.K))
+            for i in range(n):
+                ax = [key[tuple(eye[i])], key[tuple(-eye[i])]]
+                C[i, ax] = 0.5 / self.h, -0.5 / self.h
+                C[n + i, ax] = 1.0 / self.h ** 2
+            for q, (i, j) in enumerate(pairs):
+                d, s = eye[i] + eye[j], eye[i] - eye[j]
+                if tuple(d) in key:
+                    quad = [key[tuple(d)], key[tuple(-d)], key[tuple(s)],
+                            key[tuple(-s)]]
+                    C[2 * n + q, quad] = np.array([1, 1, -1, -1]) / (
+                        4.0 * self.h ** 2)
+        W = np.zeros((self.K, n + n * n))
+        W[:, :n] = C[:n].T
+        for i in range(n):
+            W[:, n + n * i + i] = C[n + i]
+        for q, (i, j) in enumerate(pairs):
+            W[:, n + n * i + j] = W[:, n + n * j + i] = C[2 * n + q]
+        self.W = W
 
-    # -- batched assembly ---------------------------------------------------
+    def _split(self, J: np.ndarray):
+        return J[..., :self.n], J[..., self.n:].reshape(
+            J.shape[:-1] + (self.n, self.n))
 
     def assemble(self, V: np.ndarray, r: np.ndarray):
-        """V: (K, M) frozen neighbor values; r: (M,) center values."""
-        n, h = self.n, self.h
-        M = V.shape[1]
-        if self.mode == "ls":
-            coef = np.einsum("qk,km->qm", self._pinv, V - r[None, :])
-            return self._unpack(coef, M)
-        p = np.empty((M, n))
-        A = np.zeros((M, n, n))
-        for i in range(n):
-            vp, vm = V[self._ax_plus[i]], V[self._ax_minus[i]]
-            p[:, i] = (vp - vm) / (2.0 * h)
-            A[:, i, i] = (vp + vm - 2.0 * r) / h ** 2
-        for (i, j, ipp, imm, ipm, imp) in self._pairs:
-            mixed = (V[ipp] + V[imm] - V[ipm] - V[imp]) / (4.0 * h ** 2)
-            A[:, i, j] = mixed
-            A[:, j, i] = mixed
-        return p, A
-
-    def _unpack(self, coef: np.ndarray, M: int):
-        n = self.n
-        p = coef[:n].T.copy()
-        A = np.zeros((M, n, n))
-        for i in range(n):
-            A[:, i, i] = coef[n + i]
-        for idx, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-            A[:, i, j] = coef[2 * n + idx]
-            A[:, j, i] = coef[2 * n + idx]
-        return p, A
+        """V: (K, M) frozen neighbor values; r: (M,) center values.  r is
+        subtracted before the product: folding it into a column-sum term
+        would cancel catastrophically, A being about |u| / h^2."""
+        return self._split((V - r).T @ self.W)
 
     def slopes(self):
         """d(p)/dr and d(A)/dr for the center value (constants of the stencil)."""
-        n, h = self.n, self.h
-        if self.mode == "ls":
-            p_s = self._slope_vec[:n].copy()
-            A_s = np.zeros((n, n))
-            for i in range(n):
-                A_s[i, i] = self._slope_vec[n + i]
-            for idx, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-                A_s[i, j] = A_s[j, i] = self._slope_vec[2 * n + idx]
-            return p_s, A_s
-        return np.zeros(n), (-2.0 / h ** 2) * np.eye(n)
+        return self._split(-self.W.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -214,6 +201,10 @@ class SolverParams:
     stencil: str = "9pt"
     order: str = "color"                    # "color" (blocked) or "lex"
     omega: Optional[float] = None           # over-relaxation; None = auto
+
+    def __post_init__(self):
+        if self.order not in ("color", "lex"):
+            raise ConfigError(f"unknown sweep order {self.order!r}")
 
     def resolved(self, data_range: float) -> float:
         """The sweep tolerance, its default filled in."""
@@ -332,5 +323,4 @@ def discrete_jet(u: np.ndarray, node, h: float, stencil: str = "9pt") -> Jet:
         V[k, 0] = u[tgt]
     r = np.array([u[node]])
     p, A = asm.assemble(V, r)
-    return Jet(float(r[0]), p[0],
-               SymMatrix.from_dense(0.5 * (A[0] + A[0].T), check=False))
+    return Jet(float(r[0]), p[0], SymMatrix.from_dense(A[0], check=False))

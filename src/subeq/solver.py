@@ -39,23 +39,26 @@ scalar reference schedule, lexicographic then reversed, alternating.
 Updates are over-relaxed by default (SolverParams.omega, auto-tuned from
 the grid resolution); omega=1.0 recovers the plain envelope iteration.
 
-Nested iteration.  Relaxation needs sweeps in proportion to m.  On a
-rectangle with a cascade ladder (``_cascade_ladder``: an odd number of at
-least 33 nodes per axis), ``perron_solve`` makes one pass over the ladder,
-coarsest level first, and each level starts from the prolongation of the
-field below it (the coarsest from the boundary minimum).  Damped Newton on
-G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
-abandonment; on the coarsest level it starts from the discrete Laplace
-solve.  The Jacobian is never formed.  It is applied as
-grad rho . (v, J(v)), with grad rho a one-sided difference of
-``value_batch`` in jet coordinates, its step scaled per node by that
-node's own jet, and J(v) the stencil's jet of v, all over the whole
-interior through ``GridProblem.jets_at``.  Each linear solve is restarted
-GMRES, right preconditioned by the fast-diagonalization inverse of
-sum_i a_i D_ii (a_i the mean of d rho / dA_ii, D_ii the axis second
-difference); numpy only.  Steps backtrack on max|G|; a level is done at
-max|G| / |c| <= 1e-3 sweep_tol, c the stencil's dA/dr diagonal.  A level
-Newton solved is handed on as it is, with no sweeps.
+Nested iteration.  Relaxation needs sweeps in proportion to m.  Every
+solve is one pass over a ladder of levels, coarsest level first, the
+problem itself last: on a rectangle with an odd number of at least 33 nodes
+per axis the ladder holds its coarsenings (``_cascade_ladder``), otherwise
+the problem is the only level.  Each level starts from the prolongation of
+the field below it (the coarsest from the boundary minimum).  On a grid
+with at least 33 nodes per axis, rectangle or masked domain alike, damped
+Newton on G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
+abandonment; on the coarsest level of a rectangle it starts from the
+discrete Laplace solve, on a masked domain from the boundary minimum.  The
+Jacobian is never formed.  It is applied as grad rho . (v, J(v)), with
+grad rho a one-sided difference of ``value_batch`` in jet coordinates, its
+step scaled per node by that node's own jet, and J(v) the stencil's jet of
+v, all over the whole interior through ``GridProblem.jets_at``.  Each
+linear solve is restarted GMRES, right preconditioned by the
+fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
+d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
+backtrack on max|G|; a level is done at max|G| / |c| <= 1e-3 sweep_tol,
+c the stencil's dA/dr diagonal.  A level Newton solved is handed on as it
+is, with no sweeps.
 
 Certification.  The level where Newton is abandoned and every finer level
 run the Perron sweeps from their start, and the finest level runs them
@@ -71,12 +74,11 @@ would miss the cap after paying for most of its iterations).  Abandoned on
 the coarsest level, the pass is the Perron cascade; abandoned higher up,
 the levels below keep Newton's fields.  ``SolveReport.newton_abandoned``
 records why and on which level, and the ``subeq`` logger says so at INFO.
-A masked domain with at least 33 nodes per axis is one such level, Newton
-from the boundary minimum preconditioned on the bounding block of its
+On a masked domain the preconditioner acts on the bounding block of its
 interior.  ``obstacle_solve`` makes the same pass on min(G, |c| (g - u)) = 0,
 every level clamped to g and the active obstacle rows -|c| I (Howard's
-rule).  Smaller grids run the Perron sweeps alone; ``dual_bracket_solve``
-is two ``perron_solve`` calls.
+rule).  Grids with fewer than 33 nodes on some axis run the Perron sweeps
+alone; ``dual_bracket_solve`` is two ``perron_solve`` calls.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ log = logging.getLogger("subeq")
 _BRACKET_PAD = 10.0
 
 # nested Newton start
-_NEWTON_MIN_NODES = 33  # per axis, for a ladder or a masked Newton start
+_NEWTON_MIN_NODES = 33  # per axis, for a ladder or a Newton start
 _NEWTON_TOL = 1e-3      # stop at max|G| / |c| <= this * sweep_tol
 _NEWTON_ITERS = 30      # per level
 _LINE_SEARCH = 12       # step halvings before the attempt is abandoned
@@ -309,8 +311,6 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     if cap is not None:
         u[ii] = np.minimum(u[ii], cap)
     order = P.params.order
-    if order not in ("color", "lex"):
-        raise ConfigError(f"unknown sweep order {order!r}")
 
     sweeps = 0
     final_update = np.inf
@@ -682,15 +682,16 @@ class _NewtonLevel:
 
 
 def _ladder_pass(levels: list, g: Optional[Callable] = None,
-                 label: str = "") -> SolveReport:
+                 label: str = "", newton: bool = True) -> SolveReport:
     """One pass over ``levels``, coarsest first, the problem itself last.
     Each level starts from the prolongation of the field below it, the
     coarsest from the boundary minimum (Newton's from ``_NewtonLevel.run``);
     with an obstacle g every start is clamped to g, so the contact set is
-    carried upward.  Newton runs on each level until its first abandonment,
-    and a level it solved is handed on unchanged.  The level where it is
-    abandoned and every finer one run the Perron sweeps from their start,
-    and so does the finest level in any case: the sweeps certify the answer."""
+    carried upward.  With ``newton``, Newton runs on each level until its
+    first abandonment, and a level it solved is handed on unchanged.  The
+    level where it is abandoned and every finer one run the Perron sweeps
+    from their start, and so does the finest level in any case: the sweeps
+    certify the answer."""
     iters, krylov, kmax, abandoned = [], 0, 0, None
     u, perron, level_sweeps = None, [], []
     for level, Q in enumerate(levels):
@@ -699,7 +700,7 @@ def _ladder_pass(levels: list, g: Optional[Callable] = None,
             u = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
         cap = _cap(Q, g)
         solved = None
-        if abandoned is None:
+        if newton and abandoned is None:
             if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
                 it, ks, reason = 0, [], "krylov growth"
             else:
@@ -743,20 +744,18 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
     t0 = time.perf_counter()
     _precheck(P.F)
     ladder = _cascade_ladder(P) if P.domain is None else []
-    masked = P.domain is not None and min(P.grid.shape) >= _NEWTON_MIN_NODES
-    levels = ladder + [P] if ladder or masked else []
-    rep = (_ladder_pass(levels, g, label) if levels
-           else _solve_loop(P, cap=_cap(P, g), label=label))
+    rep = _ladder_pass(ladder + [P], g, label,
+                       newton=min(P.grid.shape) >= _NEWTON_MIN_NODES)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
 
 def perron_solve(P: GridProblem) -> SolveReport:
-    """Upper-envelope solve for the Dirichlet problem on P: the ladder pass
-    on a rectangle with a cascade ladder, one Newton level on a masked
-    domain with at least 33 nodes per axis, Perron sweeps alone otherwise;
-    the finest level's Perron sweeps certify every answer.  Never raises on
-    slow convergence: the report carries converged=False."""
+    """Upper-envelope solve for the Dirichlet problem on P: one pass over
+    its cascade ladder and P, with a Newton start on grids of at least 33
+    nodes per axis and Perron sweeps alone otherwise; the finest level's
+    Perron sweeps certify every answer.  Never raises on slow convergence:
+    the report carries converged=False."""
     return _solve(P)
 
 

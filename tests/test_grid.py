@@ -109,11 +109,16 @@ class TestSlopes:
         p_s, A_s = asm.slopes()
         assert np.allclose(p_s, 0.0)
         assert np.allclose(A_s, -2.0 / 0.25 ** 2 * np.eye(2))
+        # the spectral node update needs dA/dr = c*I exactly
+        assert np.array_equal(A_s, A_s[0, 0] * np.eye(2))
 
-    @pytest.mark.parametrize("stencil", ["9pt", "wide16"])
-    def test_matches_assembly_difference(self, rng, stencil):
+    @pytest.mark.parametrize("stencil, n", [
+        pytest.param(s, n, id=s if n == 2 else f"{s}-{n}d")
+        for s, n in (("5pt", 1), ("5pt", 2), ("5pt", 3), ("9pt", 1),
+                     ("9pt", 2), ("9pt", 3), ("wide16", 2))])
+    def test_matches_assembly_difference(self, rng, stencil, n):
         # jets are affine in the center value with exactly these slopes
-        asm = JetAssembler(stencil, 2, 0.1)
+        asm = JetAssembler(stencil, n, 0.1)
         V = rng.uniform(-1, 1, (asm.K, 6))
         r = rng.uniform(-1, 1, 6)
         d = 0.37
@@ -122,6 +127,38 @@ class TestSlopes:
         p_s, A_s = asm.slopes()
         assert np.allclose(p1 - p0, d * p_s[None, :], atol=1e-12)
         assert np.allclose(A1 - A0, d * A_s[None, :, :], atol=1e-10)
+
+    def test_direct_stencils_are_the_difference_formulas(self, rng):
+        # random, non-polynomial neighbor values: the direct stencils give
+        # the centered axis and diagonal differences, and every stencil
+        # assembles an exactly symmetric A
+        h = 0.05
+        for stencil, n in (("5pt", 1), ("9pt", 1), ("5pt", 2), ("9pt", 2),
+                           ("5pt", 3), ("9pt", 3), ("wide16", 2)):
+            asm = JetAssembler(stencil, n, h)
+            V = rng.uniform(-1, 1, (asm.K, 40))
+            r = rng.uniform(-1, 1, 40)
+            p, A = asm.assemble(V, r)
+            assert np.array_equal(A, np.swapaxes(A, 1, 2)), stencil
+            if stencil == "wide16":
+                continue
+            key = {tuple(d): k for k, d in enumerate(asm.offsets)}
+            eye = np.eye(n, dtype=int)
+
+            def at(d):
+                return V[key[tuple(d)]]
+
+            p_ref = np.stack([(at(e) - at(-e)) / (2 * h) for e in eye], 1)
+            A_ref = np.zeros_like(A)
+            for i in range(n):
+                A_ref[:, i, i] = (at(eye[i]) + at(-eye[i]) - 2 * r) / h ** 2
+                for j in range(i + 1, n):
+                    if stencil == "9pt":
+                        d, s = eye[i] + eye[j], eye[i] - eye[j]
+                        A_ref[:, i, j] = A_ref[:, j, i] = (
+                            at(d) + at(-d) - at(s) - at(-s)) / (4 * h ** 2)
+            for got, ref in ((p, p_ref), (A, A_ref)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_nsd_center_slope(self):
         # raising the center value can only push A downward (ellipticity
@@ -231,6 +268,10 @@ class TestSolverParams:
 
     def test_omega_explicit(self):
         assert SolverParams(omega=1.5).resolved_omega(1000) == 1.5
+
+    def test_unknown_order_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="zigzag"):
+            SolverParams(order="zigzag")
 
 
 class TestStencilTable:

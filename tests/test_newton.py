@@ -149,6 +149,15 @@ class TestNewtonStart:
         res = dual_bracket_solve(problem("laplace:n=2", 33))
         assert res.report.newton_iters and res.report_dual.newton_iters
 
+    def test_rectangle_without_ladder_takes_one_level(self):
+        # an even node count has no cascade ladder: the rectangle is one
+        # Newton level from the Laplace start, as a masked domain is
+        P = problem("laplace:n=2", 64, bc=saddle)
+        assert _cascade_ladder(P) == []
+        rep = perron_solve(P)
+        assert len(rep.newton_iters) == 1 and rep.newton_abandoned is None
+        assert rep.sweeps == 1 and rep.converged
+
     def test_only_perron_sweeps_assemble_outside_jets_at(self, monkeypatch):
         # the layer split of bench/tracing.py: a finest-level assembly that
         # is not nested in jets_at is Perron work, one per colour per sweep
