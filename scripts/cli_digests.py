@@ -114,6 +114,9 @@ CONFIGS = [
     # a masked domain with 33 or more nodes per axis: one Newton level
     ("solve-cy-ball-m65", ["solve", "--subeq", "cy:n=2", "--bc", "x^2+y^2",
                            "--domain", "ball:n=2", "--m", "65"]),
+    # the one Newton-certified p-dependent config: the Jacobian's p columns
+    ("solve-klap3-m33", ["solve", "--subeq", "klap:k=3:n=2",
+                         "--bc", "x^2+y^2", "--box=1,2", "--m", "33"]),
     # an even node count has no ladder: one Newton level from the Laplace
     # start, as on a masked domain
     ("solve-laplace-m64", ["solve", "--subeq", "laplace:n=2",

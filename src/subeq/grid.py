@@ -194,7 +194,7 @@ class Grid:
         return int(np.prod(self.shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     max_sweeps: int = 100_000
     sweep_tol: Optional[float] = None       # default 1e-10 * data range

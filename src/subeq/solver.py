@@ -49,10 +49,11 @@ with at least 33 nodes per axis, rectangle or masked domain alike, damped
 Newton on G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
 abandonment; on the coarsest level of a rectangle it starts from the
 discrete Laplace solve, on a masked domain from the boundary minimum.  The
-Jacobian is never formed.  It is applied as grad rho . (v, J(v)), with
-grad rho a one-sided difference of ``value_batch`` in jet coordinates, its
-step scaled per node by that node's own jet, and J(v) the stencil's jet of
-v, all over the whole interior through ``GridProblem.jets_at``.  Each
+Jacobian is never formed as a matrix.  It is stored as per-node stencil
+weights: grad rho, a one-sided difference of ``value_batch`` in the jet
+columns of ``JetAssembler.W`` (its step scaled per node by that node's own
+jet), pulled back through W to one weight per neighbour, and applied as
+dr v + sum_k w_k (v[nb_k] - v) without assembling jets.  Each
 linear solve is restarted GMRES, right preconditioned by the
 fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
 d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
@@ -177,11 +178,6 @@ class _NodeUpdater:
         self.bt = bt
         self.p_slope, self.A_slope = P.assembler.slopes()
         self.p_static = not np.any(self.p_slope)
-        slope_eigs = eigvalsh_batch(self.A_slope[None])
-        if slope_eigs.max() > 1e-12:
-            # bisection leans on membership being monotone in r
-            warnings.warn("stencil center slope not negative semidefinite; "
-                          "bisection may be unreliable", RuntimeWarning)
         # the spectral margin needs dp/dr = 0 and dA/dr = c*I
         c = self.A_slope[0, 0]
         rigid = self.p_static and np.array_equal(
@@ -226,12 +222,10 @@ class _NodeUpdater:
 
         g = self.margin_fn(p_base, A_base, xb)
 
-        if np.isfinite(warm):
-            lo = np.maximum(r_cur - warm, lo_full)
-            hi = np.minimum(r_cur + warm, hi_full)
-            hi = np.maximum(hi, lo + self.bt)
-        else:
-            lo, hi = lo_full.copy(), hi_full.copy()
+        # at warm = inf these are lo_full and hi_full: the full width is at
+        # least 2 _BRACKET_PAD, far above bt
+        lo = np.maximum(r_cur - warm, lo_full)
+        hi = np.maximum(np.minimum(r_cur + warm, hi_full), lo + self.bt)
 
         # lower end must be a member; a fiber with none is empty
         bad, g_lo = _widen(lo, lo_full, -width_full, g, lambda v: ~(v >= 0))
@@ -291,7 +285,7 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
 
 
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
-                label: str = "", u0: Optional[np.ndarray] = None,
+                u0: Optional[np.ndarray] = None,
                 newton_start: bool = False) -> SolveReport:
     """Perron sweeps from the boundary minimum or from u0.  A u0 that
     Newton solved starts from the warm bracket, 1024 bt about each node."""
@@ -335,9 +329,7 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
             r_new = np.where(degen, r_star, r_old + omega * (r_star - r_old))
             if cap is not None:
                 r_new = np.minimum(r_new, cap[sel])
-            delta = np.abs(r_new - r_old)
-            if len(delta):
-                max_upd = max(max_upd, float(delta.max()))
+            max_upd = max(max_upd, float(np.abs(r_new - r_old).max()))
             degen_total += int(degen.sum())
             u[ii[sel]] = r_new
         sweeps = sweep
@@ -362,7 +354,7 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
         residual=residual, converged=converged,
         min_margin=float(vals.min()), degenerate_nodes=degen_total,
         contact_nodes=contact, wall_time=time.perf_counter() - t0,
-        label=label or P.F.label, h=P.grid.h, sweep_tol=st,
+        label=P.F.label, h=P.grid.h, sweep_tol=st,
         evals=upd.evals, level_sweeps=[sweeps], bisect_capped=upd.capped)
     return report
 
@@ -511,17 +503,20 @@ def _gmres(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float,
 
 class _NewtonLevel:
     """G(u) = rho(J(u)) + eps_b at the interior nodes of one rectangle, its
-    gradient in jet coordinates, and the Jacobian applied to a vector.
+    Jacobian as one weight per stencil neighbour and node, and the Jacobian
+    applied to a vector.
 
-    G, the gradient and the Jacobian's jets are evaluated on the whole
-    interior through ``GridProblem.jets_at``.  The gradient is a one-sided
-    difference of ``value_batch`` in (r, p, A), skipping r for reduced sets
-    and p for pure second-order ones: one code path for every set.  Its step
-    is per node, ``_FD_STEP`` (1 + the largest |coordinate| of that node's r,
-    p or A; Dennis and Schnabel's per-component step), so each node's
-    gradient depends on its own jet alone.  J(u) is linear in u, so the
-    Jacobian applied to v is the gradient dotted with the jet that the
-    stencil assembles from v (zero on boundary nodes).
+    G and the jets are evaluated on the whole interior through
+    ``GridProblem.jets_at``.  The gradient of rho is a one-sided difference
+    of ``value_batch`` in the columns of ``JetAssembler.W``, J = (p, A), and
+    in r, skipping r for reduced sets and p for pure second-order ones: one
+    code path for every set.  Its step is per node, ``_FD_STEP`` (1 + the
+    largest |coordinate| of that node's r, p or A; Dennis and Schnabel's
+    per-component step), so each node's gradient depends on its own jet
+    alone.  The jet is (V - r) W, V the neighbour values, so the gradient dJ
+    pulls back to the weights w = W dJ^T on V - r: at each node the
+    linearization is one linear stencil operator, dr v + sum_k w_k
+    (v[nb_k] - v), with v zero on the boundary nodes.
 
     With an obstacle ``cap`` (at the interior nodes) the residual is
     H = min(G, |c| (cap - u)), c the stencil's dA/dr diagonal; rows where
@@ -534,10 +529,7 @@ class _NewtonLevel:
         inside = np.zeros([a.max() - a.min() + 1 for a in multi], dtype=bool)
         inside[tuple(a - a.min() for a in multi)] = True
         self.fd = _FastDiag(inside, P.grid.h)
-        n = P.grid.n
-        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.diag = [k for k, (i, j) in enumerate(self.pairs) if i == j]
-        self.grad = None
+        self.dr = self.w = None
         self.cap, self.active = cap, None
         self.c = abs(P.assembler.slopes()[1][0, 0])
 
@@ -551,54 +543,53 @@ class _NewtonLevel:
         return np.minimum(G, self.c * (self.cap - u[self.P.interior_idx]))
 
     def linearize(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Stores the gradient of rho at the jets of u (where G is the
-        residual) and the rows where the obstacle branch is active, and
-        returns the mean of d rho / dA_ii over the nodes."""
+        """Stores the Jacobian of G at u (where G is the residual) as the
+        centre term ``dr`` and the (K, M) stencil weights ``w``, and the rows
+        where the obstacle branch is active; returns the mean of
+        d rho / dA_ii over the nodes."""
         if self.cap is not None:
             self.active = self.clamped(u, G) < G
-        P = self.P
+        P, n = self.P, self.P.grid.n
         r, p, A = P.jets_at(u)
+        J = np.concatenate([p, A.reshape(len(r), -1)], axis=1)
         rho0 = G - DEFAULT_EPS_B
 
-        def slope(r, p, A, t):
-            return (P.F.value_batch(r, p, A, x=P.xb) - rho0) / t
+        def slope(r, J, t):
+            return (P.F.value_batch(r, J[:, :n], J[:, n:].reshape(-1, n, n),
+                                    x=P.xb) - rho0) / t
 
         def step(a):
             return _FD_STEP * (1.0 + np.abs(a).reshape(len(a), -1).max(1))
 
-        dr = dp = None
-        if not P.F.reduced:
-            t = step(r)
-            dr = slope(r + t, p, A, t)
+        # the perturbed columns of J and their steps: A_ij with its twin
+        # A_ji, and p_i
+        t_A = step(A)
+        cols = [(sorted({n + n * i + j, n + n * j + i}), t_A)
+                for i in range(n) for j in range(i, n)]
         if not P.F.pure_second_order:
-            t = step(p)
-            dp = np.empty_like(p)
-            for k in range(P.grid.n):
-                q = p.copy()
-                q[:, k] += t
-                dp[:, k] = slope(r, q, A, t)
-        t = step(A)
-        dA = np.empty((len(G), len(self.pairs)))
-        for k, (i, j) in enumerate(self.pairs):
-            B = A.copy()
-            B[:, i, j] += t
-            if i != j:
-                B[:, j, i] += t
-            dA[:, k] = slope(r, p, B, t)
-        self.grad = (dr, dp, dA)
-        return dA[:, self.diag].mean(axis=0)
+            t_p = step(p)
+            cols += [([k], t_p) for k in range(n)]
+        dJ = np.zeros_like(J)
+        for c, t in cols:
+            Jc = J.copy()
+            Jc[:, c] += t[:, None]
+            dJ[:, c[0]] = slope(r, Jc, t)
+        if P.F.reduced:
+            self.dr = 0.0
+        else:
+            t = step(r)
+            self.dr = slope(r + t, J, t)
+        self.w = P.assembler.W @ dJ.T
+        return dJ[:, [n + (n + 1) * i for i in range(n)]].mean(axis=0)
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
+        """dr v + sum_k w_k (v[nb_k] - v), v zero on the boundary nodes."""
         P = self.P
-        dr, dp, dA = self.grad
-        w = np.zeros(P.grid.size())
-        w[P.interior_idx] = v
-        _, p, A = P.jets_at(w)
-        out = np.zeros_like(v) if dr is None else dr * v
-        for k, (i, j) in enumerate(self.pairs):
-            out += dA[:, k] * A[:, i, j]
-        if dp is not None:
-            out += np.einsum("mk,mk->m", dp, p)
+        x = np.zeros(P.grid.size())
+        x[P.interior_idx] = v
+        d = x[P.nb]
+        d -= v
+        out = self.dr * v + np.einsum("km,km->m", self.w, d)
         if self.active is not None:
             out[self.active] = -self.c * v[self.active]
         return out
@@ -681,24 +672,30 @@ class _NewtonLevel:
             u, G, H, gmax = u_try, G_try, H_try, g_try
 
 
-def _ladder_pass(levels: list, g: Optional[Callable] = None,
-                 label: str = "", newton: bool = True) -> SolveReport:
-    """One pass over ``levels``, coarsest first, the problem itself last.
+def _solve(P: GridProblem, g: Optional[Callable] = None,
+           label: str = "") -> SolveReport:
+    """The pass of ``perron_solve``, with the obstacle g if one is given:
+    one pass over the cascade ladder of P and P itself, coarsest first.
     Each level starts from the prolongation of the field below it, the
     coarsest from the boundary minimum (Newton's from ``_NewtonLevel.run``);
     with an obstacle g every start is clamped to g, so the contact set is
-    carried upward.  With ``newton``, Newton runs on each level until its
-    first abandonment, and a level it solved is handed on unchanged.  The
-    level where it is abandoned and every finer one run the Perron sweeps
-    from their start, and so does the finest level in any case: the sweeps
-    certify the answer."""
+    carried upward.  On grids of at least 33 nodes per axis Newton runs on
+    each level until its first abandonment, and a level it solved is handed
+    on unchanged.  The level where it is abandoned and every finer one run
+    the Perron sweeps from their start, and so does the finest level in any
+    case: the sweeps certify the answer."""
+    t0 = time.perf_counter()
+    _precheck(P.F)
+    levels = (_cascade_ladder(P) if P.domain is None else []) + [P]
+    newton = min(P.grid.shape) >= _NEWTON_MIN_NODES
     iters, krylov, kmax, abandoned = [], 0, 0, None
     u, perron, level_sweeps = None, [], []
     for level, Q in enumerate(levels):
         # u: the level's start (None: the boundary minimum), then its field
         if level:
             u = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
-        cap = _cap(Q, g)
+        cap = (None if g is None
+               else np.asarray(g(Q.pts[Q.interior_idx]), dtype=float))
         solved = None
         if newton and abandoned is None:
             if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
@@ -716,7 +713,7 @@ def _ladder_pass(levels: list, g: Optional[Callable] = None,
         if solved is not None:
             u = solved
         if solved is None or level == len(levels) - 1:
-            rep = _solve_loop(Q, cap=cap, label=label, u0=u,
+            rep = _solve_loop(Q, cap=cap, u0=u,
                               newton_start=solved is not None)
             perron.append(rep)
             level_sweeps.append(rep.sweeps)
@@ -731,21 +728,7 @@ def _ladder_pass(levels: list, g: Optional[Callable] = None,
     rep.level_sweeps = level_sweeps
     rep.newton_iters, rep.krylov_iters = iters, krylov
     rep.newton_abandoned = abandoned
-    return rep
-
-
-def _cap(P: GridProblem, g: Optional[Callable]) -> Optional[np.ndarray]:
-    return None if g is None else np.asarray(g(P.pts[P.interior_idx]), float)
-
-
-def _solve(P: GridProblem, g: Optional[Callable] = None,
-           label: str = "") -> SolveReport:
-    """The pass of ``perron_solve``, with the obstacle g if one is given."""
-    t0 = time.perf_counter()
-    _precheck(P.F)
-    ladder = _cascade_ladder(P) if P.domain is None else []
-    rep = _ladder_pass(ladder + [P], g, label,
-                       newton=min(P.grid.shape) >= _NEWTON_MIN_NODES)
+    rep.label = label or P.F.label
     rep.wall_time = time.perf_counter() - t0
     return rep
 

@@ -6,7 +6,7 @@ import pytest
 from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
 from subeq.catalog import _geometric, grassmann_sample
-from subeq.core import Jet, shift
+from subeq.core import Jet, axiom_check, shift
 from subeq.errors import ConfigError
 from subeq.garding import (HyperbolicPolynomial, branch_subequation,
                            garding_cone)
@@ -314,9 +314,54 @@ class TestAppBCones:
         assert np.allclose(F.value_batch(np.zeros(128), p, A), want,
                            atol=1e-10)
 
+    def test_case3_formula(self, rng):
+        # r <= 0, p in the round cone of half-angle 30 degrees about e_1,
+        # A >= 0
+        F = parse_name("appb:case=3:n=3:angle=30")
+        r = rng.uniform(-2, 2, 256)
+        p = rng.standard_normal((256, 3))
+        A = random_sym(rng, 3, size=256)
+        cone = p[:, 0] - np.cos(np.radians(30)) * np.linalg.norm(p, axis=1)
+        want = np.minimum(np.minimum(-r, cone), np.linalg.eigvalsh(A)[:, 0])
+        assert np.allclose(F.value_batch(r, p, A), want, atol=1e-10)
+
+    def test_case5_formula(self, rng):
+        # min over unit e of <Ae, e> - lam |<p, e>|: the sampled min is an
+        # outer approximation of a dense angle scan, exact at p = 0
+        # (lambda_1(A), an eigenvector direction) and at A = a I (a - lam
+        # |p|, the direction of p)
+        lam = 1.5
+        F = parse_name(f"appb:case=5:n=2:lam={lam}")
+        r = rng.uniform(-2, 2, 256)
+        p = rng.standard_normal((256, 2))
+        A = random_sym(rng, 2, size=256)
+        th = np.linspace(0.0, np.pi, 20001)
+        E = np.stack([np.cos(th), np.sin(th)], axis=1)
+        dense = (np.einsum("ki,nij,kj->nk", E, A, E)
+                 - lam * np.abs(p @ E.T)).min(axis=1)
+        got = F.value_batch(r, p, A)
+        assert np.all(got >= dense - 1e-6)      # the scan's own resolution
+        assert np.array_equal(got, F.value_batch(np.zeros(256), p, A))
+        assert np.allclose(F.value_batch(r, np.zeros_like(p), A),
+                           np.linalg.eigvalsh(A)[:, 0], atol=1e-12)
+        a = rng.uniform(-2, 2, 256)
+        assert np.allclose(F.value_batch(r, p, a[:, None, None] * np.eye(2)),
+                           a - lam * np.linalg.norm(p, axis=1), atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["appb:case=3:n=3:angle=30",
+                                      "appb:case=5:n=2:lam=1",
+                                      "appb:case=5:n=3:lam=1"])
+    def test_sampled_axioms(self, name):
+        # axiom_check draws its members through the case's member_sampler
+        F = parse_name(name)
+        for ax in ("P", "N"):
+            assert axiom_check(F, ax, trials=2000, seed=3).violations == 0, ax
+
     def test_samplers_land_inside(self, rng):
         for name in ("appb:case=1:n=2", "appb:case=2:n=2",
-                     "appb:case=4:gamma=0.5:n=2", "appb:case=6:R=1:n=2"):
+                     "appb:case=3:n=3:angle=30", "appb:case=4:gamma=0.5:n=2",
+                     "appb:case=5:n=2:lam=1", "appb:case=5:n=3:lam=1",
+                     "appb:case=6:R=1:n=2"):
             F = parse_name(name)
             r, p, A = F.member_sampler(rng, 200)
             vals = F.value_batch(r, p, A)

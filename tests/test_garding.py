@@ -146,6 +146,21 @@ class TestRootMap:
                 assert np.array_equal(F.value_batch(r, p, A),
                                       B.value_batch(r, p, A)), (name, k)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generic_det_branches_classify_like_real_branches(self, rng, n):
+        # no root map: eigenvalues_batch finds each matrix's roots in turn
+        Q = generic_det(n)
+        assert Q.root_map is None
+        r = rng.uniform(-5, 5, 200)
+        p = rng.standard_normal((200, n))
+        A = random_sym(rng, n, size=200)
+        for k in range(1, n + 1):
+            F, B = branch_subequation(Q, k), make_branch("real", k, n)
+            assert F.spectral is None and F.reduced
+            got, want = F.value_batch(r, p, A), B.value_batch(r, p, A)
+            assert np.allclose(got, want, atol=1e-6), k
+            assert np.array_equal(got >= 0, want >= 0), k
+
     def test_det_branch_solve_is_the_real_branch_solve(self):
         def bc(x):
             return x[:, 0] ** 2

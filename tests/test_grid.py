@@ -1,5 +1,7 @@
 """Lattice plumbing: stencils, jet assembly, masks, parameters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,12 @@ class TestSlopes:
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_nsd_center_slope(self):
-        # raising the center value can only push A downward (ellipticity
-        # of the update relies on this sign)
-        for stencil in ("5pt", "9pt", "wide16"):
-            asm = JetAssembler(stencil, 2, 0.1)
-            _, A_s = asm.slopes()
-            assert np.linalg.eigvalsh(A_s).max() <= 1e-12
+        # raising the center value can only push A downward: the node
+        # update's bisection leans on membership being monotone in r
+        for stencil, n in (("5pt", 1), ("5pt", 2), ("5pt", 3), ("9pt", 1),
+                           ("9pt", 2), ("9pt", 3), ("wide16", 2)):
+            _, A_s = JetAssembler(stencil, n, 0.1).slopes()
+            assert np.linalg.eigvalsh(A_s).max() <= 1e-12, (stencil, n)
 
 
 class TestGrid:
@@ -272,6 +274,15 @@ class TestSolverParams:
     def test_unknown_order_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="zigzag"):
             SolverParams(order="zigzag")
+
+    def test_frozen(self):
+        # order is checked once, when the params are built: a later
+        # assignment would run the lex schedule unchecked
+        P = GridProblem(Grid.regular([(0, 1), (0, 1)], 9),
+                        parse_name("laplace:n=2"), lambda x: x[:, 0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P.params.order = "zigzag"
+        assert P.params.order == "color"
 
 
 class TestStencilTable:

@@ -340,23 +340,39 @@ class TestFastDiag:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("name, shift", [
-        ("slag:c=0.5:n=2", 0.0),
-        ("klap:k=1:n=2", 0.0),          # p-dependent
-        ("cy:n=2", 2.0),                # the value slot is active at r ~ 2
-        ("laplace:n=3", 0.0),
-    ])
-    def test_matches_centred_difference(self, name, shift, rng):
+    @pytest.mark.parametrize("name, shift, stencil", [
+        pytest.param(name, shift, stencil, id=f"{name}-{shift}" + (
+            "" if stencil == "9pt" else f"-{stencil}"))
+        for name, shift, stencil in (
+            ("slag:c=0.5:n=2", 0.0, "9pt"),
+            ("slag:c=0.5:n=2", 0.0, "5pt"),
+            ("slag:c=0.5:n=2", 0.0, "wide16"),
+            ("klap:k=1:n=2", 0.0, "9pt"),   # p-dependent
+            ("klap:k=1:n=2", 0.0, "wide16"),
+            ("cy:n=2", 2.0, "9pt"),         # the value slot is active at r ~ 2
+            ("laplace:n=3", 0.0, "9pt"),
+            ("branch:real:k=1:n=1", 0.0, "9pt"),
+            ("appb:case=6:n=1:R=1", 0.0, "5pt"),  # p-dependent
+        )])
+    def test_matches_centred_difference(self, name, shift, stencil, rng):
         n = parse_name(name).n
-        bc = (lambda x: shift + cubic(x)) if n == 2 else \
-            (lambda x: cubic(x) + 0.3 * x[:, 2] ** 2)
-        P = problem(name, 9, bc=bc, bounds=BOX[:1] * n)
+        if n == 1:
+            def bc(x):
+                return x[:, 0] ** 2 + 0.5 * x[:, 0] ** 3
+        elif n == 2:
+            def bc(x):
+                return shift + cubic(x)
+        else:
+            def bc(x):
+                return cubic(x) + 0.3 * x[:, 2] ** 2
+        P = problem(name, 9, bc=bc, bounds=BOX[:1] * n, stencil=stencil)
         lev = _NewtonLevel(P)
         u = P.initial_field()
         u[P.interior_idx] = bc(P.pts[P.interior_idx]) \
             + 0.01 * rng.standard_normal(len(P.interior_idx))
         G = lev.residual(u)
         lev.linearize(u, G)
+        assert lev.w.shape == (P.assembler.K, len(P.interior_idx))
         v = rng.standard_normal(len(P.interior_idx))
         eps = 1e-5
         up, um = u.copy(), u.copy()
@@ -368,7 +384,7 @@ class TestJacobian:
 
     def test_linearize_is_local(self, rng):
         # each node's difference step is scaled by its own jet, so a far
-        # bump leaves its gradient row unchanged to the last bit
+        # bump leaves its weight column unchanged to the last bit
         P = problem("slag:c=0.5:n=2", 9)
         ii = P.interior_idx
         u = P.initial_field()
@@ -376,16 +392,16 @@ class TestJacobian:
         bumped = u.copy()
         k = len(ii) // 2
         bumped[ii[k]] += 50.0
-        rows = []
+        cols = []
         for field in (u, bumped):
             lev = _NewtonLevel(P)
             lev.linearize(field, lev.residual(field))
-            rows.append(lev.grad[2])
+            cols.append(lev.w)
         far = ~np.any(P.nb == ii[k], axis=0)
         far[k] = False
         assert far.sum() > len(ii) // 2
-        assert np.array_equal(rows[0][far], rows[1][far])
-        assert not np.array_equal(rows[0][~far], rows[1][~far])
+        assert np.array_equal(cols[0][:, far], cols[1][:, far])
+        assert not np.array_equal(cols[0][:, ~far], cols[1][:, ~far])
 
 
 def test_no_sparse_or_dense_scipy_solvers_on_the_solve_path():
