@@ -108,6 +108,9 @@ CONFIGS = [
     ("solve-cone-m129", ["solve", "--subeq", "branch:real:k=1:n=2",
                          "--bc", "(x^2+y^2)^0.5", "--box=1,3,-1,1",
                          "--m", "129"]),
+    # the one 3-D field dump: slabs of the leading index
+    ("solve-lambda1-3d-m9", ["solve", "--subeq", "branch:real:k=1:n=3",
+                             "--bc", "x^2", "--box=-1,1", "--m", "9"]),
     ("solve-lambda1-tol", ["solve", "--subeq", "branch:real:k=1:n=2",
                            "--bc", "x^2", "--box=-1,1", "--m", "17",
                            "--sweep-tol", "1e-8"]),

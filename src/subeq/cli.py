@@ -99,22 +99,20 @@ def _f17(x: float) -> str:
 
 def write_field_csv(path: str, grid: Grid, u: np.ndarray) -> None:
     """Gnuplot-ready dump: coordinate columns then the value, blank line
-    between leading-index slabs (2-d/3-d)."""
+    between leading-index slabs (2-d/3-d).  Each axis's coordinates are
+    formatted once and gathered per node; every row comes from one ``%``
+    over the whole table."""
     u = np.asarray(u, dtype=float).reshape(grid.shape)
-    pts = grid.points().reshape(grid.shape + (grid.n,))
+    u = np.where(np.isfinite(u), u, np.nan)     # "%.17g" % inf is "inf"
+    axes = [np.array([_f17(x) for x in a], dtype=object) for a in grid.axes()]
+    cols = [*np.meshgrid(*axes, indexing="ij"), u.astype(object)]
+    table = np.stack([c.ravel() for c in cols], axis=1)
+    row = ",".join(["%s"] * grid.n + ["%.17g"])
+    slab = "\n".join([row] * (grid.size() // grid.shape[0]))
+    body = ("\n\n" if grid.n > 1 else "\n").join([slab] * grid.shape[0])
     headers = ["x", "y", "z"][:grid.n] + ["u"]
-    lines = [",".join(headers)]
-    if grid.n == 1:
-        for i in range(grid.shape[0]):
-            lines.append(f"{_f17(pts[i, 0])},{_f17(u[i])}")
-    else:
-        for i in range(grid.shape[0]):
-            block = pts[i].reshape(-1, grid.n)
-            vals = u[i].reshape(-1)
-            for row, val in zip(block, vals):
-                lines.append(",".join(_f17(c) for c in row) + f",{_f17(val)}")
-            lines.append("")
-    Path(path).write_text("\n".join(lines).rstrip("\n") + "\n")
+    Path(path).write_text(",".join(headers) + "\n"
+                          + body % tuple(table.ravel()) + "\n")
 
 
 # ---------------------------------------------------------------------------

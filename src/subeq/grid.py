@@ -184,10 +184,13 @@ class Grid:
             raise ConfigError("anisotropic spacing unsupported")
         return cls(b[:, 0].copy(), float(hs[0]), (m,) * len(b))
 
-    def points(self) -> np.ndarray:
-        axes = [self.lo[i] + self.h * np.arange(self.shape[i])
+    def axes(self) -> list:
+        """The coordinates along each axis; ``points`` is their mesh."""
+        return [self.lo[i] + self.h * np.arange(self.shape[i])
                 for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+
+    def points(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def size(self) -> int:

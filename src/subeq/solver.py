@@ -88,7 +88,7 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -559,7 +559,10 @@ class _NewtonLevel:
                                     x=P.xb) - rho0) / t
 
         def step(a):
-            return _FD_STEP * (1.0 + np.abs(a).reshape(len(a), -1).max(1))
+            # max over a node's entries as an elementwise maximum of the
+            # columns: a reduction along the short axis is ~15x slower
+            cols = np.abs(a).reshape(len(a), -1).T
+            return _FD_STEP * (1.0 + reduce(np.maximum, cols))
 
         # the perturbed columns of J and their steps: A_ij with its twin
         # A_ji, and p_i

@@ -221,6 +221,52 @@ class TestFieldCsv:
         assert lines[1] == "0,0"
         assert len(lines) == 6
 
+    @staticmethod
+    def oracle(grid, u):
+        """The per-value writer: every coordinate and value through
+        format(., ".17g"), "nan" for non-finite values, a blank line
+        between leading-index slabs."""
+        def f17(x):
+            return format(float(x), ".17g") if np.isfinite(x) else "nan"
+
+        pts = grid.points().reshape(grid.shape + (grid.n,))
+        u = np.asarray(u, dtype=float).reshape(grid.shape)
+        slabs = ["\n".join(",".join(f17(c) for c in row) + "," + f17(v)
+                           for row, v in zip(pts[i].reshape(-1, grid.n),
+                                             u[i].reshape(-1)))
+                 for i in range(grid.shape[0])]
+        sep = "\n\n" if grid.n > 1 else "\n"
+        return ",".join("xyz"[:grid.n]) + ",u\n" + sep.join(slabs) + "\n"
+
+    def check(self, tmp_path, grid, u):
+        path = tmp_path / "f.csv"
+        write_field_csv(str(path), grid, u)
+        assert path.read_text() == self.oracle(grid, u)
+
+    @pytest.mark.parametrize("n,m", [(1, 7), (2, 9), (3, 5)])
+    def test_matches_per_value_writer(self, tmp_path, n, m):
+        g = Grid.regular([(-1.2, 1.2)] * n, m)
+        u = np.random.default_rng(n).standard_normal(g.shape) / 3.0
+        self.check(tmp_path, g, u)
+
+    def test_nan_outside_ball(self, tmp_path):
+        from subeq.boundary import ball_domain
+        g = Grid.regular([(-1.2, 1.2)] * 2, 17)
+        pts = g.points()
+        u = np.exp(pts[:, 0]) * np.cos(3.0 * pts[:, 1])
+        u[ball_domain(2).rho_dom(pts) >= 0] = np.nan
+        assert np.isnan(u).any() and not np.isnan(u).all()
+        self.check(tmp_path, g, u.reshape(g.shape))
+
+    def test_signed_zero_and_infinities(self, tmp_path):
+        g = Grid.regular([(-1.2, 1.2)] * 2, 5)
+        u = np.linspace(-1.0, 1.0, g.size()).reshape(g.shape)
+        u[0, 1], u[2, 2], u[4, 3] = -0.0, np.inf, -np.inf
+        self.check(tmp_path, g, u)
+        text = (tmp_path / "f.csv").read_text()
+        assert text.count(",nan\n") == 2
+        assert "\n-1.2,-0.59999999999999998,-0\n" in text
+
 
 class TestThreadCap:
     def test_applies_to_blas_vars(self, monkeypatch):
