@@ -49,6 +49,10 @@ CONFIGS = [
     ("check-appb4", ["check", "--subeq", "appb:case=4:n=2:gamma=1"]),
     ("check-sigma", ["check", "--subeq", "sigma:k=2:n=3"]),
     ("check-appb3", ["check", "--subeq", "appb:case=3:n=3:angle=30"]),
+    # M(gamma, D, R) with the r-term alone
+    ("check-appb2", ["check", "--subeq", "appb:case=2:n=2"]),
+    # a key the family never reads: exit 3 with a config_error report
+    ("check-unknown-key", ["check", "--subeq", "slag:C=0.5:n=2"]),
     ("dual-branch", ["dual-test", "--subeq", "branch:real:k=1:n=3"]),
     ("dual-slag", ["dual-test", "--subeq", "slag:c=0.5:n=2"]),
     ("mono-branch", ["mono-test", "--subeq", "branch:real:k=2:n=3",

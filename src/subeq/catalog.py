@@ -385,69 +385,54 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
        sampled min is an outer approximation).
     6. A >= (|p|/R) Id, written exactly as lambda_1(A) - |p|/R.
 
+    Cases 2, 3, 4 and 6 are M(gamma, D, R) = {r <= -gamma |p|, p in D,
+    A >= (|p|/R) Id} with some of the three terms left out: one margin, the
+    min of lambda_1(A) - |p|/R, the margin of p in D and -r - gamma |p|.
     Cases 3 and 4 need a :class:`DirectionalCone`; 4 needs gamma > 0;
     5 needs lam >= 0; 6 needs R > 0.  All carry direct member samplers so
     rejection never has to fight thin acceptance regions.
     """
-    if case == 1:
-        def sampler(rng, size):
-            return (rng.uniform(-5, 5, size), _ball(rng, n, size),
-                    _haar_psd(rng, n, size))
-        return replace(make_branch("real", 1, n), label=f"appb:case=1:n={n}",
-                       member_sampler=sampler)
-
-    if case == 2:
-        def rho(r, p, A):
-            return np.minimum(-np.asarray(r, dtype=float),
-                              eigvalsh_batch(A)[:, 0])
-
-        def sampler(rng, size):
-            return (-rng.uniform(0, 5, size), _ball(rng, n, size),
-                    _haar_psd(rng, n, size))
-        return Subequation(n, rho, f"appb:case=2:n={n}", cone=True,
-                           member_sampler=sampler)
-
-    if case == 3:
+    if case not in range(1, 7):
+        raise ConfigError(f"monotonicity cone case must be 1..6, got {case}")
+    if case in (3, 4):
         if D is None:
-            raise ConfigError("case 3 needs a directional cone D")
+            raise ConfigError(f"case {case} needs a directional cone D")
         if D.n != n:
             raise DimensionMismatch("directional cone dimension mismatch")
+    label = f"appb:case={case}:n={n}"
+    if case >= 4:
+        # the one scalar parameter of cases 4-6 and its bound
+        key, val, cmp = {4: ("gamma", gamma, ">"), 5: ("lam", lam, ">="),
+                         6: ("R", R, ">")}[case]
+        if val is None or val < 0 or (val == 0 and cmp == ">"):
+            raise ConfigError(f"case {case} needs {key} {cmp} 0, got {val}")
+        label += f":{key}={val:g}"
+    # the terms of M(g, D, R) a case keeps; None leaves a term out
+    g = float(gamma) if case == 4 else 0.0 if case in (2, 3) else None
+    D = D if case in (3, 4) else None
+    R = float(R) if case == 6 else None
 
-        def rho(r, p, A, _D=D):
-            return np.minimum(np.minimum(-np.asarray(r, dtype=float),
-                                         _D.margin_batch(p)),
-                              eigvalsh_batch(A)[:, 0])
-
-        def sampler(rng, size, _D=D):
-            return (-rng.uniform(0, 5, size), _D.sample(rng, size),
-                    _haar_psd(rng, n, size))
-        return Subequation(n, rho, f"appb:case=3:n={n}", cone=True,
-                           member_sampler=sampler)
-
-    if case == 4:
-        if D is None:
-            raise ConfigError("case 4 needs a directional cone D")
-        if D.n != n:
-            raise DimensionMismatch("directional cone dimension mismatch")
-        if gamma is None or gamma <= 0:
-            raise ConfigError(f"case 4 needs gamma > 0, got {gamma}")
-
-        def rho(r, p, A, _D=D, _g=float(gamma)):
-            p = np.asarray(p, dtype=float)
-            head = -np.asarray(r, dtype=float) - _g * np.linalg.norm(p, axis=-1)
-            return np.minimum(np.minimum(head, _D.margin_batch(p)),
-                              eigvalsh_batch(A)[:, 0])
-
-        def sampler(rng, size, _D=D, _g=float(gamma)):
-            p = _D.sample(rng, size)
-            r = -_g * np.linalg.norm(p, axis=1) - rng.uniform(0, 5, size)
+    if case <= 4:
+        def sampler(rng, size):
+            p = _ball(rng, n, size) if D is None else D.sample(rng, size)
+            r = (rng.uniform(-5, 5, size) if g is None else
+                 -g * np.linalg.norm(p, axis=1) - rng.uniform(0, 5, size))
             return r, p, _haar_psd(rng, n, size)
-        return Subequation(n, rho, f"appb:case=4:n={n}:gamma={gamma:g}",
-                           cone=True, member_sampler=sampler)
+    else:
+        # inner recipe: lambda_1(A) >= s |p| certifies membership
+        s = float(lam) if case == 5 else 1.0 / R
 
+        def sampler(rng, size):
+            p = _ball(rng, n, size)
+            lo = s * np.linalg.norm(p, axis=1)
+            A = _haar_psd(rng, n, size, eig_lo=0.0, eig_hi=1.0)
+            A = A + lo[:, None, None] * np.eye(n)[None, :, :]
+            return rng.uniform(-5, 5, size), p, A
+
+    if case == 1:
+        return replace(make_branch("real", 1, n), label=label,
+                       member_sampler=sampler)
     if case == 5:
-        if lam is None or lam < 0:
-            raise ConfigError(f"case 5 needs lam >= 0, got {lam}")
         from .core import _unit_sphere_qmc
         E = _unit_sphere_qmc(n, directions, seed=0)   # (K, n)
 
@@ -469,35 +454,22 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
                 quad_p = np.einsum("mi,mij,mj->m", ph, A[ok], ph)
                 vals[ok] = np.minimum(vals[ok], quad_p - _l * nrm[ok])
             return vals
-
-        def sampler(rng, size, _l=float(lam)):
-            # inner recipe: lambda_1(A) >= lam |p| certifies membership
-            p = _ball(rng, n, size)
-            lo = _l * np.linalg.norm(p, axis=1)
-            A = _haar_psd(rng, n, size, eig_lo=0.0, eig_hi=1.0)
-            A = A + lo[:, None, None] * np.eye(n)[None, :, :]
-            return rng.uniform(-5, 5, size), p, A
-        return Subequation(n, rho, f"appb:case=5:n={n}:lam={lam:g}",
-                           reduced=True, cone=True, member_sampler=sampler)
-
-    if case == 6:
-        if R is None or R <= 0:
-            raise ConfigError(f"case 6 needs R > 0, got {R}")
-
-        def rho(r, p, A, _R=float(R)):
+    else:
+        def rho(r, p, A):
             p = np.asarray(p, dtype=float)
-            return eigvalsh_batch(A)[:, 0] - np.linalg.norm(p, axis=-1) / _R
-
-        def sampler(rng, size, _R=float(R)):
-            p = _ball(rng, n, size)
-            lo = np.linalg.norm(p, axis=1) / _R
-            A = _haar_psd(rng, n, size, eig_lo=0.0, eig_hi=1.0)
-            A = A + lo[:, None, None] * np.eye(n)[None, :, :]
-            return rng.uniform(-5, 5, size), p, A
-        return Subequation(n, rho, f"appb:case=6:n={n}:R={R:g}",
-                           reduced=True, cone=True, member_sampler=sampler)
-
-    raise ConfigError(f"monotonicity cone case must be 1..6, got {case}")
+            out = eigvalsh_batch(A)[:, 0]
+            if R is not None:
+                out = out - np.linalg.norm(p, axis=-1) / R
+            if D is not None:
+                out = np.minimum(out, D.margin_batch(p))
+            if g is not None:
+                head = -np.asarray(r, dtype=float)
+                if g:
+                    head = head - g * np.linalg.norm(p, axis=-1)
+                out = np.minimum(out, head)
+            return out
+    return Subequation(n, rho, label, reduced=g is None, cone=True,
+                       member_sampler=sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +501,10 @@ def _appb(kv: dict) -> Subequation:
         if "axis" in kv:
             axis = np.asarray([_num(t) for t in kv["axis"].split(",")])
         D = circular_cone(axis, math.radians(_num(kv.get("angle", "45"))))
-    return make_monotonicity_cone(
-        case, n, gamma=_num(kv["gamma"]) if "gamma" in kv else None,
-        D=D, lam=_num(kv["lam"]) if "lam" in kv else None,
-        R=_num(kv["R"]) if "R" in kv else None)
+    # each case reads only the scalar it takes: any other is unknown
+    key = {4: "gamma", 5: "lam", 6: "R"}.get(case)
+    return make_monotonicity_cone(case, n, D=D,
+                                  **({key: _num(kv[key])} if key else {}))
 
 
 def _branch_dual(name: str, kv: dict) -> str:
@@ -576,11 +548,13 @@ _FAMILIES = {
 
 
 class _Params(dict):
-    """key=value parameters of one catalog name; a missing key raises
-    :class:`ConfigError`.  The branch kind is the parameter "kind"."""
+    """key=value parameters of one catalog or domain name; a missing or
+    repeated key raises :class:`ConfigError`, and so does, in
+    :meth:`build`, a key the constructor never read.  The branch kind is
+    the parameter "kind"."""
 
     def __init__(self, name: str):
-        self.name = name
+        self.name, self.read = name, set()
         fam, *parts = name.split(":")
         if fam == "branch":
             if not parts:
@@ -590,10 +564,29 @@ class _Params(dict):
             if "=" not in part:
                 raise ConfigError(f"malformed parameter {part!r}")
             key, val = part.split("=", 1)
+            if key in self:
+                raise ConfigError(f"{name!r}: repeated parameter {key!r}")
             self[key] = val
 
     def __missing__(self, key):
         raise ConfigError(f"{self.name!r}: missing parameter {key!r}")
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def build(self, make):
+        """make(self); a key that make never read raises ConfigError."""
+        out = make(self)
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ConfigError(f"{self.name!r}: unknown parameter(s) "
+                              f"{', '.join(map(repr, unread))}")
+        return out
 
 
 def parse_name(name: str) -> Subequation:
@@ -605,7 +598,7 @@ def parse_name(name: str) -> Subequation:
     fam = name.split(":")[0]
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown catalog family {fam!r}")
-    return _FAMILIES[fam][0](_Params(name))
+    return _Params(name).build(_FAMILIES[fam][0])
 
 
 def dual_name(name: str) -> Optional[str]:

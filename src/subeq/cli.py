@@ -35,7 +35,7 @@ import numpy as np
 from .errors import SubeqError, ConfigError
 from .core import (JetBox, sample_jet_batch, axiom_check,
                    monotonicity_check, validate_registration, dual)
-from .catalog import parse_name, dual_name
+from .catalog import parse_name, dual_name, _Params
 from .garding import (named_polynomial, garding_eigenvalues,
                       hyperbolicity_check)
 from .riesz import riesz_characteristic
@@ -421,9 +421,8 @@ def _resolve_subeq(name: str, *exprs):
         return parse_name(f"{name}:n={_infer_n(*exprs)}")
 
 
-# each named domain family and the parameters it reads besides n
-_NAMED_DOMAINS = {"ball": ("radius",), "annulus": ("r_in", "r_out"),
-                  "ellipsoid": ("axes",), "star": ("lobes", "amp")}
+# the named domain families; each reads n and its own parameters
+_NAMED_DOMAINS = ("ball", "annulus", "ellipsoid", "star")
 
 
 def _resolve_domain(text: str, n: int = None):
@@ -435,30 +434,23 @@ def _resolve_domain(text: str, n: int = None):
         if n is None:
             n = _infer_n(text)
         return expression_domain(text, n)
-    kv = {}
-    for part in text.split(":")[1:]:
-        if "=" not in part:
-            raise ConfigError(f"bad domain parameter {part!r}")
-        k, v = part.split("=", 1)
-        kv[k] = v
-    unknown = sorted(set(kv) - {"n"} - set(_NAMED_DOMAINS[head]))
-    if unknown:
-        raise ConfigError(
-            f"unknown {head} parameter(s) {', '.join(unknown)}; expected "
-            f"{', '.join(('n',) + _NAMED_DOMAINS[head])}")
-    dn = int(kv.get("n", n or 2))
-    if head == "ball":
-        return _bd.ball_domain(dn, radius=float(kv.get("radius", 1.0)))
-    if head == "annulus":
-        return _bd.annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
-                                  r_out=float(kv.get("r_out", 1.0)))
-    if head == "ellipsoid":
-        axes = tuple(float(v) for v in kv.get("axes", "1.5,1").split(","))
-        if len(axes) != dn:
-            raise ConfigError(f"ellipsoid needs {dn} axes, got {len(axes)}")
-        return _bd.ellipsoid_domain(axes)
-    return _bd.star_domain(dn, lobes=int(kv.get("lobes", 5)),
-                           amplitude=float(kv.get("amp", 0.15)))
+
+    def make(kv):
+        dn = int(kv.get("n", n or 2))
+        if head == "ball":
+            return _bd.ball_domain(dn, radius=float(kv.get("radius", 1.0)))
+        if head == "annulus":
+            return _bd.annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
+                                      r_out=float(kv.get("r_out", 1.0)))
+        if head == "ellipsoid":
+            axes = tuple(float(v) for v in kv.get("axes", "1.5,1").split(","))
+            if len(axes) != dn:
+                raise ConfigError(
+                    f"ellipsoid needs {dn} axes, got {len(axes)}")
+            return _bd.ellipsoid_domain(axes)
+        return _bd.star_domain(dn, lobes=int(kv.get("lobes", 5)),
+                               amplitude=float(kv.get("amp", 0.15)))
+    return _Params(text).build(make)
 
 
 def _build_problem(args):

@@ -6,6 +6,7 @@ import pytest
 from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
 from subeq.catalog import _geometric, grassmann_sample
+from subeq.cli import _resolve_domain
 from subeq.core import Jet, axiom_check, shift
 from subeq.errors import ConfigError
 from subeq.garding import (HyperbolicPolynomial, branch_subequation,
@@ -85,6 +86,19 @@ class TestGrammar:
     def test_bad_parameter_values(self, name, msg):
         with pytest.raises(ConfigError, match=msg):
             parse_name(name)
+
+    @pytest.mark.parametrize("name, key", [
+        ("slag:C=0.5:n=2", "C"), ("geom:p=1:n=2:frame=8", "frame"),
+        ("appb:case=3:n=2:angel=30", "angel"),
+        ("appb:case=2:n=2:gamma=1", "gamma"),
+        ("branch:real:k=1:n=2:k=2", "k"),
+        ("annulus:n=2:r_in=0.3:r_in=0.4", "r_in"),
+    ])
+    def test_unknown_or_repeated_key(self, name, key):
+        # catalog and named domain names share one parser
+        resolve = _resolve_domain if name.startswith("annulus") else parse_name
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            resolve(name)
 
 
 class TestRealBranches:

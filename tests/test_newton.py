@@ -17,7 +17,7 @@ from subeq import parse_name
 from subeq.boundary import ball_domain
 from subeq.expressions import expression_domain, parse_expression
 from subeq.grid import Grid, GridProblem, JetAssembler, SolverParams
-from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder,
+from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder, _gmres,
                           _prolong, _solve_loop, dual_bracket_solve,
                           obstacle_solve, perron_solve)
 
@@ -236,6 +236,29 @@ class TestMaskedNewton:
                                         lambda x: x[:, 0] ** 2))
         assert rep.newton_abandoned is None
         assert rep.converged and rep.sweeps <= 2
+
+
+class TestNewtonExits:
+    """The reasons a Newton level is abandoned, one small repro each."""
+
+    @pytest.mark.parametrize("bc, bounds, m, domain, reason", [
+        # e^800 overflows in the first residual
+        ("800", BOX, 9, None, "non-finite residual"),
+        ("800*x", BOX, 9, None, "line search"),
+        # at A = 0 the two branches of the min tie: no elliptic coefficient
+        ("0", DISK, 13, ball_domain(2), "no elliptic mean coefficient"),
+    ])
+    def test_cy_reason(self, bc, bounds, m, domain, reason):
+        P = problem("cy:n=2", m, bc=parse_expression(bc), bounds=bounds,
+                    domain=domain)
+        with np.errstate(all="ignore"):
+            assert _NewtonLevel(P).run(None, 0)[3] == reason
+
+    def test_gmres_breakdown(self):
+        # a zero operator: the first Hessenberg column vanishes
+        x, its, ok = _gmres(lambda v: 0 * v, lambda v: v, np.ones(5), 0.1,
+                            20, 40)
+        assert (its, ok) == (1, False)
 
 
 class TestObstacleNewton:

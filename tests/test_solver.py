@@ -134,6 +134,14 @@ class TestDegenerateAndEmptyFibers:
         with pytest.warns(RuntimeWarning):
             _precheck(antilap)
 
+    def test_precheck_skips_x_dependent_sets(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("axiom_check called")
+        monkeypatch.setattr("subeq.solver.axiom_check", no_call)
+        F = Subequation(2, lambda r, p, A, x: np.trace(A, axis1=1, axis2=2),
+                        "x-dependent laplace", x_dependent=True)
+        _precheck(F)
+
 
 class TestObstacle:
     def test_slack_obstacle_reproduces_perron(self):
