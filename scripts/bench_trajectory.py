@@ -16,12 +16,14 @@ state.  Each checkout runs its own ``bench/``.
 
 ``diff`` prints, per workload and end-to-end metric, the median over seeds
 of each file, their ratio, and in how many seeds the second file is lower;
-then the failed operations of each file.
+then the same for each operation's median time, from the ``# op NAME: ...
+median_s=...`` lines; then the failed operations of each file.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -67,28 +69,45 @@ def run(args) -> None:
             fh.write("\n")
 
 
-def diff(args) -> None:
-    docs = []
-    for path in (args.old, args.new):
-        with open(path) as fh:
-            docs.append(json.load(fh))
-    table = []
-    for doc in docs:
-        t = {}
-        for rec in doc["runs"]:
-            for name, v in rec["result"]["metrics"].items():
-                t.setdefault((rec["workload"], name), {})[rec["seed"]] = v["value"]
-        table.append(t)
-    old, new = table
-    print(f"{'workload':16s} {'metric':12s} {'old':>10s} {'new':>10s} "
+OP_LINE = re.compile(r"# op (.+?): .*\bmedian_s=(\S+)")
+
+
+def _by_seed(doc) -> tuple:
+    """{(workload, name): {seed: value}} for the end-to-end metrics and for
+    the per-operation medians of the ``# op`` lines."""
+    metrics, ops = {}, {}
+    for rec in doc["runs"]:
+        w, seed = rec["workload"], rec["seed"]
+        for name, v in rec["result"]["metrics"].items():
+            metrics.setdefault((w, name), {})[seed] = v["value"]
+        for line in rec["env"]:
+            m = OP_LINE.match(line)
+            if m:
+                ops.setdefault((w, m[1]), {})[seed] = float(m[2])
+    return metrics, ops
+
+
+def _print_table(column: str, width: int, old: dict, new: dict) -> None:
+    print(f"{'workload':16s} {column:{width}s} {'old':>10s} {'new':>10s} "
           f"{'new/old':>8s}  lower in new")
     for key in sorted(set(old) & set(new)):
         seeds = sorted(set(old[key]) & set(new[key]))
         a = statistics.median(old[key][s] for s in seeds)
         b = statistics.median(new[key][s] for s in seeds)
         wins = sum(new[key][s] < old[key][s] for s in seeds)
-        print(f"{key[0]:16s} {key[1]:12s} {a:10.4g} {b:10.4g} {b / a:8.3f}  "
-              f"{wins}/{len(seeds)}")
+        print(f"{key[0]:16s} {key[1]:{width}s} {a:10.4g} {b:10.4g} "
+              f"{b / a:8.3f}  {wins}/{len(seeds)}")
+
+
+def diff(args) -> None:
+    docs = []
+    for path in (args.old, args.new):
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    (old, old_ops), (new, new_ops) = (_by_seed(doc) for doc in docs)
+    _print_table("metric", 12, old, new)
+    print()
+    _print_table("op median_s", 24, old_ops, new_ops)
     for path, doc in zip((args.old, args.new), docs):
         failed = sum(r["result"]["failed"] for r in doc["runs"])
         attempted = sum(r["result"]["attempted"] for r in doc["runs"])

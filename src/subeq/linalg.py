@@ -2,10 +2,15 @@
 used everywhere else in the package.
 
 Matrices here are small (n <= 16): second-derivative data of functions of a
-few variables.  The eigenvalue kernel is ``eigvalsh_batch`` (closed form
-for 2x2 stacks, LAPACK otherwise); polynomial roots come from the companion
-eigenvalues of ``poly_roots_batch``.  No other module calls an eigenvalue
-or root routine, except catalog appb case 5, which needs eigenvectors.
+few variables.  The eigenvalue kernel is ``eigvalsh_batch``: closed forms
+for 2x2 stacks (the quadratic formula) and for 3x3 stacks of at least
+``_EIG3_MIN_BATCH`` matrices (the trigonometric solution of the
+characteristic cubic, O. K. Smith 1961), LAPACK otherwise.  The 3x3 form
+sends rows near a repeated eigenvalue, where acos is ill-conditioned, and
+rows out of floating-point range to LAPACK.  Polynomial roots come from the
+companion eigenvalues of ``poly_roots_batch``.  No other module calls an
+eigenvalue or root routine, except catalog appb case 5, which needs
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -133,12 +138,85 @@ def _as_dense(A) -> np.ndarray:
 # batched eigenvalues and spectral functionals
 
 
+# Timings below: one BLAS thread on a shared 2-core x86 box.
+# |r| > 1 - tau goes to LAPACK.  On rotated spectra with gaps from 1 down to
+# 1e-12 the closed form's error is 7.5e-15, 2.2e-14 and 8.3e-14 * max|A| at
+# tau = 1e-3, 1e-4, 1e-5 (LAPACK's own: 1.7e-15), and 2.6%, 0.83% and 0.26%
+# of the calculus battery's 1.1e6 matrices fall back: 1e-4 keeps a 4x
+# margin under the 1e-13 the tests allow.
+_EIG3_TAU = 1e-4
+# ns per matrix on 1e5 random matrices: blocks of 1024, 4096, 16384 and the
+# whole stack take 178, 94, 91 and 210; 4096 is the smallest at the plateau.
+_EIG3_BLOCK = 4096
+# LAPACK takes 58 us for 64 matrices and 117 us for 128, the closed form 49
+# and 54 us, almost all of it per-call numpy dispatch; a stack whose rows
+# all fall back pays both (101 us against 39 for 128 repeated spectra), so
+# smaller stacks, such as the solver's per-colour node updates, keep LAPACK.
+_EIG3_MIN_BATCH = 128
+
+
+def _eigvalsh_3x3(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an (N, 3, 3) stack by the trigonometric
+    solution of the characteristic cubic, rows near a repeated eigenvalue
+    or out of floating-point range by LAPACK."""
+    N = len(A)
+    out = np.empty((N, 3))
+    guarded = np.zeros(N, dtype=bool)
+    # out-of-range rows make NaN and inf here, and the guard sends them on
+    with np.errstate(all="ignore"):
+        for s in range(0, N, _EIG3_BLOCK):
+            a = A[s:s + _EIG3_BLOCK].reshape(-1, 9).T
+            q = (a[0] + a[4] + a[8]) / 3.0
+            b00, b11, b22 = a[0] - q, a[4] - q, a[8] - q
+            b01 = 0.5 * (a[1] + a[3])
+            b02 = 0.5 * (a[2] + a[6])
+            b12 = 0.5 * (a[5] + a[7])
+            p2 = (b00 * b00 + b11 * b11 + b22 * b22
+                  + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0
+            p = np.sqrt(p2)
+            # r = det(B / p) / 2, taken on the scaled matrix so that p^3 and
+            # det B cannot overflow or underflow
+            inv = 1.0 / p
+            c00, c11, c22 = b00 * inv, b11 * inv, b22 * inv
+            c01, c02, c12 = b01 * inv, b02 * inv, b12 * inv
+            r = 0.5 * (c00 * (c11 * c22 - c12 * c12)
+                       - c01 * (c01 * c22 - c12 * c02)
+                       + c02 * (c01 * c12 - c11 * c02))
+            # NaN r (p = 0, non-finite entries) fails the first test; p2
+            # subnormal or infinite makes r meaningless and fails the others
+            ok = ((np.abs(r) <= 1.0 - _EIG3_TAU)
+                  & (p2 >= np.finfo(float).tiny) & (p2 < np.inf))
+            phi = np.arccos(r) / 3.0
+            hi = q + 2.0 * p * np.cos(phi)
+            lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+            o = out[s:s + _EIG3_BLOCK]
+            o[:, 0] = lo
+            # where the spread p is near rounding of q (A close to qI),
+            # 3q - hi - lo can fall just outside [lo, hi]
+            o[:, 1] = np.clip(3.0 * q - hi - lo, lo, hi)
+            o[:, 2] = hi
+            guarded[s:s + _EIG3_BLOCK] = ~ok
+    if guarded.any():
+        out[guarded] = np.linalg.eigvalsh(A[guarded])
+    return out
+
+
 def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of symmetric matrices (N, n, n).
 
     2x2 stacks use the closed quadratic formula (per-call LAPACK overhead
-    dominates at that size, and the solver's inner loop hits this path);
-    everything else is LAPACK-backed.  The two paths agree to roundoff
+    dominates at that size, and the solver's inner loop hits this path).
+    3x3 stacks of at least ``_EIG3_MIN_BATCH`` matrices use the
+    trigonometric solution of the characteristic cubic: with q = tr A / 3,
+    B = A - qI, p = sqrt(tr B^2 / 6) and r = det(B / p) / 2, the extreme
+    eigenvalues are q + 2p cos(acos(r)/3 + 2 pi k/3) and the middle one is
+    3q minus the other two, clamped between them, computed in blocks of
+    ``_EIG3_BLOCK`` matrices.
+    acos is ill-conditioned at |r| = 1, a repeated eigenvalue, so rows with
+    |r| > 1 - ``_EIG3_TAU``, p = 0, non-finite entries or tr B^2 outside
+    the normal floating-point range go to LAPACK.  Both closed forms read
+    the mean of each off-diagonal pair.  Smaller 3x3 stacks and every other
+    size are LAPACK-backed.  The paths agree with LAPACK to 1e-13 * max|A|
     (cross-checked in the tests).
     """
     A = np.asarray(A, dtype=float)
@@ -147,6 +225,8 @@ def eigvalsh_batch(A: np.ndarray) -> np.ndarray:
         b = 0.5 * (A[:, 0, 1] + A[:, 1, 0])
         disc = np.sqrt((0.5 * (A[:, 0, 0] - A[:, 1, 1])) ** 2 + b * b)
         return np.stack([half_tr - disc, half_tr + disc], axis=1)
+    if A.shape[-1] == 3 and A.ndim == 3 and len(A) >= _EIG3_MIN_BATCH:
+        return _eigvalsh_3x3(A)
     return np.linalg.eigvalsh(A)
 
 

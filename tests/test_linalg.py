@@ -11,7 +11,7 @@ from subeq import dual, parse_name
 import subeq
 from subeq.linalg import (SymMatrix, eigvalsh_batch, esym_batch,
                           ComplexStructure, hermitian_part_batch,
-                          poly_roots_batch)
+                          poly_roots_batch, _EIG3_BLOCK, _EIG3_MIN_BATCH)
 
 from conftest import random_sym
 
@@ -94,6 +94,96 @@ class TestEigen:
         got = poly_roots_batch(c)
         for ci, gi in zip(c, got):
             assert np.array_equal(gi, np.roots(ci))
+
+
+def rotated(rng, spectra):
+    """Q diag(spectrum) Q^T with Haar-random orthogonal Q, one per row."""
+    Q, R = np.linalg.qr(rng.standard_normal((len(spectra), 3, 3)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    A = np.einsum("nij,nj,nkj->nik", Q, spectra, Q)
+    return 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
+def assert_matches_lapack(A, got):
+    """Ascending rows within 1e-13 * max|A| of LAPACK, row by row."""
+    want = np.linalg.eigvalsh(A)
+    scale = np.abs(A).reshape(len(A), -1).max(axis=1)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+    assert np.all(np.diff(got, axis=1) >= 0)
+
+
+class TestClosedForm3x3:
+    """3x3 stacks of at least _EIG3_MIN_BATCH matrices take the closed form,
+    with LAPACK for the rows its guard sends back."""
+
+    N = _EIG3_MIN_BATCH
+
+    @pytest.mark.parametrize("end", ["bottom", "top"])
+    def test_near_repeated_eigenvalues(self, rng, end):
+        gaps = np.logspace(0, -12, 4 * self.N)
+        ones = np.ones_like(gaps)
+        spectra = (np.stack([-ones, -1 + gaps, ones], axis=1) if end == "bottom"
+                   else np.stack([-ones, 1 - gaps, ones], axis=1))
+        A = rotated(rng, spectra)
+        assert_matches_lapack(A, eigvalsh_batch(A))
+
+    @pytest.mark.parametrize("kind", ["double", "triple", "identity", "shift",
+                                      "scale"])
+    def test_degenerate_shifted_and_scaled(self, rng, kind):
+        N = self.N
+        t = rng.uniform(-3, 3, N)
+        if kind == "double":
+            A = np.stack([np.diag([a, a, 2 * a + 1]) for a in t])
+            A = np.concatenate([A, rotated(rng, np.stack(
+                [t, t, t + rng.uniform(0.1, 3, N)], axis=1))])
+        elif kind == "triple":
+            A = rotated(rng, np.repeat(t[:, None], 3, axis=1))
+        elif kind == "identity":
+            A = 10.0 ** rng.uniform(-300, 300, N)[:, None, None] * np.eye(3)
+        elif kind == "shift":
+            A = (random_sym(rng, 3, size=N)
+                 + 10.0 ** rng.uniform(0, 8, N)[:, None, None] * np.eye(3))
+        else:
+            A = (random_sym(rng, 3, size=N)
+                 * 10.0 ** rng.uniform(-150, 150, N)[:, None, None])
+        assert_matches_lapack(A, eigvalsh_batch(A))
+
+    def test_non_finite_rows_behave_as_lapack(self, rng):
+        A = random_sym(rng, 3, size=self.N)
+        A[3, 0, 0] = np.inf
+        A[5, 1, 2] = A[5, 2, 1] = -np.inf
+        A[8, 0, 2] = np.inf             # upper triangle only: LAPACK reads L
+        got, want = eigvalsh_batch(A), np.linalg.eigvalsh(A)
+        rows = [3, 5, 8]
+        assert np.array_equal(got[rows], want[rows], equal_nan=True)
+        assert np.isnan(got[[3, 5]]).all() and np.isfinite(got[8]).all()
+        A[9, 1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigvalsh_batch(A)
+
+    def test_blocks_mix_guarded_and_closed_form_rows(self, rng):
+        N = 2 * _EIG3_BLOCK + 300
+        A = random_sym(rng, 3, size=N)
+        # every seventh row has a double eigenvalue and goes to LAPACK,
+        # which gives it the bits it gets in a call on the whole stack
+        rows = np.arange(0, N, 7)
+        t = rng.uniform(-3, 3, len(rows))
+        A[rows] = rotated(rng, np.stack([t, t + 1, t + 1], axis=1))
+        got = eigvalsh_batch(A)
+        assert_matches_lapack(A, got)
+        assert np.array_equal(got[rows], np.linalg.eigvalsh(A[rows]))
+
+    def test_batch_size_threshold(self, rng):
+        A = random_sym(rng, 3, size=self.N + 1)
+        below = A[:self.N - 1]
+        assert np.array_equal(eigvalsh_batch(below), np.linalg.eigvalsh(below))
+        for size in (self.N, self.N + 1):
+            got = eigvalsh_batch(A[:size])
+            assert_matches_lapack(A[:size], got)
+        # the closed form is used from the threshold on: its last bits differ
+        assert not np.array_equal(got, np.linalg.eigvalsh(A))
 
 
 EIGEN_CALLS = {"eigvalsh", "eigh", "eigvals", "eig", "roots"}
