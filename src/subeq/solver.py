@@ -87,7 +87,6 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Optional
@@ -360,34 +359,19 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     return report
 
 
-# the precheck's warnings for each set, by object identity: the checks are
-# seeded, so a set is checked once; an entry goes when its set does
-_PRECHECKED: dict = {}
-
-
 def _precheck(F: Subequation):
-    """Warn when the sampled axiom checks of F find violations, or cannot
-    sample F.  The checks run on the first solve of F; later solves repeat
-    the warnings they recorded."""
     if F.x_dependent:
         return
-    key = id(F)
-    if key not in _PRECHECKED:
-        found = []
-        try:
-            for ax in ("P", "N"):
-                rep = axiom_check(F, ax, trials=512, seed=7)
-                if rep.violations:
-                    found.append(
-                        f"{F.label}: sampled axiom ({ax}) check found "
-                        f"{rep.violations} violations; solver semantics rely "
-                        "on it")
-        except SamplerExhausted:
-            found.append(f"{F.label}: axiom precheck skipped")
-        _PRECHECKED[key] = found
-        weakref.finalize(F, _PRECHECKED.pop, key, None)
-    for msg in _PRECHECKED[key]:
-        warnings.warn(msg, RuntimeWarning)
+    try:
+        for ax in ("P", "N"):
+            rep = axiom_check(F, ax, trials=512, seed=7)
+            if rep.violations:
+                warnings.warn(
+                    f"{F.label}: sampled axiom ({ax}) check found "
+                    f"{rep.violations} violations; solver semantics rely on it",
+                    RuntimeWarning)
+    except SamplerExhausted:
+        warnings.warn(f"{F.label}: axiom precheck skipped", RuntimeWarning)
 
 
 def _cascade_ladder(P: GridProblem) -> list:

@@ -8,7 +8,7 @@ import pytest
 
 from subeq import parse_name
 from subeq.boundary import ball_domain
-from subeq.core import Subequation, axiom_check
+from subeq.core import Subequation
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.solver import (SolveReport, _NodeUpdater, _refine_axis, _prolong,
@@ -127,21 +127,12 @@ class TestDegenerateAndEmptyFibers:
             with pytest.raises(BracketError):
                 perron_solve(P)
 
-    def test_precheck_warns_on_bad_axioms(self, monkeypatch):
+    def test_precheck_warns_on_bad_axioms(self):
         antilap = Subequation(
             2, lambda r, p, A: -np.trace(np.atleast_3d(A).reshape(-1, 2, 2),
                                          axis1=1, axis2=2), "anti")
-        with pytest.warns(RuntimeWarning) as first:
+        with pytest.warns(RuntimeWarning):
             _precheck(antilap)
-
-        def no_call(*args, **kwargs):
-            raise AssertionError("axiom_check called")
-        # a later call on the same set repeats the warnings, unchecked
-        monkeypatch.setattr("subeq.solver.axiom_check", no_call)
-        with pytest.warns(RuntimeWarning) as again:
-            _precheck(antilap)
-        assert [str(w.message) for w in again] == \
-            [str(w.message) for w in first]
 
     def test_precheck_skips_x_dependent_sets(self, monkeypatch):
         def no_call(*args, **kwargs):
@@ -150,39 +141,6 @@ class TestDegenerateAndEmptyFibers:
         F = Subequation(2, lambda r, p, A, x: np.trace(A, axis1=1, axis2=2),
                         "x-dependent laplace", x_dependent=True)
         _precheck(F)
-
-    def test_precheck_runs_once_per_set(self, monkeypatch):
-        import subeq.solver
-        calls = []
-
-        def counted(F, axiom, **kwargs):
-            calls.append((F.label, axiom))
-            return axiom_check(F, axiom, **kwargs)
-
-        monkeypatch.setattr(subeq.solver, "axiom_check", counted)
-        F = replace(parse_name("laplace:n=2"), label="fresh laplace")
-        P = GridProblem(Grid.regular([(0, 1), (0, 1)], 9), F, saddle)
-        first = perron_solve(P)
-        assert calls == [("fresh laplace", "P"), ("fresh laplace", "N")]
-        second = perron_solve(P)
-        assert len(calls) == 2
-        assert np.array_equal(first.u, second.u, equal_nan=True)
-        # an equal set that is another object is checked again
-        perron_solve(GridProblem(P.grid, replace(F), saddle))
-        assert len(calls) == 4
-
-    def test_precheck_keeps_no_set_alive(self):
-        import gc
-        import weakref
-        import subeq.solver
-        F = replace(parse_name("laplace:n=2"), label="short-lived")
-        _precheck(F)
-        key, ref = id(F), weakref.ref(F)
-        assert key in subeq.solver._PRECHECKED
-        del F
-        gc.collect()
-        assert ref() is None
-        assert key not in subeq.solver._PRECHECKED
 
 
 class TestObstacle:
