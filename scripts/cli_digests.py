@@ -51,6 +51,12 @@ CONFIGS = [
     ("check-appb3", ["check", "--subeq", "appb:case=3:n=3:angle=30"]),
     # M(gamma, D, R) with the r-term alone
     ("check-appb2", ["check", "--subeq", "appb:case=2:n=2"]),
+    # pure second-order sets without a spectral form: members are decided
+    # on A before r and p are drawn
+    ("check-complex", ["check", "--subeq", "branch:complex:k=1:n=2"]),
+    ("check-quaternionic", ["check", "--subeq",
+                            "branch:quaternionic:k=1:n=2"]),
+    ("check-geom", ["check", "--subeq", "geom:p=1:n=3"]),
     # a key the family never reads: exit 3 with a config_error report
     ("check-unknown-key", ["check", "--subeq", "slag:C=0.5:n=2"]),
     ("dual-branch", ["dual-test", "--subeq", "branch:real:k=1:n=3"]),

@@ -2,11 +2,13 @@
 
 Every entry authors its defining function so that the represented closed set
 is {rho >= 0} and the interior is {rho > 0} (the registration contract).
-Ordered spectra come from ``linalg.eigvalsh_batch``; only appb case 5, which
-also needs eigenvectors, calls ``np.linalg.eigh``.  The O(n)-invariant
-entries (real branches, pcone, pbranch, pucci, delta, deltabranch, sigma,
-slag) are stated once, as a function of the ascending spectrum, through
-``_spectral_entry``; laplace keeps its trace and carries the spectral sum.
+Ordered spectra come from ``linalg.eigvalsh_batch``, and the complex and
+quaternionic field spectra from ``linalg.field_eigvalsh_batch``; only appb
+case 5, which also needs eigenvectors, calls ``np.linalg.eigh``.  The
+O(n)-invariant entries (real branches, pcone, pbranch, pucci, delta,
+deltabranch, sigma, slag) are stated once, as a function of the ascending
+spectrum, through ``_spectral_entry``; laplace keeps its trace and carries
+the spectral sum.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -26,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GeometryError
 from .core import Subequation, _ball, _haar_psd
-from .linalg import (ComplexStructure, hermitian_part_batch, eigvalsh_batch,
-                     esym_batch)
+from .linalg import (ComplexStructure, eigvalsh_batch, esym_batch,
+                     field_eigvalsh_batch)
 
 
 def _as_batch(A) -> np.ndarray:
@@ -179,8 +181,7 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
 
     ``n`` counts eigenvalues over the field; the ambient real dimension is
     n, 2n, 4n for kind real, complex, quaternionic.  Field eigenvalues are
-    read off the real spectrum of the hermitian symmetric part, which
-    repeats each of them 2 (complex) or 4 (quaternionic) times.
+    those of the hermitian symmetric part (``field_eigvalsh_batch``).
     """
     if not (1 <= k <= n):
         raise ConfigError(f"branch index k={k} out of range 1..{n}")
@@ -189,17 +190,14 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
                                f"branch:real:k={k}:n={n}")
     if kind == "complex":
         structure = ComplexStructure.standard_complex(n)
-        mult = 2
     elif kind == "quaternionic":
         structure = ComplexStructure.standard_quaternionic(n)
-        mult = 4
     else:
         raise ConfigError(f"unknown branch kind {kind!r}")
 
-    def rho(r, p, A, _s=structure, _i=mult * (k - 1)):
-        H = hermitian_part_batch(_as_batch(A), _s)
-        return eigvalsh_batch(H)[:, _i]
-    return Subequation(mult * n, rho, f"branch:{kind}:k={k}:n={n}",
+    def rho(r, p, A, _s=structure, _i=k - 1):
+        return field_eigvalsh_batch(A, _s)[:, _i]
+    return Subequation(structure.dim, rho, f"branch:{kind}:k={k}:n={n}",
                        pure_second_order=True, reduced=True, cone=True)
 
 

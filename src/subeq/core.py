@@ -119,9 +119,11 @@ class Subequation:
     """Constraint set {J : rho(x, J) >= 0} with structural flags.
 
     ``rho_batch`` is the single source of truth; scalar evaluation wraps it.
-    Flags are advisory metadata used by downstream checks:
+    Flags are metadata used by downstream checks:
 
-    pure_second_order  membership ignores (r, p)
+    pure_second_order  rho ignores (r, p): ``rho_batch(r, p, A)`` equals
+                       ``rho_batch(0, 0, A)``, and ``sample_members`` decides
+                       membership on A before it draws r and p
     reduced            membership ignores r
     cone               rho keeps its sign along rays t J, t > 0
     x_dependent        rho reads the base point
@@ -323,6 +325,14 @@ class JetBox:
     eig_hi: float = 5.0
 
 
+# matrices per block of _haar_psd's row-wise update, so that its N-vectors
+# stay in cache.  ms for 4e4 matrices of n = 3 and 4 (one BLAS thread,
+# shared 2-core x86 box): blocks of 2048, 4096, 8192 and the whole stack
+# take 10.1/19.0, 8.6/16.6, 8.5/20.8 and 15.6/27.8, of which the draws
+# alone are 3.4/6.2; 4096 is best at n = 4 and on the plateau at n = 3.
+_HAAR_BLOCK = 4096
+
+
 def _haar_psd(rng: np.random.Generator, n: int, size: int,
               eig_lo: float = 0.0, eig_hi: float = 5.0,
               eigs: Optional[np.ndarray] = None) -> np.ndarray:
@@ -335,32 +345,53 @@ def _haar_psd(rng: np.random.Generator, n: int, size: int,
     coordinates and is built from a fresh standard normal vector, as in
     the Householder QR of a Gaussian matrix.  That QR's sign fix is a
     diagonal +-1 factor, which commutes with diag(eigs) and drops out.
-    Each reflection H = I - s s^t, |s|^2 = 2, conjugates the stack in
-    place as the symmetric rank-two update M - s y^t - y s^t with
-    y = M s - (s^t M s / 2) s, on (n, n, N) arrays, so every step is an
-    elementwise operation over the whole batch and every returned matrix
-    is exactly symmetric.  No QR or eigensolve is made.
+    Each reflection H = I - s s^t, |s|^2 = 2, conjugates the matrix as the
+    symmetric rank-two update M - s y^t - y s^t with
+    y = M s - (s^t M s / 2) s.  Only the upper triangle is updated, one
+    N-vector per entry, in blocks of ``_HAAR_BLOCK`` matrices, and entries
+    still zero are skipped; the lower triangle is its mirror, so every
+    returned matrix is exactly symmetric.  The spectra are drawn first,
+    then all the normal vectors.  No QR or eigensolve is made.
     """
     if eigs is None:
         eigs = rng.uniform(eig_lo, eig_hi, (size, n))
     lam = np.asarray(eigs, dtype=float).T
     N = lam.shape[1]
     X = rng.standard_normal((n * (n + 1) // 2 - 1, N))
-    M = np.zeros((n, n, N))
-    M[np.arange(n), np.arange(n)] = lam
-    row = 0
-    for k in range(n - 2, -1, -1):
-        x = X[row:row + n - k]
-        row += n - k
-        # s = sqrt(2) v / |v|, v = x + sign(x_0) |x| e_0
-        v = x.copy()
-        v[0] += np.copysign(np.sqrt((x * x).sum(0)), x[0])
-        s = v * (np.sqrt(2.0) / np.maximum(np.sqrt((v * v).sum(0)), 1e-300))
-        B = M[k:, k:]
-        w = (B * s[None]).sum(1)
-        y = w - 0.5 * (s * w).sum(0) * s
-        B -= s[:, None] * y[None] + y[:, None] * s[None]
-    return np.ascontiguousarray(M.transpose(2, 0, 1))
+    out = np.empty((N, n, n))
+    for b in range(0, N, _HAAR_BLOCK):
+        cols = slice(b, b + _HAAR_BLOCK)
+        # U[i][j], i <= j: the upper triangle; None is an entry still zero
+        U = [[None] * n for _ in range(n)]
+        for i in range(n):
+            U[i][i] = lam[i, cols].copy()
+        row = 0
+        for k in range(n - 2, -1, -1):
+            x = X[row:row + n - k, cols]
+            row += n - k
+            # s = sqrt(2) v / |v|, v = x + sign(x_0) |x| e_0
+            v = x.copy()
+            v[0] += np.copysign(np.sqrt((x * x).sum(0)), x[0])
+            s = v * (np.sqrt(2.0) / np.maximum(np.sqrt((v * v).sum(0)),
+                                               1e-300))
+            idx = range(k, n)
+            w = []
+            for i in idx:
+                terms = [U[min(i, j)][max(i, j)] * s[j - k] for j in idx
+                         if U[min(i, j)][max(i, j)] is not None]
+                w.append(sum(terms[1:], terms[0]))
+            half = 0.5 * sum((s[i] * w[i] for i in range(1, n - k)),
+                             s[0] * w[0])
+            y = [w[i] - half * s[i] for i in range(n - k)]
+            for i in idx:
+                for j in range(i, n):
+                    upd = s[i - k] * y[j - k] + y[i - k] * s[j - k]
+                    U[i][j] = -upd if U[i][j] is None else U[i][j] - upd
+        for i in range(n):
+            for j in range(i, n):
+                out[cols, i, j] = U[i][j]
+                out[cols, j, i] = U[i][j]
+    return out
 
 
 def _ball(rng: np.random.Generator, n: int, size: int,
@@ -381,17 +412,30 @@ def sample_jet_batch(box: JetBox, n: int, size: int,
     return r, p, A
 
 
-def _spectral_draw(F: Subequation, box: JetBox, rng: np.random.Generator,
-                   m: int, need: int, margin_min: float):
-    """Draw ``m`` spectra from the box, keep the first ``need`` whose
-    ``F.spectral`` clears ``margin_min``, and only for those draw r, p and
-    the rotation."""
-    eigs = rng.uniform(box.eig_lo, box.eig_hi, (m, F.n))
-    eigs = eigs[F.spectral(np.sort(eigs, axis=1)) >= margin_min][:need]
-    k = len(eigs)
+def _decide_first_draw(F: Subequation, box: JetBox,
+                       rng: np.random.Generator, m: int, need: int,
+                       margin_min: float):
+    """Draw ``m`` copies of the part of a jet that decides membership in
+    F, keep the first ``need`` that clear ``margin_min``, and only for those
+    draw the rest: r and p, and the rotation when the part is a spectrum.
+
+    A spectral F is decided on its spectrum, by ``F.spectral``; any other
+    pure second-order F on A, by ``value_batch(0, 0, A)``.  Since membership
+    reads nothing else, the kept jets have the law of plain rejection from
+    the box."""
+    if F.spectral is not None:
+        part = rng.uniform(box.eig_lo, box.eig_hi, (m, F.n))
+        vals = F.spectral(np.sort(part, axis=1))
+    else:
+        part = _haar_psd(rng, F.n, m, box.eig_lo, box.eig_hi)
+        vals = F.value_batch(np.zeros(m), np.zeros((m, F.n)), part)
+    part = part[vals >= margin_min][:need]
+    k = len(part)
     r = rng.uniform(box.r_lo, box.r_hi, k)
     p = _ball(rng, F.n, k, box.p_radius)
-    return r, p, _haar_psd(rng, F.n, k, eigs=eigs)
+    if F.spectral is not None:
+        part = _haar_psd(rng, F.n, k, eigs=part)
+    return r, p, part
 
 
 def _repeat_x(x, k: int) -> np.ndarray:
@@ -404,7 +448,7 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
                    x=None, cap: int = REJECTION_CAP):
     """Sample ``count`` jets of F with rho >= margin_min.
 
-    Jets are drawn in chunks by one of three recipes, and every drawn jet
+    Jets are drawn in chunks by one of four recipes, and every drawn jet
     is checked with ``F.value_batch``; those below ``margin_min`` are
     dropped and the chunks are topped up until ``count`` are kept.
 
@@ -413,22 +457,29 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
     * For a spectral F that does not read x: spectra uniform in the box,
       rejected on ``F.spectral`` before anything else is drawn; r, p and a
       Haar rotation are drawn for the survivors only, and no more of them
-      than are still needed.  Since membership depends on the spectrum
-      alone, the kept jets have the same law as those of plain rejection.
+      than are still needed.
+    * For any other pure second-order F that does not read x: A drawn from
+      the box and rejected on ``value_batch(0, 0, A)``; r and p are drawn
+      for the survivors only, again no more than are still needed.  On
+      both of these recipes membership depends on the drawn part alone, so
+      the kept jets have the same law as those of plain rejection
+      (:func:`_decide_first_draw`).
     * Otherwise plain rejection from the box (:func:`sample_jet_batch`).
 
-    Raises :class:`SamplerExhausted` once ``cap`` jets (spectra, on the
-    spectral recipe) have been drawn without keeping ``count``.
+    Raises :class:`SamplerExhausted` once ``cap`` jets (spectra or matrices,
+    on the second and third recipes) have been drawn without keeping
+    ``count``.
     """
     box = box or JetBox()
     chunk = max(1024, min(count * 4, 65536))
     if F.member_sampler is not None:
         first = count
         draw = lambda m, need: F.member_sampler(rng, m)
-    elif F.spectral is not None and not F.x_dependent:
+    elif ((F.spectral is not None or F.pure_second_order)
+          and not F.x_dependent):
         first = chunk
-        draw = lambda m, need: _spectral_draw(F, box, rng, m, need,
-                                              margin_min)
+        draw = lambda m, need: _decide_first_draw(F, box, rng, m, need,
+                                                  margin_min)
     else:
         first = chunk
         draw = lambda m, need: sample_jet_batch(box, F.n, m, rng)

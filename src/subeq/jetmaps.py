@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .core import Jet, Subequation
-from .linalg import (SymMatrix, _as_dense, hermitian_part_batch,
-                     ComplexStructure, eigvalsh_batch)
+from .linalg import (SymMatrix, _as_dense, ComplexStructure,
+                     field_eigvalsh_batch)
 
 MatField = Union[np.ndarray, Callable]      # (n,n) or x->(N,n,n)
 TenField = Union[np.ndarray, Callable]      # (n,n,n) or x->(N,n,n,n)
@@ -304,13 +304,9 @@ def complex_calabi_yau(m: int) -> Subequation:
     """Determinant-form constraint on R^{2m}: the hermitian part of A plus
     the identity must be positive with complex determinant at least one."""
     structure = ComplexStructure.standard_complex(m)
-    amb = 2 * m
 
     def rho(r, p, A, _s=structure):
-        H = hermitian_part_batch(np.asarray(A, dtype=float), _s)
-        B = H + np.eye(amb)[None, :, :]
-        eigs = eigvalsh_batch(B)
-        detc = eigs[:, 0::2].prod(axis=1)   # one copy of each doubled value
-        return np.minimum(eigs[:, 0], detc - 1.0)
+        mu = field_eigvalsh_batch(A, _s) + 1.0
+        return np.minimum(mu[:, 0], mu.prod(axis=1) - 1.0)
 
-    return Subequation(amb, rho, f"cy-complex:n={m}")
+    return Subequation(structure.dim, rho, f"cy-complex:n={m}")

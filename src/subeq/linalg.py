@@ -7,15 +7,21 @@ for 2x2 stacks (the quadratic formula) and for 3x3 stacks of at least
 ``_EIG3_MIN_BATCH`` matrices (the trigonometric solution of the
 characteristic cubic, O. K. Smith 1961), LAPACK otherwise.  The 3x3 form
 sends rows near a repeated eigenvalue, where acos is ill-conditioned, and
-rows out of floating-point range to LAPACK.  Polynomial roots come from the
-companion eigenvalues of ``poly_roots_batch``.  No other module calls an
-eigenvalue or root routine, except catalog appb case 5, which needs
-eigenvectors.
+rows out of floating-point range to LAPACK.  Field eigenvalues of the
+hermitian part for a complex or quaternionic structure come from
+``field_eigvalsh_batch``: the diagonal mean for one field dimension, and
+for two the closed form of the field matrix [[a, c], [conj(c), b]],
+mu = (a + b)/2 -+ sqrt(((a - b)/2)^2 + |c|^2), with a, b and |c|^2 read
+from the entries of A.  Polynomial roots come from the companion
+eigenvalues of ``poly_roots_batch``.  No other module calls an eigenvalue
+or root routine, except catalog appb case 5, which needs eigenvectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -328,6 +334,36 @@ class ComplexStructure:
     def dim(self) -> int:
         return {"complex": 2, "quaternionic": 4}[self.kind] * self.m
 
+    @cached_property
+    def _field_weights(self) -> Optional[np.ndarray]:
+        """Weights (D*D, K) that take a flattened (D, D) matrix A to the
+        entries of its hermitian part H that fix the field spectrum, or None
+        where ``field_eigvalsh_batch`` has no closed form.
+
+        That form needs m <= 2 and, for m = 2, structure matrices that are
+        block diagonal in the two field lines (D/2 x D/2 blocks), as the
+        standard ones are.  Then H is [[a I, X], [X^t, b I]] with X = |c|
+        times an orthogonal matrix, so the columns are a = H[0, 0], for
+        m = 2 also b = H[d, d] and the first column of X (|c|^2 is its
+        squared norm), and last the plain sum of A's entries, which is not
+        finite when an entry is not (or when the sum overflows).  Each
+        weight is H's entry on the symmetric part of A: off-diagonal pairs
+        are averaged.  Read-only.
+        """
+        D, m = self.dim, self.m
+        d = D // m
+        if m > 2 or any(np.any(S[:d, d:]) or np.any(S[d:, :d])
+                        for S in self.mats):
+            return None
+        E = np.eye(D * D).reshape(D * D, D, D)
+        H = hermitian_part_batch(0.5 * (E + E.transpose(0, 2, 1)), self)
+        cols = [H[:, 0, 0]]
+        if m == 2:
+            cols += [H[:, d, d]] + [H[:, i, d] for i in range(d)]
+        W = np.stack(cols + [np.ones(D * D)], axis=1)
+        W.flags.writeable = False
+        return W
+
     @classmethod
     def standard_complex(cls, m: int) -> "ComplexStructure":
         return cls("complex", m, (_standard_complex_J(m),))
@@ -348,3 +384,50 @@ def hermitian_part_batch(A: np.ndarray, structure: ComplexStructure) -> np.ndarr
     for S in structure.mats:
         acc = acc - S @ A @ S
     return acc / (1 + len(structure.mats))
+
+
+def field_eigvalsh_batch(A: np.ndarray,
+                         structure: ComplexStructure) -> np.ndarray:
+    """Ascending field eigenvalues (N, m) of the hermitian parts of an
+    (N, D, D) stack: the real spectrum of ``hermitian_part_batch`` repeats
+    each of them 2 (complex) or 4 (quaternionic) times.
+
+    For m = 1 the one eigenvalue is the diagonal mean of H.  For m = 2 the
+    field matrix is [[a, c], [conj(c), b]], so mu = (a + b)/2 -+
+    sqrt(((a - b)/2)^2 + |c|^2), with a, b and c read from A's entries by
+    one matrix product (``ComplexStructure._field_weights``); H is not
+    formed.  Rows with a non-finite entry, and rows whose
+    ((a - b)/2)^2 + |c|^2 leaves the normal floating-point range while
+    a != b or c != 0, take LAPACK on their hermitian parts; the first
+    behave as they do in LAPACK on the whole stack.  Other m, and m = 2
+    structures not block diagonal in the field lines, take
+    ``eigvalsh_batch`` of the hermitian part.
+    """
+    A = np.asarray(A, dtype=float)
+    mult = 1 + len(structure.mats)
+    W = structure._field_weights
+    if W is None:
+        return eigvalsh_batch(hermitian_part_batch(A, structure))[:, ::mult]
+    N = len(A)
+    V = A.reshape(N, len(W)) @ W
+    guarded = ~np.isfinite(V[:, -1])
+    if structure.m == 1:
+        out = V[:, :1].copy()
+    else:
+        # non-finite rows make NaN and inf here, and the guard sends them on
+        with np.errstate(all="ignore"):
+            a, b = V[:, 0], V[:, 1]
+            mean, half = 0.5 * (a + b), 0.5 * (a - b)
+            q = half * half + np.einsum("ni,ni->n", V[:, 2:-1], V[:, 2:-1])
+            disc = np.sqrt(q)
+        # squares that overflow or leave the normal range lose the spread,
+        # unless it is exactly zero
+        odd = ~((q >= np.finfo(float).tiny) & (q < np.inf))
+        if odd.any():
+            odd[odd] = (half[odd] != 0.0) | V[odd, 2:-1].any(axis=1)
+            guarded |= odd
+        out = np.stack([mean - disc, mean + disc], axis=1)
+    if guarded.any():
+        H = hermitian_part_batch(A[guarded], structure)
+        out[guarded] = np.linalg.eigvalsh(H)[:, ::mult]
+    return out

@@ -10,9 +10,9 @@ from subeq.cli import _resolve_domain
 from subeq.core import Jet, axiom_check, shift
 from subeq.errors import ConfigError
 from subeq.garding import (HyperbolicPolynomial, branch_subequation,
-                           garding_cone)
+                           garding_cone, named_polynomial)
 from subeq.jetmaps import AffineJetMap, transform_subequation
-from subeq.linalg import ComplexStructure, eigvalsh_batch
+from subeq.linalg import ComplexStructure, eigvalsh_batch, esym_batch
 
 from conftest import random_sym
 
@@ -501,3 +501,59 @@ class TestSpectralRepresentation:
             2, 2, lambda A: float(np.linalg.det(A)), label="gdet")
         assert garding_cone(Q).spectral is None
         assert branch_subequation(Q, 2).spectral is None
+
+
+def _pso_sets(n):
+    """Pure second-order sets of dimension n: the flagged catalog entries,
+    Garding branches (root-map and generic), their duals, and their images
+    under a linear jet map, which keeps the flag."""
+    names = _spectral_names(n) + [f"geom:p=1:n={n}:frames=16",
+                                  f"geom:p={n - 1}:n={n}:frames=16"]
+    if n % 2 == 0:
+        names += [f"branch:complex:k={k}:n={n // 2}"
+                  for k in range(1, n // 2 + 1)]
+    if n % 4 == 0:
+        names.append(f"branch:quaternionic:k=1:n={n // 4}")
+    sets = [parse_name(name) for name in names]
+    Q = named_polynomial("sigma:2", n)
+    sets += [branch_subequation(Q, k) for k in (1, Q.m)]
+    G = HyperbolicPolynomial.from_callable(
+        2, n, lambda A: float(esym_batch(eigvalsh_batch(A[None]), 2)[0, 2]),
+        label="s2-generic")
+    sets.append(branch_subequation(G, 2))
+    sets += [dual(F) for F in sets]
+    rng = np.random.default_rng(n)
+    phi = AffineJetMap.linear(rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n),
+                              rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n))
+    sets += [transform_subequation(F, phi) for F in sets[::3]]
+    return sets
+
+
+class TestPureSecondOrderContract:
+    """``core.sample_members`` decides membership of a pure second-order set
+    on A alone, before r and p are drawn; that needs rho(r, p, A) to be
+    rho(0, 0, A) bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_value_ignores_r_and_p_bitwise(self, rng, n):
+        r, p, A = _jets(rng, n, size=64)
+        z, zp = np.zeros(len(r)), np.zeros_like(p)
+        for F in _pso_sets(n):
+            assert F.pure_second_order, F.label
+            assert np.array_equal(F.value_batch(r, p, A),
+                                  F.value_batch(z, zp, A)), F.label
+
+    def test_flag_set_exactly_where_it_holds(self, rng):
+        pso = {name.split(":")[0] for name in _spectral_names(3)
+               if parse_name(name).pure_second_order}
+        assert pso == {"branch", "pcone", "pbranch", "pucci", "delta",
+                       "deltabranch", "appb", "sigma", "slag", "laplace"}
+        for name in ("cy:n=2", "klap:k=inf:n=2", "klap:k=3:n=2",
+                     "appb:case=2:n=2", "appb:case=5:n=2:lam=1",
+                     "appb:case=6:n=2:R=1"):
+            assert not parse_name(name).pure_second_order, name
+        # a gradient fill-in L makes an image read p
+        F = parse_name("branch:real:k=1:n=2")
+        L = rng.uniform(-1, 1, (2, 2, 2))
+        Psi = AffineJetMap.linear(np.eye(2), np.eye(2), L=L)
+        assert not transform_subequation(F, Psi).pure_second_order

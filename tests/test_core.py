@@ -11,7 +11,7 @@ from subeq import (Jet, JetBox, JetNorm, Subequation, dual, shift, member,
                    classify, axiom_check, monotonicity_check, sample_members,
                    sample_jet_batch, validate_registration,
                    asymptotic_interior_member, strict_member, parse_name)
-from subeq.core import _haar_psd, _unit_sphere_qmc
+from subeq.core import _decide_first_draw, _haar_psd, _unit_sphere_qmc
 from subeq.errors import DimensionMismatch, SamplerExhausted
 
 from conftest import random_sym
@@ -159,6 +159,27 @@ def haar_psd_qr(rng, n, size, eig_lo=0.0, eig_hi=5.0):
     return 0.5 * (A + np.swapaxes(A, 1, 2))
 
 
+def haar_psd_reference(rng, n, size, eig_lo=0.0, eig_hi=5.0):
+    """Reference Householder loop: the same reflections and draws as
+    ``_haar_psd``, each applied to the whole (n, n, N) stack at once."""
+    lam = rng.uniform(eig_lo, eig_hi, (size, n)).T
+    X = rng.standard_normal((n * (n + 1) // 2 - 1, size))
+    M = np.zeros((n, n, size))
+    M[np.arange(n), np.arange(n)] = lam
+    row = 0
+    for k in range(n - 2, -1, -1):
+        x = X[row:row + n - k]
+        row += n - k
+        v = x.copy()
+        v[0] += np.copysign(np.sqrt((x * x).sum(0)), x[0])
+        s = v * (np.sqrt(2.0) / np.maximum(np.sqrt((v * v).sum(0)), 1e-300))
+        B = M[k:, k:]
+        w = (B * s[None]).sum(1)
+        y = w - 0.5 * (s * w).sum(0) * s
+        B -= s[:, None] * y[None] + y[:, None] * s[None]
+    return np.ascontiguousarray(M.transpose(2, 0, 1))
+
+
 class TestHaarSampler:
     SIZE = 200_000
 
@@ -172,6 +193,17 @@ class TestHaarSampler:
             stats.append(lambda M: M[:, 0, 1] * M[:, 1, 2] * M[:, 0, 2])
         for f in stats:
             assert ks_2samp(f(A), f(B)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 300, 9000])
+    def test_matches_reference_loop_and_rng_stream(self, n, size):
+        # 9000 spans three blocks of the row-wise update
+        r1, r2 = np.random.default_rng(n), np.random.default_rng(n)
+        A = _haar_psd(r1, n, size, -5.0, 5.0)
+        B = haar_psd_reference(r2, n, size, -5.0, 5.0)
+        assert np.abs(A - B).max() <= 1e-13 * 5.0
+        assert np.array_equal(A, np.swapaxes(A, 1, 2))
+        assert r1.standard_normal() == r2.standard_normal()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_given_spectrum_exact_symmetry(self, n):
@@ -230,6 +262,60 @@ class TestSpectrumFirst:
         r, p, A = sample_members(Fd, 5000, np.random.default_rng(6),
                                  margin_min=1e-9)
         assert len(r) == 5000 and Fd.value_batch(r, p, A).min() >= 1e-9
+
+
+class TestMatrixFirst:
+    """Pure second-order sets without a spectral form draw A, reject on it,
+    and draw r and p for the survivors only."""
+
+    NAMES = ["branch:complex:k=1:n=2", "geom:p=1:n=3:frames=64",
+             "branch:quaternionic:k=1:n=1"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_kept_jets_are_members_inside_the_box(self, name):
+        F = parse_name(name)
+        box = JetBox(r_lo=-1.0, r_hi=2.0, p_radius=0.5)
+        r, p, A = sample_members(F, 3000, np.random.default_rng(4), box=box,
+                                 margin_min=0.25)
+        assert len(r) == 3000 and p.shape == (3000, F.n)
+        assert F.value_batch(r, p, A).min() >= 0.25
+        assert r.min() >= -1.0 and r.max() <= 2.0
+        assert np.linalg.norm(p, axis=1).max() <= 0.5
+
+    def test_acceptance_and_law_match_plain_rejection(self):
+        F = parse_name("branch:complex:k=1:n=2")
+        m = 100_000
+        r, p, A = _decide_first_draw(F, JetBox(), np.random.default_rng(1),
+                                     m, m, 0.0)
+        rb, pb, Ab = sample_jet_batch(JetBox(), F.n, m,
+                                      np.random.default_rng(2))
+        keep = F.value_batch(rb, pb, Ab) >= 0.0
+        rate, box_rate = len(r) / m, keep.mean()
+        sd = np.sqrt(2 * box_rate * (1 - box_rate) / m)
+        assert abs(rate - box_rate) <= 5 * sd
+        # the same set with the flag dropped takes plain rejection
+        G = replace(F, pure_second_order=False)
+        r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(3))
+        for a, b in [(r, r2), (np.linalg.norm(p, axis=1),
+                               np.linalg.norm(p2, axis=1)),
+                     (A[:, 0, 0], A2[:, 0, 0]), (A[:, 0, 3], A2[:, 0, 3]),
+                     (np.einsum("nii->n", A), np.einsum("nii->n", A2))]:
+            assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_draws_stop_at_need(self):
+        F = parse_name("branch:complex:k=1:n=2")
+        rng = np.random.default_rng(5)
+        r, p, A = _decide_first_draw(F, JetBox(), rng, 4096, 10, 0.0)
+        assert len(r) == len(p) == len(A) == 10
+
+    def test_x_dependent_images_keep_plain_rejection(self):
+        from subeq.jetmaps import inhom_branch
+        F = inhom_branch(1, 2, lambda x: x[:, 0])
+        assert F.pure_second_order and F.x_dependent
+        x = np.array([0.5, 0.0])
+        r, p, A = sample_members(F, 500, np.random.default_rng(6), x=x)
+        xb = np.repeat(x[None], 500, 0)
+        assert F.value_batch(r, p, A, x=xb).min() >= 0.0
 
 
 class TestSphereQMC:

@@ -5,7 +5,8 @@ import pytest
 
 from subeq import parse_name, dual
 from subeq.core import Jet
-from subeq.linalg import SymMatrix
+from subeq.linalg import (ComplexStructure, SymMatrix,
+                          hermitian_part_batch)
 from subeq.errors import ConfigError, DimensionMismatch
 from subeq.jetmaps import (AffineJetMap, apply, apply_batch, compose, invert,
                            linear_part, negate_translation,
@@ -225,6 +226,21 @@ class TestStockConstructions:
         A = (-3.0 * np.eye(2))[None]
         assert np.isclose(F.value_batch(np.zeros(1), np.zeros((1, 2)), A)[0],
                           -3.0, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_complex_cy_matches_the_doubled_spectrum(self, rng, m):
+        # reference: the real spectrum of H + I repeats each field
+        # eigenvalue twice; every other one is a field eigenvalue
+        F = complex_calabi_yau(m)
+        A = random_sym(rng, 2 * m, size=256) * rng.uniform(0.01, 3, 256)[
+            :, None, None]
+        H = hermitian_part_batch(A, ComplexStructure.standard_complex(m))
+        eigs = np.linalg.eigvalsh(H + np.eye(2 * m))
+        want = np.minimum(eigs[:, 0], eigs[:, 0::2].prod(axis=1) - 1.0)
+        got = F.value_batch(np.zeros(256), np.zeros((256, 2 * m)), A)
+        scale = np.abs(A).reshape(256, -1).max(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(scale, 1.0)
+                      * np.maximum(1.0, np.abs(want)))
 
     def test_complex_cy_axioms(self, rng):
         F = complex_calabi_yau(2)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from subeq import dual, parse_name
 import subeq
 from subeq.linalg import (SymMatrix, eigvalsh_batch, esym_batch,
-                          ComplexStructure, hermitian_part_batch,
-                          poly_roots_batch, _EIG3_BLOCK, _EIG3_MIN_BATCH)
+                          ComplexStructure, field_eigvalsh_batch,
+                          hermitian_part_batch, poly_roots_batch,
+                          _EIG3_BLOCK, _EIG3_MIN_BATCH)
 
 from conftest import random_sym
 
@@ -287,6 +288,104 @@ class TestHermitianPart:
         H = hermitian_part_batch(A[None], Q)[0]
         w = np.linalg.eigvalsh(H)
         assert np.allclose(w.reshape(2, 4), w.reshape(2, 4)[:, :1], atol=1e-8)
+
+
+STRUCTURES = {
+    "C1": ComplexStructure.standard_complex(1),
+    "C2": ComplexStructure.standard_complex(2),
+    "C3": ComplexStructure.standard_complex(3),
+    "H1": ComplexStructure.standard_quaternionic(1),
+    "H2": ComplexStructure.standard_quaternionic(2),
+}
+
+
+def lapack_field_eigs(A, S):
+    """Oracle: every (2 or 4)-th of LAPACK's spectrum of the hermitian part."""
+    return np.linalg.eigvalsh(hermitian_part_batch(A, S))[:, ::1 + len(S.mats)]
+
+
+class TestFieldEigenvalues:
+    """field_eigvalsh_batch against LAPACK on hermitian_part_batch: closed
+    forms for one and two field dimensions, LAPACK beyond."""
+
+    @staticmethod
+    def assert_close(A, S, got):
+        want = lapack_field_eigs(A, S)
+        scale = np.abs(A).reshape(len(A), -1).max(axis=1)
+        assert got.shape == (len(A), S.m)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+        assert np.all(np.diff(got, axis=1) >= 0)
+
+    @pytest.mark.parametrize("key", sorted(STRUCTURES))
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_matches_lapack(self, rng, key, scale):
+        S = STRUCTURES[key]
+        A = random_sym(rng, S.dim, size=256) * scale
+        self.assert_close(A, S, field_eigvalsh_batch(A, S))
+
+    @pytest.mark.parametrize("key", ["C2", "H2"])
+    def test_repeated_and_near_repeated(self, rng, key):
+        S = STRUCTURES[key]
+        N = 256
+        t = rng.uniform(-3, 3, N)[:, None, None]
+        # t I plus a part the projection removes: field spectrum {t, t}
+        R = random_sym(rng, S.dim, size=N)
+        A = t * np.eye(S.dim) + R - hermitian_part_batch(R, S)
+        got = field_eigvalsh_batch(A, S)
+        self.assert_close(A, S, got)
+        assert np.allclose(got, t[:, :, 0], rtol=0, atol=1e-14 * 3)
+        # gaps from 1 down to 1e-12 around t
+        gaps = np.logspace(0, -12, N)[:, None, None]
+        A = t * np.eye(S.dim) + gaps * random_sym(rng, S.dim, size=N)
+        self.assert_close(A, S, field_eigvalsh_batch(A, S))
+        # exact zero matrices: q = 0 takes the closed form; so do empty
+        # stacks, such as a sampler chunk without survivors
+        for N in (4, 0):
+            got = field_eigvalsh_batch(np.zeros((N, S.dim, S.dim)), S)
+            assert np.array_equal(got, np.zeros((N, S.m)))
+
+    @pytest.mark.parametrize("key", sorted(STRUCTURES))
+    def test_non_finite_rows_behave_as_lapack(self, rng, key):
+        S = STRUCTURES[key]
+        for i, j, v in [(0, 0, np.inf), (0, S.dim - 1, -np.inf),
+                        (0, 1, np.inf), (1, 1, np.nan)]:
+            A = random_sym(rng, S.dim, size=8)
+            A[3, i, j] = v            # upper entry only, or the diagonal
+            with np.errstate(all="ignore"):
+                try:
+                    want = lapack_field_eigs(A, S)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        field_eigvalsh_batch(A, S)
+                    continue
+                got = field_eigvalsh_batch(A, S)
+            assert np.array_equal(got[3], want[3], equal_nan=True)
+            ok = np.arange(8) != 3
+            assert np.allclose(got[ok], want[ok], rtol=0, atol=1e-13 * 3)
+
+    @pytest.mark.parametrize("key", ["C2", "H2"])
+    def test_out_of_range_rows_take_lapack(self, rng, key):
+        # squares overflow above ~1e154 and lose bits below ~1e-154
+        S = STRUCTURES[key]
+        A = random_sym(rng, S.dim, size=64)
+        A[::2] *= 1e200
+        A[1::2] *= 1e-200
+        self.assert_close(A, S, field_eigvalsh_batch(A, S))
+
+    @pytest.mark.parametrize("key", ["C2", "H2"])
+    def test_rotated_structure_takes_lapack_and_agrees(self, rng, key):
+        # Q S Q^t is a structure whose field lines are not coordinate blocks:
+        # no closed form, and the field spectrum of Q A Q^t is that of A
+        S = STRUCTURES[key]
+        Q = np.linalg.qr(rng.standard_normal((S.dim, S.dim)))[0]
+        T = ComplexStructure(S.kind, S.m, tuple(Q @ M @ Q.T for M in S.mats))
+        assert T._field_weights is None and S._field_weights is not None
+        A = random_sym(rng, S.dim, size=64)
+        B = np.einsum("ij,njk,lk->nil", Q, A, Q)
+        got = field_eigvalsh_batch(B, T)
+        assert np.array_equal(got, lapack_field_eigs(B, T))
+        assert np.allclose(got, field_eigvalsh_batch(A, S), rtol=0,
+                           atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
