@@ -67,6 +67,9 @@ CONFIGS = [
                     "--cone", "appb:case=5:n=2:lam=1"]),
     ("mono-appb6", ["mono-test", "--subeq", "laplace:n=2",
                     "--cone", "appb:case=6:n=2:R=1"]),
+    # matrix-first draws for F, M and dual(F), F's at margin_min = eps_b
+    ("mono-complex", ["mono-test", "--subeq", "branch:complex:k=1:n=2",
+                      "--cone", "branch:complex:k=1:n=2"]),
     ("riesz-pucci", ["riesz", "--cone", "pucci:lam=1:Lam=2:n=3"]),
     ("riesz-pcone", ["riesz", "--cone", "pcone:p=2.5:n=4", "--tol", "1e-8"]),
     ("riesz-geom", ["riesz", "--cone", "geom:p=1:n=3:frames=64",

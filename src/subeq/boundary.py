@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .linalg import SymMatrix, eigvalsh_batch
 from .core import (Jet, Subequation, asymptotic_interior_member,
                    _unit_sphere_qmc, bisect)
@@ -274,6 +274,8 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     verdict requires all lam.  Reduced F collapses the grid to a single
     representative.
     """
+    if F.n != D.n:
+        raise ConfigError(f"operator dimension {F.n} != domain {D.n}")
     x = np.asarray(x, dtype=float)
     nu, II, T = second_fundamental_form(D, x)
     II_amb = T @ II.mat @ T.T
@@ -288,8 +290,7 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
         for t in ts[-n_last:]:
             A = t * np.outer(nu, nu) + II_amb
             J = Jet(lam, nu, SymMatrix.from_dense(A, check=False))
-            if not asymptotic_interior_member(
-                    F, J, x=x if F.x_dependent else None):
+            if not asymptotic_interior_member(F, J, x=x):
                 return False
         return True
 

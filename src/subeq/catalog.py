@@ -13,8 +13,9 @@ the spectral sum.
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
 the degenerate fiber p = 0.  On that fiber {rho >= 0} is a proper superset
-of the closure of {rho > 0}; everywhere else the contract holds.  The grid
-solver carries a dedicated update rule for these fibers.
+of the closure of {rho > 0}; everywhere else the contract holds.  There the
+grid solver takes the neighbour maximum, its generic rule for any fiber that
+never exits (``solver._NodeUpdater.solve``), not a rule of its own.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .linalg import SymMatrix
 
 DEFAULT_EPS_B = 1e-9
 REJECTION_CAP = 10 ** 6
-ILLINOIS_SLACK = 4      # steps a value-mode bisect may take beyond bisection's
+ILLINOIS_SLACK = 4      # steps illinois may take beyond bisection's
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +148,21 @@ class Subequation:
     def value(self, jet: Jet, x=None) -> float:
         if jet.n != self.n:
             raise DimensionMismatch(f"jet dim {jet.n} != subequation dim {self.n}")
-        r = np.array([jet.r])
-        p = jet.p[None, :]
-        A = jet.A.mat[None, :, :]
-        xb = None if x is None else np.asarray(x, dtype=float)[None, :]
-        return float(self.value_batch(r, p, A, xb)[0])
+        return float(self.value_batch(np.array([jet.r]), jet.p[None, :],
+                                      jet.A.mat[None, :, :], x)[0])
 
     def value_batch(self, r, p, A, x=None) -> np.ndarray:
-        if self.x_dependent:
-            if x is None:
-                raise ValueError(f"{self.label} needs base points x")
-            return np.asarray(self.rho_batch(r, p, A, x), dtype=float)
-        return np.asarray(self.rho_batch(r, p, A), dtype=float)
+        """rho on a batch of N jets.  ``x`` is read only when the set is
+        x_dependent, and then must be given: base points of shape (N, n), or
+        one point of shape (n,) that stands for the whole batch."""
+        if not self.x_dependent:
+            return np.asarray(self.rho_batch(r, p, A), dtype=float)
+        if x is None:
+            raise ValueError(f"{self.label} needs base points x")
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = np.repeat(x[None, :], len(A), 0)
+        return np.asarray(self.rho_batch(r, p, A, x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,7 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
 
 
 def bisect(accept: Callable, lo, hi, steps: int,
-           done: Optional[Callable] = None, *, ends: Optional[tuple] = None,
-           tol: float = 0.0):
+           done: Optional[Callable] = None):
     """Elementwise bisection of a monotone predicate; returns ``(lo, hi)``.
 
     Each step evaluates ``accept(mid)`` once at ``mid = (lo + hi) / 2``;
@@ -233,23 +235,7 @@ def bisect(accept: Callable, lo, hi, steps: int,
     ``lo``.  At most ``steps`` halvings are made.  When ``done(lo, hi)`` is
     given it is checked before every step: entries where it holds keep
     their bracket, and the loop stops once it holds everywhere.
-
-    Value mode, given ``ends = (g_lo, g_hi)``: ``accept(x, idx)`` returns a
-    nonincreasing margin g at ``x`` for the entries ``idx`` (indices into
-    ``lo``), membership is g >= 0, and the ends hold g(lo) >= 0 > g(hi).
-    Entries whose bracket is wider than ``tol`` > 0 step until it is not
-    (``done`` is not used); the others are never evaluated.  A step is an
-    Illinois step (Dowell and Jarratt, BIT 1971): the false-position point,
-    clipped to [lo + tol/2, hi - tol/2], with the margin of an end that
-    stays put twice in a row halved.  An entry takes one only while
-    k + 1 + ceil(log2(w / tol)) <= ceil(log2(w0 / tol)) + ``ILLINOIS_SLACK``
-    (k steps taken, w its width, w0 its starting width), and midpoints from
-    then on, so it needs at most ``ILLINOIS_SLACK`` steps more than
-    bisection (Oliveira and Takahashi, ACM TOMS 2020).  Every step keeps
-    ``lo`` a member and ``hi`` a non-member.
     """
-    if ends is not None:
-        return _illinois(accept, lo, hi, steps, ends, tol)
     for _ in range(steps):
         stop = np.False_ if done is None else done(lo, hi)
         if np.all(stop):
@@ -261,9 +247,25 @@ def bisect(accept: Callable, lo, hi, steps: int,
     return lo, hi
 
 
-def _illinois(g: Callable, lo, hi, steps: int, ends: tuple, tol: float):
-    """The value mode of :func:`bisect`.  The working arrays hold only the
-    entries still wider than ``tol``; finished ones are written back."""
+def illinois(g: Callable, lo, hi, steps: int, ends: tuple, tol: float):
+    """Elementwise root bracketing of a nonincreasing margin; returns
+    ``(lo, hi)``.
+
+    ``g(x, idx)`` returns the margin at ``x`` for the entries ``idx``
+    (indices into ``lo``), membership is g >= 0, and ``ends = (g_lo, g_hi)``
+    hold g(lo) >= 0 > g(hi).  Entries whose bracket is wider than ``tol`` > 0
+    step until it is not, at most ``steps`` times; the others are never
+    evaluated.  A step is an Illinois step (Dowell and Jarratt, BIT 1971):
+    the false-position point, clipped to [lo + tol/2, hi - tol/2], with the
+    margin of an end that stays put twice in a row halved.  An entry takes
+    one only while
+    k + 1 + ceil(log2(w / tol)) <= ceil(log2(w0 / tol)) + ``ILLINOIS_SLACK``
+    (k steps taken, w its width, w0 its starting width), and midpoints from
+    then on, so it needs at most ``ILLINOIS_SLACK`` steps more than
+    bisection (Oliveira and Takahashi, ACM TOMS 2020).  Every step keeps
+    ``lo`` a member and ``hi`` a non-member.  The working arrays hold only
+    the entries still wider than ``tol``; finished ones are written back.
+    """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = np.flatnonzero(hi - lo > tol)
     l, h = lo[live], hi[live]
@@ -412,6 +414,12 @@ def sample_jet_batch(box: JetBox, n: int, size: int,
     return r, p, A
 
 
+def _kept(F: Subequation, jets: tuple, margin_min: float, x=None):
+    """The jets (r, p, A) of the batch ``jets`` with rho >= margin_min."""
+    keep = F.value_batch(*jets, x) >= margin_min
+    return tuple(a[keep] for a in jets)
+
+
 def _decide_first_draw(F: Subequation, box: JetBox,
                        rng: np.random.Generator, m: int, need: int,
                        margin_min: float):
@@ -419,10 +427,12 @@ def _decide_first_draw(F: Subequation, box: JetBox,
     F, keep the first ``need`` that clear ``margin_min``, and only for those
     draw the rest: r and p, and the rotation when the part is a spectrum.
 
-    A spectral F is decided on its spectrum, by ``F.spectral``; any other
-    pure second-order F on A, by ``value_batch(0, 0, A)``.  Since membership
-    reads nothing else, the kept jets have the law of plain rejection from
-    the box."""
+    A spectral F is decided on its spectrum, by ``F.spectral``, and the
+    rotated jets are checked once more with ``value_batch``, since f on
+    sorted spectra can differ from ``rho_batch`` by rounding.  Any other
+    pure second-order F is decided on A alone, by ``value_batch(0, 0, A)``.
+    Since membership reads nothing else, the kept jets have the law of
+    plain rejection from the box."""
     if F.spectral is not None:
         part = rng.uniform(box.eig_lo, box.eig_hi, (m, F.n))
         vals = F.spectral(np.sort(part, axis=1))
@@ -433,57 +443,55 @@ def _decide_first_draw(F: Subequation, box: JetBox,
     k = len(part)
     r = rng.uniform(box.r_lo, box.r_hi, k)
     p = _ball(rng, F.n, k, box.p_radius)
-    if F.spectral is not None:
-        part = _haar_psd(rng, F.n, k, eigs=part)
-    return r, p, part
-
-
-def _repeat_x(x, k: int) -> np.ndarray:
-    """The single base point x repeated to a batch of k."""
-    return np.repeat(np.asarray(x, dtype=float)[None, :], k, 0)
+    if F.spectral is None:
+        return r, p, part
+    return _kept(F, (r, p, _haar_psd(rng, F.n, k, eigs=part)), margin_min)
 
 
 def sample_members(F: Subequation, count: int, rng: np.random.Generator,
                    box: Optional[JetBox] = None, margin_min: float = 0.0,
                    x=None, cap: int = REJECTION_CAP):
-    """Sample ``count`` jets of F with rho >= margin_min.
+    """Sample exactly ``count`` jets of F with rho >= margin_min; ``x`` is
+    the one base point of an x-dependent F.
 
-    Jets are drawn in chunks by one of four recipes, and every drawn jet
-    is checked with ``F.value_batch``; those below ``margin_min`` are
-    dropped and the chunks are topped up until ``count`` are kept.
+    Jets are drawn in chunks by one of four recipes, each of which returns
+    only the jets it keeps; the chunks are topped up until ``count`` are
+    kept.
 
     * A constructive ``member_sampler``, when F has one (thin cones whose
       rejection rate would exhaust the cap); its first chunk is ``count``.
     * For a spectral F that does not read x: spectra uniform in the box,
       rejected on ``F.spectral`` before anything else is drawn; r, p and a
       Haar rotation are drawn for the survivors only, and no more of them
-      than are still needed.
+      than are still needed.  The rotated jets are checked with
+      ``F.value_batch``.
     * For any other pure second-order F that does not read x: A drawn from
-      the box and rejected on ``value_batch(0, 0, A)``; r and p are drawn
+      the box and decided on ``value_batch(0, 0, A)``; r and p are drawn
       for the survivors only, again no more than are still needed.  On
       both of these recipes membership depends on the drawn part alone, so
       the kept jets have the same law as those of plain rejection
       (:func:`_decide_first_draw`).
     * Otherwise plain rejection from the box (:func:`sample_jet_batch`).
 
+    The first and last recipes check whole chunks with ``F.value_batch``.
     Raises :class:`SamplerExhausted` once ``cap`` jets (spectra or matrices,
     on the second and third recipes) have been drawn without keeping
     ``count``.
     """
     box = box or JetBox()
-    chunk = max(1024, min(count * 4, 65536))
+    chunk = first = max(1024, min(count * 4, 65536))
     if F.member_sampler is not None:
         first = count
-        draw = lambda m, need: F.member_sampler(rng, m)
+        draw = lambda m, need: _kept(F, F.member_sampler(rng, m),
+                                     margin_min, x)
     elif ((F.spectral is not None or F.pure_second_order)
           and not F.x_dependent):
-        first = chunk
         draw = lambda m, need: _decide_first_draw(F, box, rng, m, need,
                                                   margin_min)
     else:
-        first = chunk
-        draw = lambda m, need: sample_jet_batch(box, F.n, m, rng)
-    out_r, out_p, out_A = [], [], []
+        draw = lambda m, need: _kept(F, sample_jet_batch(box, F.n, m, rng),
+                                     margin_min, x)
+    out = []
     drawn = 0
     got = 0
     while got < count:
@@ -492,19 +500,10 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
                 f"{F.label}: drew {drawn} jets, kept {got} < {count}"
             )
         m = min(chunk if drawn else first, cap - drawn)
-        r, p, A = draw(m, count - got)
+        out.append(draw(m, count - got))
         drawn += m
-        vals = F.value_batch(r, p, A, x=_repeat_x(x, len(r))
-                             if F.x_dependent else None)
-        keep = vals >= margin_min
-        out_r.append(r[keep])
-        out_p.append(p[keep])
-        out_A.append(A[keep])
-        got += int(keep.sum())
-    r = np.concatenate(out_r)[:count]
-    p = np.concatenate(out_p)[:count]
-    A = np.concatenate(out_A)[:count]
-    return r, p, A
+        got += len(out[-1][0])
+    return tuple(np.concatenate(a)[:count] for a in zip(*out))
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +546,12 @@ class MonotonicityReport:
                 "agreement": self.agreement}
 
 
-def _witness_dict(r, p, A, r2=None, p2=None, A2=None, margin=None) -> dict:
-    w = {"jet": {"r": float(r), "p": np.asarray(p).tolist(),
-                 "A": np.asarray(A).tolist()}}
-    if r2 is not None:
-        w["added"] = {"r": float(r2), "p": np.asarray(p2).tolist(),
-                      "A": np.asarray(A2).tolist()}
-    if margin is not None:
-        w["margin"] = float(margin)
-    return w
+def _witness_dict(r, p, A, r2, p2, A2, margin) -> dict:
+    return {"jet": {"r": float(r), "p": np.asarray(p).tolist(),
+                    "A": np.asarray(A).tolist()},
+            "added": {"r": float(r2), "p": np.asarray(p2).tolist(),
+                      "A": np.asarray(A2).tolist()},
+            "margin": float(margin)}
 
 
 def _violations(label: str, axiom: str, vals: np.ndarray, eps_b: float,
@@ -567,8 +563,7 @@ def _violations(label: str, axiom: str, vals: np.ndarray, eps_b: float,
     witness = None
     if nviol:
         i = int(np.argmax(bad))
-        witness = _witness_dict(*(a[i] for a in base + added),
-                                margin=vals[i])
+        witness = _witness_dict(*(a[i] for a in base + added), vals[i])
     return ViolationReport(label, axiom, len(vals), nviol, witness)
 
 
@@ -596,8 +591,7 @@ def axiom_check(F: Subequation, axiom: str, trials: int = 10_000,
     else:
         dA = np.zeros_like(A)
         dr = -rng.uniform(0.0, 5.0, size)
-    xb = _repeat_x(x, size) if F.x_dependent else None
-    vals = F.value_batch(r + dr, p, A + dA, x=xb)
+    vals = F.value_batch(r + dr, p, A + dA, x)
     return _violations(F.label, axiom, vals, eps_b, (r, p, A),
                        (dr, np.zeros_like(p), dA))
 
@@ -617,17 +611,14 @@ def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
 
     rF, pF, AF = sample_members(F, trials, rng, box=box, margin_min=eps_b)
     rM, pM, AM = sample_members(M, trials, rng, box=box)
-    k = min(len(rF), len(rM))
-    vals = F.value_batch(rF[:k] + rM[:k], pF[:k] + pM[:k], AF[:k] + AM[:k])
+    vals = F.value_batch(rF + rM, pF + pM, AF + AM)
     direct = _violations(f"{F.label}+{M.label}", "monotonicity", vals, eps_b,
                          (rF, pF, AF), (rM, pM, AM))
 
     Fd = dual(F)
     Md = dual(M)
     rD, pD, AD = sample_members(Fd, trials, rng, box=box)
-    k2 = min(len(rF), len(rD))
-    vals2 = Md.value_batch(rF[:k2] + rD[:k2], pF[:k2] + pD[:k2],
-                           AF[:k2] + AD[:k2])
+    vals2 = Md.value_batch(rF + rD, pF + pD, AF + AD)
     dual_form = _violations(f"{F.label}+{Fd.label} in {Md.label}",
                             "monotonicity-dual", vals2, eps_b, (rF, pF, AF),
                             (rD, pD, AD))
@@ -698,8 +689,7 @@ def strict_member(F: Subequation, jet: Jet, c: float,
     r = jet.r + dr
     p = jet.p[None, :] + dp
     A = jet.A.mat[None, :, :] + dA
-    xb = _repeat_x(x, samples) if F.x_dependent else None
-    vals = F.value_batch(r, p, A, x=xb)
+    vals = F.value_batch(r, p, A, x)
     center = F.value(jet, x=x)
     return bool(center >= 0.0 and vals.min() >= 0.0)
 
@@ -724,14 +714,13 @@ def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
     pts = np.concatenate([jet.p[None, :], p])
     As = np.concatenate([jet.A.mat[None, :, :], A])
     rs = np.full(len(pts), jet.r)
-    xb = _repeat_x(x, len(rs)) if F.x_dependent else None
     if F.cone and (F.reduced or F.pure_second_order):
-        vals = F.value_batch(rs, pts, As, x=xb)
+        vals = F.value_batch(rs, pts, As, x)
         return bool(vals.min() > eps_b)
     t_max = t_max if t_max is not None else 1e3 * t0
     ts = np.geomspace(t0, t_max, 17)
     for t in ts:
-        vals = F.value_batch(rs, t * pts, t * As, x=xb)
+        vals = F.value_batch(rs, t * pts, t * As, x)
         if vals.min() < -eps_b:
             return False
     return True

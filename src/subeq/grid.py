@@ -237,6 +237,8 @@ class GridProblem:
                  domain=None, params: Optional[SolverParams] = None):
         if F.n != grid.n:
             raise ConfigError(f"operator dimension {F.n} != grid {grid.n}")
+        if domain is not None and domain.n != grid.n:
+            raise ConfigError(f"domain dimension {domain.n} != operator {F.n}")
         self.grid = grid
         self.F = F
         self.bc = bc

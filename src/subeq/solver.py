@@ -25,7 +25,7 @@ The probes' gap, bt/2, stays within bt after rounding, so a false-position
 point at the root ends the solve: where g is affine in r (laplace, the
 real branches, pcone, pbranch, deltabranch, klap:k=inf) it is the root up
 to rounding, and a node update costs four margin evaluations.  Nodes still
-wider than bt go to the value mode of ``core.bisect``: Illinois steps
+wider than bt go to ``core.illinois``: Illinois steps
 (false position with the stale end's margin halved) while a step budget
 allows, midpoints after, so no node takes more than ILLINOIS_SLACK steps
 beyond bisection's.  Only open nodes are evaluated; over a solve, a cy,
@@ -94,8 +94,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BracketError, ConfigError, SamplerExhausted
-from .core import (DEFAULT_EPS_B, ILLINOIS_SLACK, Subequation, bisect, dual,
-                   axiom_check)
+from .core import (DEFAULT_EPS_B, ILLINOIS_SLACK, Subequation, axiom_check,
+                   dual, illinois)
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
 from .linalg import eigvalsh_batch
 
@@ -261,9 +261,9 @@ class _NodeUpdater:
         span = float(np.max(hi - lo, where=active, initial=0.0))
         if span > self.bt:
             iters = int(np.ceil(np.log2(span / self.bt))) + 1
-            lo, hi = bisect(g, lo, np.where(active, hi, lo),
-                            min(iters + ILLINOIS_SLACK, 64),
-                            ends=(g_lo, g_hi), tol=self.bt)
+            lo, hi = illinois(g, lo, np.where(active, hi, lo),
+                              min(iters + ILLINOIS_SLACK, 64),
+                              (g_lo, g_hi), self.bt)
             self.capped += int(np.sum(hi - lo > self.bt))
         r_new = np.where(degen, np.maximum(max_nb, r_cur), lo)
         return r_new, degen

@@ -10,7 +10,7 @@ from subeq.boundary import (DEFAULT_LAMBDA_GRID, DomainSpec, ball_domain,
                             strict_convexity_test, tangent_trace_test)
 from subeq.core import Jet, asymptotic_interior_member
 from subeq.linalg import SymMatrix
-from subeq.errors import GeometryError
+from subeq.errors import ConfigError, GeometryError
 
 
 def strip_callbacks(D):
@@ -114,6 +114,11 @@ class TestBoundarySampling:
 
 
 class TestConvexityVerdicts:
+    def test_dimension_guard(self):
+        with pytest.raises(ConfigError, match="dimension 2 != domain 3"):
+            strict_convexity_test(parse_name("laplace:n=2"), ball_domain(3),
+                                  [1.0, 0.0, 0.0])
+
     def test_ball_convex_for_convexity_branch(self):
         F = parse_name("branch:real:k=1:n=2")
         B = ball_domain(2)

@@ -317,6 +317,49 @@ class TestMatrixFirst:
         xb = np.repeat(x[None], 500, 0)
         assert F.value_batch(r, p, A, x=xb).min() >= 0.0
 
+    def test_each_drawn_jet_is_evaluated_at_most_once(self, monkeypatch):
+        import subeq.core
+        F = parse_name("branch:complex:k=1:n=2")
+        rho, haar = F.rho_batch, subeq.core._haar_psd
+        counts = {"evaluated": 0, "drawn": 0}
+
+        def counted_rho(r, p, A):
+            counts["evaluated"] += len(A)
+            return rho(r, p, A)
+
+        def counted_haar(rng, n, size, *a, **kw):
+            counts["drawn"] += size
+            return haar(rng, n, size, *a, **kw)
+
+        monkeypatch.setattr(subeq.core, "_haar_psd", counted_haar)
+        F = replace(F, rho_batch=counted_rho)
+        r, p, A = sample_members(F, 10_000, np.random.default_rng(7))
+        assert len(r) == 10_000
+        assert 0 < counts["evaluated"] <= counts["drawn"]
+
+
+class TestBasePoint:
+    """``value_batch`` reads the base point of an x-dependent set."""
+
+    @staticmethod
+    def batch(N=64, seed=8):
+        from subeq.jetmaps import inhom_branch
+        F = inhom_branch(1, 2, lambda x: x[:, 0] - 2.0 * x[:, 1])
+        return (F,) + sample_jet_batch(JetBox(), 2, N,
+                                       np.random.default_rng(seed))
+
+    def test_one_point_stands_for_the_batch(self):
+        F, r, p, A = self.batch()
+        x = np.array([0.5, -0.25])
+        want = F.value_batch(r, p, A, np.repeat(x[None], len(r), 0))
+        assert np.array_equal(F.value_batch(r, p, A, x), want)
+        assert F.value(Jet.from_parts(r[3], p[3], A[3]), x) == want[3]
+
+    def test_missing_base_point_raises(self):
+        F, r, p, A = self.batch()
+        with pytest.raises(ValueError, match="needs base points"):
+            F.value_batch(r, p, A)
+
 
 class TestSphereQMC:
     def test_cached_points_equal_a_fresh_draw_and_are_read_only(self):
@@ -468,7 +511,7 @@ class TestBisect:
 
 
 def plain_bisection(accept, lo, hi, steps, done=None):
-    """The predicate-only bisection as it was before the value mode."""
+    """The predicate-only bisection, written out as a reference."""
     for _ in range(steps):
         stop = np.zeros(np.shape(lo), dtype=bool) if done is None \
             else done(lo, hi)
@@ -482,7 +525,7 @@ def plain_bisection(accept, lo, hi, steps, done=None):
 
 
 class TestBisectValueMode:
-    """``bisect`` with ``ends``: budgeted Illinois steps on a margin."""
+    """``illinois``: budgeted Illinois steps on a margin, and ``bisect``."""
 
     @staticmethod
     def counted(g, n):
@@ -515,7 +558,7 @@ class TestBisectValueMode:
     def test_one_sided_quadratic_zero_stays_in_budget(self):
         # the member side touches zero quadratically, as at a double
         # eigenvalue: false position creeps there, so the budget must hold
-        from subeq.core import bisect
+        from subeq.core import illinois
         rng = np.random.default_rng(7)
         n, tol = 400, 1e-11
         c = rng.uniform(0.1, 0.9, n)
@@ -528,21 +571,21 @@ class TestBisectValueMode:
         lo, hi = np.zeros(n), np.ones(n)
         ends = (c * c, s * (c - 1.0))
         gi, steps = self.counted(g, n)
-        lo, hi = bisect(gi, lo, hi, 64, ends=ends, tol=tol)
+        lo, hi = illinois(gi, lo, hi, 64, ends, tol)
         assert np.all(lo <= c) and np.all(c < hi) and np.all(hi - lo <= tol)
         assert np.all(steps <= self.budget(np.ones(n), tol))
 
     def test_smooth_convex_margin_beats_bisection(self):
-        from subeq.core import bisect
+        from subeq.core import illinois
         rng = np.random.default_rng(8)
         n, tol = 300, 1e-10
         c = rng.uniform(-1.0, 1.0, n)
         g = lambda x, idx: np.exp(-x) - np.exp(-c[idx])
         lo, hi = np.full(n, -2.0), np.full(n, 2.0)
         gi, steps = self.counted(g, n)
-        lo, hi = bisect(gi, lo, hi, 64,
-                        ends=(np.exp(2.0) - np.exp(-c),
-                              np.exp(-2.0) - np.exp(-c)), tol=tol)
+        lo, hi = illinois(gi, lo, hi, 64,
+                          (np.exp(2.0) - np.exp(-c),
+                           np.exp(-2.0) - np.exp(-c)), tol)
         idx = np.arange(n)
         assert np.all(g(lo, idx) >= 0) and np.all(g(hi, idx) < 0)
         assert np.all(hi - lo <= tol) and np.all(np.abs(lo - c) <= tol)
@@ -550,12 +593,12 @@ class TestBisectValueMode:
         assert steps.max() < bisection and steps.mean() < bisection / 3
 
     def test_narrow_entries_are_not_evaluated(self):
-        from subeq.core import bisect
+        from subeq.core import illinois
         lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1e-12])
         gi, steps = self.counted(lambda x, idx: 0.3 - x, 2)
-        new_lo, new_hi = bisect(gi, lo, hi, 64, ends=(np.full(2, 0.3),
-                                                      np.array([-0.7, 0.3])),
-                                tol=1e-9)
+        new_lo, new_hi = illinois(gi, lo, hi, 64,
+                                  (np.full(2, 0.3), np.array([-0.7, 0.3])),
+                                  1e-9)
         assert steps[1] == 0 and new_lo[1] == 0.0 and new_hi[1] == 1e-12
         assert new_lo[0] <= 0.3 < new_hi[0] and new_hi[0] - new_lo[0] <= 1e-9
         assert hi[0] == 1.0           # the inputs are not written to

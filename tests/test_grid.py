@@ -255,6 +255,12 @@ class TestGridProblem:
             GridProblem(g, parse_name("laplace:n=3"),
                         lambda x: np.zeros(len(x)))
 
+    def test_domain_dimension_guard(self):
+        g = Grid.regular([(-1, 1), (-1, 1)], 9)
+        with pytest.raises(ConfigError, match="domain dimension 3 != op"):
+            GridProblem(g, parse_name("laplace:n=2"), lambda x: x[:, 0],
+                        domain=ball_domain(3))
+
 
 class TestSolverParams:
     def test_resolved_defaults(self):

@@ -285,7 +285,7 @@ class TestIllinoisFinisher:
 
         P = self.ball("sigma:k=2:n=2", radial)
         rep = perron_solve(P)
-        monkeypatch.setattr(subeq.solver, "bisect", bisection)
+        monkeypatch.setattr(subeq.solver, "illinois", bisection)
         ref = perron_solve(P)
         assert rep.converged and ref.converged
         assert rep.bisect_capped == ref.bisect_capped == 0
