@@ -57,6 +57,9 @@ CONFIGS = [
     ("check-quaternionic", ["check", "--subeq",
                             "branch:quaternionic:k=1:n=2"]),
     ("check-geom", ["check", "--subeq", "geom:p=1:n=3"]),
+    # 2-plane frames: the one config that reaches grassmann_sample's
+    # general-p path
+    ("check-geom-p2", ["check", "--subeq", "geom:p=2:n=3"]),
     # a key the family never reads: exit 3 with a config_error report
     ("check-unknown-key", ["check", "--subeq", "slag:C=0.5:n=2"]),
     ("dual-branch", ["dual-test", "--subeq", "branch:real:k=1:n=3"]),

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GeometryError
-from .core import Subequation, _ball, _haar_psd
+from .core import Subequation, _ball, _haar_psd, _unit_sphere_qmc
 from .linalg import (ComplexStructure, eigvalsh_batch, esym_batch,
                      field_eigvalsh_batch)
 
@@ -92,8 +92,9 @@ def grassmann_sample(p: int, n: int, count: int = 256) -> GrassmannSet:
     """Deterministic frame sample of the full Grassmannian G(p, R^n).
 
     Lines (p=1) get golden-angle samples of the (half-)sphere; general p
-    orthonormalizes rows of a fixed-seed Sobol stream.  Same inputs, same
-    frames, every run.
+    takes the Q factor of each point of ``core._unit_sphere_qmc`` in n*p
+    dimensions, read as an n x p matrix (the point's positive scale leaves
+    Q as it is).  Same inputs, same frames, every run.
     """
     if not (1 <= p <= n):
         raise ConfigError(f"plane dimension {p} out of range for n={n}")
@@ -113,12 +114,7 @@ def grassmann_sample(p: int, n: int, count: int = 256) -> GrassmannSet:
             np.array([[s[j] * np.cos(phi[j])], [s[j] * np.sin(phi[j])], [z[j]]])
             for j in range(count))
         return GrassmannSet(1, frames)
-    from scipy.stats import qmc
-    from scipy.special import ndtri
-    eng = qmc.Sobol(d=n * p, scramble=True, seed=0)
-    U = eng.random(count)
-    Z = ndtri(np.clip(U, 1e-12, 1 - 1e-12)).reshape(count, n, p)
-    Q, _ = np.linalg.qr(Z)
+    Q, _ = np.linalg.qr(_unit_sphere_qmc(n * p, count).reshape(count, n, p))
     return GrassmannSet(p, tuple(Q[i] for i in range(count)))
 
 
@@ -432,7 +428,6 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
         return replace(make_branch("real", 1, n), label=label,
                        member_sampler=sampler)
     if case == 5:
-        from .core import _unit_sphere_qmc
         E = _unit_sphere_qmc(n, directions, seed=0)   # (K, n)
 
         def rho(r, p, A, _E=E, _l=float(lam)):

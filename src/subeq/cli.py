@@ -137,7 +137,8 @@ def _add_grid_flags(sp):
     sp.add_argument("--stencil", default="9pt",
                     choices=["5pt", "9pt", "wide16"])
     sp.add_argument("--order", default="color", choices=["color", "lex"])
-    sp.add_argument("--max-sweeps", type=int, default=100_000)
+    sp.add_argument("--max-sweeps", type=int, default=100_000,
+                    help="Perron sweeps per solve, over all ladder levels")
     sp.add_argument("--sweep-tol", type=float, default=None)
     sp.add_argument("--out-field", default="subeq-field.csv")
 

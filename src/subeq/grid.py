@@ -199,7 +199,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class SolverParams:
-    max_sweeps: int = 100_000
+    max_sweeps: int = 100_000               # per solve, over all levels
     sweep_tol: Optional[float] = None       # default 1e-10 * data range
     stencil: str = "9pt"
     order: str = "color"                    # "color" (blocked) or "lex"

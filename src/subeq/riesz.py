@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Subequation, DEFAULT_EPS_B, _unit_sphere_qmc, bisect
+from .core import (Subequation, DEFAULT_EPS_B, _unit_sphere_qmc, bisect,
+                   sample_members)
 from .catalog import make_pcone
 from .errors import ConfigError
 
@@ -35,12 +36,9 @@ class RieszResult:
 
 
 def _probe_directions(n: int, extra: int = 64, seed: int = 0) -> np.ndarray:
-    dirs = [np.eye(n)]
-    if extra:
-        dirs.append(_unit_sphere_qmc(n, extra, seed=seed))
     # a few balanced combinations catch off-axis minima of sharp cones
     comb = np.ones((1, n)) / np.sqrt(n)
-    return np.vstack(dirs + [comb])
+    return np.vstack([np.eye(n), _unit_sphere_qmc(n, extra, seed=seed), comb])
 
 
 def _accepts(M: Subequation, p, dirs: np.ndarray) -> np.ndarray:
@@ -103,8 +101,6 @@ def pcone_inclusion_check(M: Subequation, p: float, trials: int = 2000,
     deterministic extremal family I - q e⊗e for q between 1 and p: those
     rank-one perturbations are exactly the matrices that decide inclusion.
     """
-    from .core import sample_members
-
     if M.x_dependent or not M.reduced:
         raise ConfigError("inclusion check needs a reduced constant cone")
     n = M.n

@@ -286,9 +286,10 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
 
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
                 u0: Optional[np.ndarray] = None,
-                newton_start: bool = False) -> SolveReport:
-    """Perron sweeps from the boundary minimum or from u0.  A u0 that
-    Newton solved starts from the warm bracket, 1024 bt about each node."""
+                newton_start: bool = False,
+                budget: Optional[int] = None) -> SolveReport:
+    """At most ``budget`` (default ``max_sweeps``) Perron sweeps from the
+    boundary minimum or u0; a Newton-solved u0 gets a warm 1024 bt bracket."""
     t0 = time.perf_counter()
     st = P.params.resolved(P.data_range())
     omega = P.params.resolved_omega(min(P.grid.shape) - 1)
@@ -312,7 +313,8 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     degen_total = 0
     converged = False
     n_int = len(ii)
-    for sweep in range(1, P.params.max_sweeps + 1):
+    budget = P.params.max_sweeps if budget is None else budget
+    for sweep in range(1, budget + 1):
         max_upd = 0.0
         degen_total = 0
         if order == "color":
@@ -686,7 +688,8 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
     each level until its first abandonment, and a level it solved is handed
     on unchanged.  The level where it is abandoned and every finer one run
     the Perron sweeps from their start, and so does the finest level in any
-    case: the sweeps certify the answer."""
+    case: the sweeps certify the answer.  Their levels share one budget of
+    ``max_sweeps``; a level left none runs none and is unconverged."""
     t0 = time.perf_counter()
     _precheck(P.F)
     levels = (_cascade_ladder(P) if P.domain is None else []) + [P]
@@ -717,7 +720,8 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
             u = solved
         if solved is None or level == len(levels) - 1:
             rep = _solve_loop(Q, cap=cap, u0=u,
-                              newton_start=solved is not None)
+                              newton_start=solved is not None,
+                              budget=P.params.max_sweeps - sum(level_sweeps))
             perron.append(rep)
             level_sweeps.append(rep.sweeps)
             u = rep.u

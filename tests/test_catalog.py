@@ -292,6 +292,13 @@ class TestGeometric:
         exact = oracle_pcone(A, 2)       # inf over 2-planes = lambda_1+lambda_2
         assert np.all(pso_vals(F, A) >= exact - 1e-10)
 
+    @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 5)])
+    def test_plane_frames_are_orthonormal_and_fixed(self, p, n):
+        W = grassmann_sample(p, n, count=64).stack
+        assert W.shape == (64, n, p)
+        assert np.allclose(np.swapaxes(W, 1, 2) @ W, np.eye(p), atol=1e-13)
+        assert np.array_equal(W, grassmann_sample(p, n, count=64).stack)
+
     @pytest.mark.parametrize("p,n", [(1, 3), (2, 3), (2, 4)])
     def test_blocked_gemm_matches_einsum(self, rng, p, n):
         # more rows than one GEMM block, so the blocking is exercised

@@ -371,6 +371,32 @@ class TestSphereQMC:
         with pytest.raises(ValueError):
             U[0, 0] = 0.0
 
+    @pytest.mark.parametrize("dim,k", [(1, 5), (2, 20), (3, 64), (10, 300)])
+    def test_unit_rows_and_seeded(self, dim, k):
+        U = _unit_sphere_qmc(dim, k, seed=0)
+        assert U.shape == (k, dim)
+        assert np.allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-14)
+        assert np.array_equal(U, _unit_sphere_qmc.__wrapped__(dim, k, 0))
+        assert not np.array_equal(U, _unit_sphere_qmc(dim, k, seed=1))
+        assert _unit_sphere_qmc(dim, 0).shape == (0, dim)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_covering_radius_on_the_2_sphere(self, seed):
+        # every one of 2e5 random probes lies within 30 degrees of one of 64
+        # points; plain normal draws reach 31-39 degrees
+        probes = np.random.default_rng(12345).standard_normal((200_000, 3))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        near = (probes @ _unit_sphere_qmc(3, 64, seed=seed).T).max(axis=1)
+        assert np.degrees(np.arccos(min(near.min(), 1.0))) <= 30.0
+
+    @pytest.mark.parametrize("k", [20, 64, 256])
+    def test_largest_angular_gap_in_the_plane(self, k):
+        for seed in range(4):
+            U = _unit_sphere_qmc(2, k, seed=seed)
+            th = np.sort(np.arctan2(U[:, 1], U[:, 0]))
+            gaps = np.diff(np.append(th, th[0] + 2 * np.pi))
+            assert gaps.max() <= 6 * 2 * np.pi / k
+
 
 class TestAxioms:
     @pytest.mark.parametrize("name", [

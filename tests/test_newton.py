@@ -96,6 +96,18 @@ class TestNewtonStart:
         assert np.array_equal(auto.u, ref.u, equal_nan=True)
         assert auto.sweeps < cascade(P).sweeps
 
+    def test_max_sweeps_caps_the_whole_solve(self):
+        # Newton is abandoned on level 0, so both levels run the sweeps; the
+        # finest gets what the coarser one left of the budget: here nothing
+        zero = lambda x: 0.0 * x[:, 0]
+        rep = perron_solve(problem("cy:n=2", 33, bc=zero, max_sweeps=5))
+        assert rep.newton_abandoned == ("no elliptic mean coefficient", 0)
+        assert rep.level_sweeps == [5, 0] and rep.sweeps == 5
+        assert not rep.converged
+        rep = perron_solve(problem("cy:n=2", 33, bc=zero, max_sweeps=100))
+        assert 0 < rep.level_sweeps[0] < 100 and not rep.converged
+        assert rep.sweeps == sum(rep.level_sweeps) == 100
+
     def test_lambda1_cascade_stall_converges(self):
         # the over-relaxed Perron cascade stalls at final_update 1.9e-3 on
         # this data; the plain envelope iteration (omega = 1) from the flat
@@ -448,3 +460,25 @@ def test_no_sparse_or_dense_scipy_solvers_on_the_solve_path():
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_the_calculus_commands_load_no_scipy(tmp_path):
+    code = textwrap.dedent("""
+        import sys
+        import subeq.cli
+        from subeq.catalog import grassmann_sample
+        for argv in (["check", "--subeq", "branch:real:k=1:n=3",
+                      "--trials", "500"],
+                     ["riesz", "--cone", "pucci:lam=1:Lam=2:n=3"],
+                     ["convexity", "--subeq", "klap:k=1:n=2",
+                      "--domain", "ball:n=2"]):
+            assert subeq.cli.main(argv) == 0, argv
+        assert len(grassmann_sample(2, 3).frames) == 256
+        print("scipy:", *sorted(m for m in sys.modules
+                                if m.startswith("scipy")))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "scipy:"
