@@ -8,8 +8,10 @@ with ``src/`` of the given checkout on ``PYTHONPATH``.  One line per config:
 
 ``csv`` digests the CSV files the command wrote (field dumps or the
 convexity table), concatenated in sorted file-name order; ``-`` when the
-command writes none.  Reports are byte-stable for a fixed config, so two
-checkouts that should behave alike can be compared with ``diff``:
+command writes none.  A config given as ``["--config", "<JSON>"]`` is
+written to ``config.json`` in the temporary directory and run from there.
+Reports are byte-stable for a fixed config, so two checkouts that should
+behave alike can be compared with ``diff``:
 
     python3 scripts/cli_digests.py > change.txt
     python3 scripts/cli_digests.py /path/to/other/checkout > other.txt
@@ -78,6 +80,9 @@ CONFIGS = [
     ("riesz-geom", ["riesz", "--cone", "geom:p=1:n=3:frames=64",
                     "--tol", "1e-8"]),
     ("riesz-sigma", ["riesz", "--cone", "sigma:k=2:n=3"]),
+    # the config route: the JSON is written to a file that --config reads
+    ("config-riesz", ["--config",
+                      '{"command": "riesz", "cone": "delta:d=1:n=3"}']),
     ("garding-sigma", ["garding", "--poly", "sigma:2", "--n", "3",
                        "--matrix", "2,0.5,0;0.5,1,0.25;0,0.25,-0.5",
                        "--check-trials", "50"]),
@@ -165,6 +170,9 @@ def run_config(src: Path, argv: list) -> dict:
     # one BLAS thread on both sides, so the thread count cannot move bits
     env = dict(os.environ, PYTHONPATH=str(src), SUBEQ_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "--config":
+            Path(tmp, "config.json").write_text(argv[1])
+            argv = ["--config", "config.json"]
         proc = subprocess.run([sys.executable, "-m", "subeq.cli"] + argv,
                               cwd=tmp, env=env, capture_output=True)
         report = Path(tmp, "subeq-report.json")

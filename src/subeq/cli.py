@@ -39,7 +39,9 @@ from .catalog import parse_name, dual_name, _Params
 from .garding import (named_polynomial, garding_eigenvalues,
                       hyperbolicity_check)
 from .riesz import riesz_characteristic
-from .boundary import sample_boundary_points, strict_convexity_test
+from .boundary import (sample_boundary_points, strict_convexity_test,
+                       ball_domain, annulus_domain, ellipsoid_domain,
+                       star_domain)
 from .expressions import parse_expression, expression_domain
 from .grid import Grid, GridProblem, SolverParams
 from .solver import perron_solve, obstacle_solve, dual_bracket_solve
@@ -119,8 +121,26 @@ def write_field_csv(path: str, grid: Grid, u: np.ndarray) -> None:
 # argument plumbing
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
+def _at_least(kind, lo, strict=False):
+    """argparse type: a ``kind`` value >= lo (> lo if strict), and finite;
+    the comparisons are written so that NaN fails them."""
+    def check(text):
+        v = kind(text)
+        if (lo < v if strict else lo <= v) and v < math.inf:
+            return v
+        raise argparse.ArgumentTypeError(
+            f"must be finite and {'>' if strict else '>='} {lo}, not {text!r}")
+    check.__name__ = kind.__name__      # "invalid int value" on bad text
+    return check
+
+
+_COUNT = _at_least(int, 1)
+_POSITIVE = _at_least(float, 0, strict=True)
+
+
+def _add_common(sp, run):
+    sp.set_defaults(run=run)
+    sp.add_argument("--seed", type=_at_least(int, 0), default=0)
     sp.add_argument("--out", default="subeq-report.json",
                     help="report JSON path")
 
@@ -132,12 +152,12 @@ def _add_grid_flags(sp):
                     help="defining-function expression; omit for the full box")
     sp.add_argument("--box", default=None,
                     help="a,b (same every axis) or per-axis pairs a,b,c,d,...")
-    sp.add_argument("--h", type=float, default=None, help="grid spacing")
+    sp.add_argument("--h", type=_POSITIVE, default=None, help="grid spacing")
     sp.add_argument("--m", type=int, default=None, help="nodes per axis")
     sp.add_argument("--stencil", default="9pt",
                     choices=["5pt", "9pt", "wide16"])
     sp.add_argument("--order", default="color", choices=["color", "lex"])
-    sp.add_argument("--max-sweeps", type=int, default=100_000,
+    sp.add_argument("--max-sweeps", type=_COUNT, default=100_000,
                     help="Perron sweeps per solve, over all ladder levels")
     sp.add_argument("--sweep-tol", type=float, default=None)
     sp.add_argument("--out-field", default="subeq-field.csv")
@@ -145,7 +165,11 @@ def _add_grid_flags(sp):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3, the configuration-error code; argparse's own 2
-    would read as "violations found".  Subparsers inherit the class."""
+    would read as "violations found".  Flags are never abbreviated, so a
+    config key must name its flag in full.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -163,27 +187,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="axiom + registration scan")
     sp.add_argument("--subeq", required=True)
-    sp.add_argument("--trials", type=int, default=10_000)
-    _add_common(sp)
+    sp.add_argument("--trials", type=_COUNT, default=10_000)
+    _add_common(sp, _cmd_check)
 
     sp = sub.add_parser("dual-test", help="dual membership agreement")
     sp.add_argument("--subeq", required=True)
     sp.add_argument("--against", default=None,
                     help="catalog name expected to equal the dual")
-    sp.add_argument("--trials", type=int, default=10_000)
-    _add_common(sp)
+    sp.add_argument("--trials", type=_COUNT, default=10_000)
+    _add_common(sp, _cmd_dual_test)
 
     sp = sub.add_parser("mono-test", help="F + M subset F, sampled")
     sp.add_argument("--subeq", required=True)
     sp.add_argument("--cone", required=True)
-    sp.add_argument("--trials", type=int, default=10_000)
-    _add_common(sp)
+    sp.add_argument("--trials", type=_COUNT, default=10_000)
+    _add_common(sp, _cmd_mono_test)
 
     sp = sub.add_parser("riesz", help="cone characteristic by bisection")
     sp.add_argument("--cone", required=True)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--dirs", type=int, default=64)
-    _add_common(sp)
+    sp.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    sp.add_argument("--dirs", type=_COUNT, default=64)
+    _add_common(sp, _cmd_riesz)
 
     sp = sub.add_parser("garding", help="generalized eigenvalues of a matrix")
     sp.add_argument("--poly", required=True, help='"det" or "sigma:<k>"')
@@ -192,36 +216,39 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rows split by ';', entries by ','")
     sp.add_argument("--check-trials", type=int, default=0,
                     help="also run the sampled hyperbolicity check")
-    _add_common(sp)
+    _add_common(sp, _cmd_garding)
 
     sp = sub.add_parser("convexity", help="strict boundary convexity scan")
     sp.add_argument("--subeq", required=True)
     sp.add_argument("--domain", required=True)
-    sp.add_argument("--points", type=int, default=20)
+    sp.add_argument("--points", type=_COUNT, default=20)
     sp.add_argument("--lambda-grid", default="-2,-1,0,1,2")
-    sp.add_argument("--t-max", type=float, default=2.0 ** 16)
+    sp.add_argument("--t-max", type=_at_least(float, 1, strict=True),
+                    default=2.0 ** 16)
     sp.add_argument("--out-csv", default="subeq-convexity.csv")
-    _add_common(sp)
+    _add_common(sp, _cmd_convexity)
 
     sp = sub.add_parser("solve", help="Dirichlet solve")
     _add_grid_flags(sp)
-    _add_common(sp)
+    _add_common(sp, _cmd_solve)
 
     sp = sub.add_parser("obstacle", help="Dirichlet solve under an obstacle")
     _add_grid_flags(sp)
     sp.add_argument("--obstacle", required=True, dest="obstacle_expr",
                     help="obstacle expression g")
-    _add_common(sp)
+    _add_common(sp, _cmd_obstacle)
 
     sp = sub.add_parser("bracket", help="upper/lower Perron bracket")
     _add_grid_flags(sp)
     sp.add_argument("--out-field-dual", default="subeq-field-dual.csv")
-    _add_common(sp)
+    _add_common(sp, _cmd_bracket)
 
     return p
 
 
 def _config_to_argv(cfg: dict) -> list:
+    """The command line a config stands for; the parser checks it as it
+    checks typed flags.  Keys are flag names with '_' for '-'."""
     if "command" not in cfg:
         raise ConfigError("config missing 'command'")
     argv = [str(cfg["command"])]
@@ -229,8 +256,10 @@ def _config_to_argv(cfg: dict) -> list:
         if key == "command":
             continue
         flag = "--" + str(key).replace("_", "-")
-        if isinstance(val, bool):
-            raise ConfigError(f"boolean config values unsupported ({key})")
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise ConfigError(f"config values are strings or numbers ({key})")
+        if isinstance(val, float) and val.is_integer():
+            val = int(val)                  # "m": 33.0 is 33
         # one argv item, so that values starting with '-' stay values
         argv.append(f"{flag}={val}")
     return argv
@@ -241,12 +270,8 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    import jsonschema               # deferred: only --config runs need it
-    schema_path = Path(__file__).parent / "schemas" / "config.schema.json"
-    try:
-        jsonschema.validate(cfg, json.loads(schema_path.read_text()))
-    except Exception as exc:
-        raise ConfigError(f"config does not match schema: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     return cfg
 
 
@@ -429,7 +454,6 @@ _NAMED_DOMAINS = ("ball", "annulus", "ellipsoid", "star")
 def _resolve_domain(text: str, n: int = None):
     """Geometric domain names (``ball:n=2``, ``annulus:n=2:r_in=0.5``,
     ``star:n=2:lobes=5:amp=0.15``) or a defining-function expression."""
-    from . import boundary as _bd
     head = text.split(":", 1)[0]
     if head not in _NAMED_DOMAINS:
         if n is None:
@@ -439,17 +463,17 @@ def _resolve_domain(text: str, n: int = None):
     def make(kv):
         dn = int(kv.get("n", n or 2))
         if head == "ball":
-            return _bd.ball_domain(dn, radius=float(kv.get("radius", 1.0)))
+            return ball_domain(dn, radius=float(kv.get("radius", 1.0)))
         if head == "annulus":
-            return _bd.annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
+            return annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
                                       r_out=float(kv.get("r_out", 1.0)))
         if head == "ellipsoid":
             axes = tuple(float(v) for v in kv.get("axes", "1.5,1").split(","))
             if len(axes) != dn:
                 raise ConfigError(
                     f"ellipsoid needs {dn} axes, got {len(axes)}")
-            return _bd.ellipsoid_domain(axes)
-        return _bd.star_domain(dn, lobes=int(kv.get("lobes", 5)),
+            return ellipsoid_domain(axes)
+        return star_domain(dn, lobes=int(kv.get("lobes", 5)),
                                amplitude=float(kv.get("amp", 0.15)))
     return _Params(text).build(make)
 
@@ -528,19 +552,6 @@ def _cmd_bracket(args):
     return (0 if (both and bracket_ok) else 2), report, line
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "dual-test": _cmd_dual_test,
-    "mono-test": _cmd_mono_test,
-    "riesz": _cmd_riesz,
-    "garding": _cmd_garding,
-    "convexity": _cmd_convexity,
-    "solve": _cmd_solve,
-    "obstacle": _cmd_obstacle,
-    "bracket": _cmd_bracket,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -551,18 +562,19 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except SystemExit:          # the parser has printed its usage error
+            return 3
     if not args.command:
         parser.print_help()
         return 3
-    out = getattr(args, "out", "subeq-report.json")
     try:
-        code, report, line = _COMMANDS[args.command](args)
+        code, report, line = args.run(args)
     except (SubeqError, ValueError) as exc:
         write_report({"command": args.command, "status": "config_error",
-                      "error": str(exc)}, out)
+                      "error": str(exc)}, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    write_report(report, out)
+    write_report(report, args.out)
     print(line)
     return code
 

@@ -208,6 +208,12 @@ class SolverParams:
     def __post_init__(self):
         if self.order not in ("color", "lex"):
             raise ConfigError(f"unknown sweep order {self.order!r}")
+        # written so that NaN fails: each comparison is false for it
+        if not (self.sweep_tol is None or 0 < self.sweep_tol < np.inf):
+            raise ConfigError(f"sweep_tol must be finite and > 0, "
+                              f"not {self.sweep_tol!r}")
+        if not (self.omega is None or 0 < self.omega < 2):
+            raise ConfigError(f"omega must lie in (0, 2), not {self.omega!r}")
 
     def resolved(self, data_range: float) -> float:
         """The sweep tolerance, its default filled in."""

@@ -59,6 +59,11 @@ def riesz_characteristic(M: Subequation, tol: float = 1e-6,
     Requires a reduced, x-independent cone (the quantity only makes sense
     there).  Values at or beyond n + 1 are reported as unbounded: every
     matrix I - p e⊗e already lies well inside the maximal cone by then.
+
+    The sup is taken over ``dirs + n + 1`` probe directions only (the axes,
+    ``dirs`` quasi-random ones and the balanced one), so ``tol`` bounds the
+    bisection, not the direction sampling: p can exceed the exact value
+    where the worst direction lies between probes.
     """
     if M.x_dependent or not M.reduced:
         raise ConfigError("characteristic needs a reduced constant cone")

@@ -365,3 +365,109 @@ class TestConfigValues:
             "out_csv": str(tmp_path / "c.csv")}))
         assert main(["--config", str(cfg)]) == 0
         assert json.loads(out2.read_text())["lambda_grid"] == [-2, -1, 0, 1, 2]
+
+
+def run_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(["--config", str(path)])
+
+
+def as_config(command, *flags_and_values):
+    return {"command": command,
+            **{flag[2:].replace("-", "_"): val for flag, val
+               in zip(flags_and_values[::2], flags_and_values[1::2])}}
+
+
+# a base command line per command, and every range-checked flag with the
+# values it must refuse: 0 and a negative, NaN and inf for the floats
+BASE = {
+    "check": ["--subeq", "laplace:n=2"],
+    "dual-test": ["--subeq", "branch:real:k=1:n=3"],
+    "mono-test": ["--subeq", "laplace:n=2", "--cone", "appb:case=1:n=2"],
+    "riesz": ["--cone", "delta:d=1:n=3"],
+    "convexity": ["--subeq", "klap:k=1:n=2", "--domain", "ball:n=2"],
+    "solve": ["--subeq", "laplace:n=2", "--bc", "x"],
+}
+BAD_INT = ["0", "-1"]
+BAD_FLOAT = ["0", "-1", "nan", "inf"]
+BAD_VALUES = ([("riesz", "--seed", "-1"), ("solve", "--seed", "-3")]
+              + [(c, "--trials", v) for c in ("check", "dual-test",
+                                              "mono-test") for v in BAD_INT]
+              + [("riesz", "--dirs", v) for v in BAD_INT]
+              + [("convexity", "--points", v) for v in BAD_INT]
+              + [("solve", "--max-sweeps", v) for v in BAD_INT]
+              + [("riesz", "--tol", v) for v in BAD_FLOAT]
+              + [("solve", "--h", v) for v in BAD_FLOAT]
+              + [("convexity", "--t-max", v) for v in BAD_FLOAT + ["1"]])
+
+
+class TestOneValidator:
+    """Flags and config keys pass through the same parser: a bad value is
+    a usage error on both routes, before any report is written."""
+
+    @pytest.mark.parametrize("command,flag,value", BAD_VALUES)
+    def test_bad_value_exits_3_on_both_routes(self, tmp_path, capsys,
+                                              command, flag, value):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *BASE[command], f"{flag}={value}",
+                  "--out", str(out)])
+        assert exc.value.code == 3
+        assert flag in capsys.readouterr().err
+        # a JSON number, as a config would carry it
+        cfg = as_config(command, *BASE[command], flag, float(value),
+                        "--out", str(out))
+        assert run_config(tmp_path, cfg) == 3
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    # bounds that a library call checks: exit 3 with a config_error report
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--subeq", "laplace:n=2", "--bc", "x", "--m", "2"],
+        ["solve", "--subeq", "laplace:n=2", "--bc", "x", "--m", "9",
+         "--sweep-tol", "-1"],
+        ["solve", "--subeq", "laplace:n=2", "--bc", "x", "--m", "9",
+         "--sweep-tol", "nan"],
+        ["garding", "--poly", "det", "--n", "0", "--matrix", "1"],
+        ["garding", "--poly", "det", "--n", "1", "--matrix", "1",
+         "--check-trials", "-1"],
+    ])
+    def test_library_bounds_exit_3_on_both_routes(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 3
+        first = out.read_bytes()
+        out.unlink()
+        assert run_config(tmp_path, as_config(*argv, "--out", str(out))) == 3
+        assert out.read_bytes() == first
+        assert json.loads(first)["status"] == "config_error"
+
+    def test_integral_float_is_an_int(self, tmp_path):
+        argv = ["solve", "--subeq", "laplace:n=2", "--bc", "x^2-y^2"]
+        _, out1 = run(tmp_path, *argv, "--m", "33",
+                      "--out-field", str(tmp_path / "f1.csv"))
+        out2 = tmp_path / "report2.json"
+        assert run_config(tmp_path, {
+            "command": "solve", "subeq": "laplace:n=2", "bc": "x^2-y^2",
+            "m": 33.0, "out": str(out2),
+            "out_field": str(tmp_path / "f2.csv")}) == 0
+        assert out2.read_bytes() == out1.read_bytes()
+
+    def test_flags_are_never_abbreviated(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_config(tmp_path, {"command": "check", "tri": 10,
+                                     "subeq": "laplace:n=2",
+                                     "out": str(out)}) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--subeq", "laplace:n=2", "--tri", "10",
+                  "--out", str(out)])
+        assert exc.value.code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"command": "riesz", '
+                                      '"cone": null}'])
+    def test_config_must_be_an_object_of_scalars(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 3

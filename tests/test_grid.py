@@ -281,6 +281,17 @@ class TestSolverParams:
         with pytest.raises(ConfigError, match="zigzag"):
             SolverParams(order="zigzag")
 
+    # each of these made perron_solve raise a bare error or report a false
+    # convergence (omega = 0 "converged" after one sweep, 240 residual)
+    @pytest.mark.parametrize("kw", [
+        {"sweep_tol": -1.0}, {"sweep_tol": 0.0}, {"sweep_tol": np.nan},
+        {"sweep_tol": np.inf}, {"omega": 0.0}, {"omega": 2.0},
+        {"omega": 2.5}, {"omega": -0.5}, {"omega": np.nan},
+    ])
+    def test_values_that_break_the_solve_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            SolverParams(**kw)
+
     def test_frozen(self):
         # order is checked once, when the params are built: a later
         # assignment would run the lex schedule unchecked

@@ -482,3 +482,21 @@ def test_the_calculus_commands_load_no_scipy(tmp_path):
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "scipy:"
+
+
+def test_a_config_run_loads_no_jsonschema(tmp_path):
+    # the parser checks a --config file as it checks typed flags
+    (tmp_path / "run.json").write_text(
+        '{"command": "riesz", "cone": "delta:d=1:n=3"}')
+    code = textwrap.dedent("""
+        import sys
+        import subeq.cli
+        assert subeq.cli.main(["--config", "run.json"]) == 0
+        print("jsonschema:", *sorted(m for m in sys.modules
+                                     if m.startswith("jsonschema")))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "jsonschema:"
