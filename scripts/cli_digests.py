@@ -27,8 +27,12 @@ digests:
 where ``du`` is the largest |u_a - u_b| over all field CSVs of the config
 (the NaN masks must agree, else ``du`` is ``inf``) and ``sweep_tol`` the
 one quoted in the first checkout's report.  Every other config keeps its
-digest line.  Each line ends in ``same`` when all digests agree with the
-other side, else ``DIFFERS``.
+digest line.  When the two reports' digests differ, the line also carries
+``json-diff=<path>,...``: the dotted key paths at which the parsed reports
+differ (``config.order`` for a dropped key; ``.`` when one side wrote no
+report or the two differ only in bytes), so a schema change reads apart
+from moved numbers.  Each line ends in ``same`` when all digests agree
+with the other side, else ``DIFFERS``.
 
 Usage:  python3 scripts/cli_digests.py [checkout] [--compare OTHER]
         (checkout defaults to this one)
@@ -117,8 +121,6 @@ CONFIGS = [
     ("solve-sigma2-ball", ["solve", "--subeq", "sigma:k=2:n=2",
                            "--bc", "x^2+y^2", "--domain", "ball:n=2",
                            "--m", "21"]),
-    ("solve-laplace-lex", ["solve", "--subeq", "laplace:n=2",
-                           "--bc", "x^2-y^2", "--order", "lex", "--m", "9"]),
     ("solve-klapinf-ball", ["solve", "--subeq", "klap:k=inf:n=2",
                             "--bc", "x", "--domain", "ball:n=2", "--m", "17"]),
     # Newton is abandoned on the coarsest level: the Perron cascade
@@ -186,8 +188,8 @@ def run_config(src: Path, argv: list) -> dict:
         rep = json.loads(report.read_text()) if report.exists() else None
     line = (f"exit={proc.returncode} json={json_sha} csv={csv_sha} "
             f"stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}")
-    return {"line": line, "exit": proc.returncode, "report": rep,
-            "fields": fields}
+    return {"line": line, "exit": proc.returncode, "json": json_sha,
+            "report": rep, "fields": fields}
 
 
 def _solve_stats(rep) -> tuple:
@@ -215,8 +217,24 @@ def _max_du(fa: dict, fb: dict) -> float:
     return worst
 
 
+def _diff_paths(a, b, path: str = "") -> list:
+    """Dotted key paths at which two parsed reports differ; lists and
+    scalars are compared whole."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [path or "."]
+    out = []
+    for key in sorted(a.keys() | b.keys()):
+        sub = f"{path}.{key}" if path else key
+        out += ([sub] if key not in a or key not in b
+                else _diff_paths(a[key], b[key], sub))
+    return out
+
+
 def compare_line(argv: list, a: dict, b: dict) -> str:
     same = "same" if a["line"] == b["line"] else "DIFFERS"
+    if a["json"] != b["json"]:
+        paths = _diff_paths(a["report"], b["report"])
+        same = f"json-diff={','.join(paths) or '.'} {same}"
     if argv[0] not in SOLVES:
         return f"{a['line']} {same}"
     conv_a, sweeps_a, tol = _solve_stats(a["report"])

@@ -262,6 +262,13 @@ class ConvexityVerdict:
 DEFAULT_LAMBDA_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
+def _curvature_at(D: DomainSpec, x):
+    """x as an array, the unit normal nu, II, and II in ambient coordinates."""
+    x = np.asarray(x, dtype=float)
+    nu, II, T = second_fundamental_form(D, x)
+    return x, nu, II, T @ II.mat @ T.T
+
+
 def strict_convexity_test(F: Subequation, D: DomainSpec, x,
                           lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
                           t_max: float = 2.0 ** 16) -> ConvexityVerdict:
@@ -276,9 +283,7 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     """
     if F.n != D.n:
         raise ConfigError(f"operator dimension {F.n} != domain {D.n}")
-    x = np.asarray(x, dtype=float)
-    nu, II, T = second_fundamental_form(D, x)
-    II_amb = T @ II.mat @ T.T
+    x, nu, II, II_amb = _curvature_at(D, x)
     grid = tuple(lambda_grid)
     reduced = F.reduced or F.pure_second_order
     n_last = 4
@@ -310,9 +315,7 @@ def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray,
     ``frames`` stacks orthonormal (n, p) frames; each is projected to the
     tangent space at x and re-orthonormalized, dropping frames that collapse.
     """
-    x = np.asarray(x, dtype=float)
-    nu, II, T = second_fundamental_form(D, x)
-    II_amb = T @ II.mat @ T.T
+    x, nu, _, II_amb = _curvature_at(D, x)
     P = np.eye(D.n) - np.outer(nu, nu)
     ok = True
     found = 0

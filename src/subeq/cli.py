@@ -156,7 +156,6 @@ def _add_grid_flags(sp):
     sp.add_argument("--m", type=int, default=None, help="nodes per axis")
     sp.add_argument("--stencil", default="9pt",
                     choices=["5pt", "9pt", "wide16"])
-    sp.add_argument("--order", default="color", choices=["color", "lex"])
     sp.add_argument("--max-sweeps", type=_COUNT, default=100_000,
                     help="Perron sweeps per solve, over all ladder levels")
     sp.add_argument("--sweep-tol", type=float, default=None)
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--matrix", required=True,
                     help="rows split by ';', entries by ','")
-    sp.add_argument("--check-trials", type=int, default=0,
+    sp.add_argument("--check-trials", type=_at_least(int, 0), default=0,
                     help="also run the sampled hyperbolicity check")
     _add_common(sp, _cmd_garding)
 
@@ -498,15 +497,14 @@ def _build_problem(args):
     bc = parse_expression(args.bc)
     domain = _resolve_domain(args.domain, n) if args.domain else None
     params = SolverParams(max_sweeps=args.max_sweeps,
-                          sweep_tol=args.sweep_tol,
-                          stencil=args.stencil, order=args.order)
+                          sweep_tol=args.sweep_tol, stencil=args.stencil)
     return GridProblem(grid, F, bc, domain=domain, params=params)
 
 
 def _grid_config_echo(args, P) -> dict:
     return {"subeq": args.subeq, "bc": args.bc, "domain": args.domain,
             "h": P.grid.h, "shape": list(P.grid.shape),
-            "stencil": args.stencil, "order": args.order,
+            "stencil": args.stencil,
             "interior_nodes": int(len(P.interior_idx))}
 
 

@@ -202,12 +202,9 @@ class SolverParams:
     max_sweeps: int = 100_000               # per solve, over all levels
     sweep_tol: Optional[float] = None       # default 1e-10 * data range
     stencil: str = "9pt"
-    order: str = "color"                    # "color" (blocked) or "lex"
     omega: Optional[float] = None           # over-relaxation; None = auto
 
     def __post_init__(self):
-        if self.order not in ("color", "lex"):
-            raise ConfigError(f"unknown sweep order {self.order!r}")
         # written so that NaN fails: each comparison is false for it
         if not (self.sweep_tol is None or 0 < self.sweep_tol < np.inf):
             raise ConfigError(f"sweep_tol must be finite and > 0, "

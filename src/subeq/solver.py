@@ -33,11 +33,10 @@ Pucci or slag node update costs 5-9 margin evaluations where bisection took
 17-26.  At most 64 steps are taken; node solves still wider than bt are
 counted in ``SolveReport.bisect_capped``.
 
-Two schedules: "color" updates the 2^n lattice parity classes in turn with
-fully vectorized node solves (the default; deterministic), "lex" is the
-scalar reference schedule, lexicographic then reversed, alternating.
-Updates are over-relaxed by default (SolverParams.omega, auto-tuned from
-the grid resolution); omega=1.0 recovers the plain envelope iteration.
+A sweep updates the 2^n lattice parity classes in turn, with fully
+vectorized node solves.  Updates are over-relaxed by default
+(SolverParams.omega, auto-tuned from the grid resolution); omega=1.0
+recovers the plain envelope iteration.
 
 Nested iteration.  Relaxation needs sweeps in proportion to m.  Every
 solve is one pass over a ladder of levels, coarsest level first, the
@@ -284,6 +283,19 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
     return u_coarse
 
 
+def _start_field(P: GridProblem, start: Optional[np.ndarray],
+                 cap: Optional[np.ndarray]) -> np.ndarray:
+    """A level's start field: P's boundary data, the interior values of
+    ``start`` (None: the boundary minimum), clamped to the obstacle cap."""
+    u = P.initial_field()
+    ii = P.interior_idx
+    if start is not None:
+        u[ii] = np.asarray(start, dtype=float).ravel()[ii]
+    if cap is not None:
+        u[ii] = np.minimum(u[ii], cap)
+    return u
+
+
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
                 u0: Optional[np.ndarray] = None,
                 newton_start: bool = False,
@@ -300,30 +312,18 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     bt = st_run / 16.0
     upd = _NodeUpdater(P, bt)
     ii = P.interior_idx
-    u = P.initial_field()
-    if u0 is not None:
-        u[ii] = np.asarray(u0, dtype=float).ravel()[ii]
-    if cap is not None:
-        u[ii] = np.minimum(u[ii], cap)
-    order = P.params.order
+    u = _start_field(P, u0, cap)
 
     sweeps = 0
     final_update = np.inf
     warm = 1024.0 * bt if newton_start else np.inf
     degen_total = 0
     converged = False
-    n_int = len(ii)
     budget = P.params.max_sweeps if budget is None else budget
     for sweep in range(1, budget + 1):
         max_upd = 0.0
         degen_total = 0
-        if order == "color":
-            groups = P.colors
-        else:
-            fwd = np.arange(n_int)
-            groups = [fwd] if sweep % 2 else [fwd[::-1]]
-            groups = [np.array([j]) for g in groups for j in g]
-        for sel in groups:
+        for sel in P.colors:
             r_star, degen = upd.solve(u, sel, warm)
             r_old = u[ii[sel]]
             # over-relax toward the envelope value (same fixed point);
@@ -627,13 +627,8 @@ class _NewtonLevel:
         P = self.P
         ii = P.interior_idx
         if start is None and P.domain is None:
-            u = self.laplace_start()
-        else:
-            u = P.initial_field()
-            if start is not None:
-                u[ii] = start[ii]
-        if self.cap is not None:
-            u[ii] = np.minimum(u[ii], self.cap)
+            start = self.laplace_start()
+        u = _start_field(P, start, self.cap)
         st = P.params.resolved(P.data_range())
         target = _NEWTON_TOL * st * self.c
         G = self.residual(u)

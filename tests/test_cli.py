@@ -388,10 +388,12 @@ BASE = {
     "riesz": ["--cone", "delta:d=1:n=3"],
     "convexity": ["--subeq", "klap:k=1:n=2", "--domain", "ball:n=2"],
     "solve": ["--subeq", "laplace:n=2", "--bc", "x"],
+    "garding": ["--poly", "det", "--n", "1", "--matrix", "1"],
 }
 BAD_INT = ["0", "-1"]
 BAD_FLOAT = ["0", "-1", "nan", "inf"]
-BAD_VALUES = ([("riesz", "--seed", "-1"), ("solve", "--seed", "-3")]
+BAD_VALUES = ([("riesz", "--seed", "-1"), ("solve", "--seed", "-3"),
+               ("garding", "--check-trials", "-1")]
               + [(c, "--trials", v) for c in ("check", "dual-test",
                                               "mono-test") for v in BAD_INT]
               + [("riesz", "--dirs", v) for v in BAD_INT]
@@ -431,8 +433,6 @@ class TestOneValidator:
         ["solve", "--subeq", "laplace:n=2", "--bc", "x", "--m", "9",
          "--sweep-tol", "nan"],
         ["garding", "--poly", "det", "--n", "0", "--matrix", "1"],
-        ["garding", "--poly", "det", "--n", "1", "--matrix", "1",
-         "--check-trials", "-1"],
     ])
     def test_library_bounds_exit_3_on_both_routes(self, tmp_path, argv):
         out = tmp_path / "report.json"
@@ -453,6 +453,19 @@ class TestOneValidator:
             "m": 33.0, "out": str(out2),
             "out_field": str(tmp_path / "f2.csv")}) == 0
         assert out2.read_bytes() == out1.read_bytes()
+
+    def test_sweep_order_is_not_an_option(self, tmp_path, capsys):
+        # the solver has one sweep schedule: a flag or config key naming
+        # another is a usage error, not a silently ignored setting
+        out = tmp_path / "report.json"
+        argv = ["solve", *BASE["solve"], "--m", "9", "--order", "lex"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 3
+        assert "--order" in capsys.readouterr().err
+        assert run_config(tmp_path, as_config(*argv, "--out", str(out))) == 3
+        assert "--order" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_are_never_abbreviated(self, tmp_path):
         out = tmp_path / "report.json"

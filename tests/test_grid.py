@@ -277,10 +277,6 @@ class TestSolverParams:
     def test_omega_explicit(self):
         assert SolverParams(omega=1.5).resolved_omega(1000) == 1.5
 
-    def test_unknown_order_rejected_at_construction(self):
-        with pytest.raises(ConfigError, match="zigzag"):
-            SolverParams(order="zigzag")
-
     # each of these made perron_solve raise a bare error or report a false
     # convergence (omega = 0 "converged" after one sweep, 240 residual)
     @pytest.mark.parametrize("kw", [
@@ -293,13 +289,13 @@ class TestSolverParams:
             SolverParams(**kw)
 
     def test_frozen(self):
-        # order is checked once, when the params are built: a later
-        # assignment would run the lex schedule unchecked
+        # omega is checked once, when the params are built: a later
+        # assignment would over-relax with an unchecked factor
         P = GridProblem(Grid.regular([(0, 1), (0, 1)], 9),
                         parse_name("laplace:n=2"), lambda x: x[:, 0])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            P.params.order = "zigzag"
-        assert P.params.order == "color"
+            P.params.omega = 2.5
+        assert P.params.omega is None
 
 
 class TestStencilTable:

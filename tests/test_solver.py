@@ -83,11 +83,6 @@ class TestPerron:
         b = perron_solve(box_problem(saddle, m=17, omega=1.0))
         assert np.nanmax(np.abs(a.u - b.u)) < 1e-7
 
-    def test_lex_schedule_agrees(self):
-        a = perron_solve(box_problem(saddle, m=9))
-        b = perron_solve(box_problem(saddle, m=9, order="lex"))
-        assert np.nanmax(np.abs(a.u - b.u)) < 1e-7
-
     def test_cascade_agrees_with_flat(self):
         a = perron_solve(box_problem(saddle, m=33))            # ladder [17]
         b = _solve_loop(box_problem(saddle, m=33))
