@@ -22,17 +22,19 @@ fixed point.  ``--compare OTHER`` runs every config in both checkouts and,
 for the solve, obstacle and bracket configs, prints numbers instead of
 digests:
 
-    <name> exit=<a>/<b> converged=<a>/<b> sweeps=<a>/<b> du/sweep_tol=<q> <same>
+    <name> exit=<a>/<b> converged=<a>/<b> sweeps=<a>/<b> du/sweep_tol=<q>
+           csv=<same|DIFFERS> <same>
 
 where ``du`` is the largest |u_a - u_b| over all field CSVs of the config
-(the NaN masks must agree, else ``du`` is ``inf``) and ``sweep_tol`` the
-one quoted in the first checkout's report.  Every other config keeps its
-digest line.  When the two reports' digests differ, the line also carries
-``json-diff=<path>,...``: the dotted key paths at which the parsed reports
-differ (``config.order`` for a dropped key; ``.`` when one side wrote no
-report or the two differ only in bytes), so a schema change reads apart
-from moved numbers.  Each line ends in ``same`` when all digests agree
-with the other side, else ``DIFFERS``.
+(the NaN masks must agree, else ``du`` is ``inf``), ``sweep_tol`` the one
+quoted in the first checkout's report, and ``csv`` says whether the field
+dumps are byte-identical, whatever the reports do.  Every other config
+keeps its digest line.  When the two reports' digests differ, the line
+also carries ``json-diff=<path>,...``: the dotted key paths at which the
+parsed reports differ (``config.order`` for a dropped key; ``.`` when one
+side wrote no report or the two differ only in bytes), so a schema change
+reads apart from moved numbers.  Each line ends in ``same`` when all
+digests agree with the other side, else ``DIFFERS``.
 
 Usage:  python3 scripts/cli_digests.py [checkout] [--compare OTHER]
         (checkout defaults to this one)
@@ -189,7 +191,7 @@ def run_config(src: Path, argv: list) -> dict:
     line = (f"exit={proc.returncode} json={json_sha} csv={csv_sha} "
             f"stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}")
     return {"line": line, "exit": proc.returncode, "json": json_sha,
-            "report": rep, "fields": fields}
+            "csv": csv_sha, "report": rep, "fields": fields}
 
 
 def _solve_stats(rep) -> tuple:
@@ -241,8 +243,9 @@ def compare_line(argv: list, a: dict, b: dict) -> str:
     conv_b, sweeps_b, _ = _solve_stats(b["report"])
     du = _max_du(a["fields"], b["fields"])
     q = f"{du / tol:.3g}" if tol else "-"
+    csv = "same" if a["csv"] == b["csv"] else "DIFFERS"
     return (f"exit={a['exit']}/{b['exit']} converged={conv_a}/{conv_b} "
-            f"sweeps={sweeps_a}/{sweeps_b} du/sweep_tol={q} {same}")
+            f"sweeps={sweeps_a}/{sweeps_b} du/sweep_tol={q} csv={csv} {same}")
 
 
 def _src(root) -> Path:

@@ -9,7 +9,7 @@ on those jets.
 from .errors import (SubeqError, DimensionMismatch, SamplerExhausted,
                      NotHyperbolicError, BracketError, GeometryError,
                      ConfigError)
-from .linalg import SymMatrix, ComplexStructure, eigvalsh_batch
+from .linalg import ComplexStructure, eigvalsh_batch
 from .core import (Jet, JetNorm, JetBox, Subequation, Membership,
                    dual, shift, member, classify,
                    sample_jet_batch, sample_members, axiom_check,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .linalg import SymMatrix, eigvalsh_batch
+from .linalg import eigvalsh_batch
 from .core import (Jet, Subequation, asymptotic_interior_member,
                    _unit_sphere_qmc, bisect)
 
@@ -179,8 +179,8 @@ def star_domain(n: int, amplitude: float = 0.2, lobes: int = 5,
 def second_fundamental_form(D: DomainSpec, x) -> tuple:
     """Outward unit normal and tangential curvature form at a boundary point.
 
-    Returns (nu, II, T): nu in R^n, II an (n-1)x(n-1) SymMatrix in the
-    orthonormal tangent frame given by the columns of T.
+    Returns (nu, II, T): nu in R^n, II a dense symmetric (n-1)x(n-1) array
+    in the orthonormal tangent frame given by the columns of T.
     """
     x = np.asarray(x, dtype=float)
     val = D.value(x)
@@ -198,7 +198,7 @@ def second_fundamental_form(D: DomainSpec, x) -> tuple:
     T = Hh[:, 1:]
     H = D.hessian(x) / gn
     II = T.T @ H @ T
-    return nu, SymMatrix.from_dense(0.5 * (II + II.T), check=False), T
+    return nu, 0.5 * (II + II.T), T
 
 
 def sample_boundary_points(D: DomainSpec, k: int, seed: int = 0,
@@ -266,7 +266,7 @@ def _curvature_at(D: DomainSpec, x):
     """x as an array, the unit normal nu, II, and II in ambient coordinates."""
     x = np.asarray(x, dtype=float)
     nu, II, T = second_fundamental_form(D, x)
-    return x, nu, II, T @ II.mat @ T.T
+    return x, nu, II, T @ II @ T.T
 
 
 def strict_convexity_test(F: Subequation, D: DomainSpec, x,
@@ -283,8 +283,10 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     """
     if F.n != D.n:
         raise ConfigError(f"operator dimension {F.n} != domain {D.n}")
-    x, nu, II, II_amb = _curvature_at(D, x)
     grid = tuple(lambda_grid)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"lambda values must be finite, not {list(grid)}")
+    x, nu, II, II_amb = _curvature_at(D, x)
     reduced = F.reduced or F.pure_second_order
     n_last = 4
     ts = [1.0]
@@ -294,7 +296,7 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     def verdict_at(lam: float) -> bool:
         for t in ts[-n_last:]:
             A = t * np.outer(nu, nu) + II_amb
-            J = Jet(lam, nu, SymMatrix.from_dense(A, check=False))
+            J = Jet(lam, nu, A)
             if not asymptotic_interior_member(F, J, x=x):
                 return False
         return True
@@ -304,8 +306,8 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
     else:
         per_lam = tuple(verdict_at(lam) for lam in grid)
     overall = all(per_lam)
-    return ConvexityVerdict(x, grid, per_lam, overall, float(II.trace()),
-                            float(eigvalsh_batch(II.mat[None])[0, 0]))
+    return ConvexityVerdict(x, grid, per_lam, overall, float(np.trace(II)),
+                            float(eigvalsh_batch(II[None])[0, 0]))
 
 
 def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray,

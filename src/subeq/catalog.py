@@ -137,9 +137,6 @@ class DirectionalCone:
         norms = np.linalg.norm(p, axis=-1)
         return p @ self.axis - self.cos_half * norms
 
-    def margin(self, p) -> float:
-        return float(self.margin_batch(np.asarray(p, dtype=float)[None, :])[0])
-
     def sample(self, rng: np.random.Generator, size: int,
                radius: float = 5.0) -> np.ndarray:
         """Points of D with |p| <= radius (not uniform; full angular cover)."""

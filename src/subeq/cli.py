@@ -358,6 +358,8 @@ def _parse_matrix(text: str, n: int) -> np.ndarray:
         A = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ConfigError(f"bad matrix literal: {exc}") from exc
+    if not np.isfinite(A).all():
+        raise ConfigError("matrix entries must be finite")
     if A.shape != (n, n):
         raise ConfigError(f"matrix shape {A.shape}, expected {(n, n)}")
     if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, SamplerExhausted
-from .linalg import SymMatrix
+from .linalg import MAX_DIM
 
 DEFAULT_EPS_B = 1e-9
 REJECTION_CAP = 10 ** 6
@@ -38,40 +38,56 @@ ILLINOIS_SLACK = 4      # steps illinois may take beyond bisection's
 
 @dataclass(frozen=True)
 class Jet:
-    """2-jet (r, p, A): value, gradient, symmetric second-derivative part."""
+    """2-jet (r, p, A): value, gradient, symmetric second-derivative part.
+
+    ``A`` is kept as a read-only dense (n, n) array, 1 <= n <= MAX_DIM: the
+    upper triangle of the matrix given and its mirror, so it is exactly
+    symmetric.  The matrix given must be symmetric within
+    1e-9 * max(1, max|A|).
+    """
 
     r: float
     p: np.ndarray
-    A: SymMatrix
+    A: np.ndarray
 
     def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionMismatch(f"not square: {A.shape}")
+        n = A.shape[0]
+        if not (1 <= n <= MAX_DIM):
+            raise DimensionMismatch(f"dimension {n} outside 1..{MAX_DIM}")
+        if np.abs(A - A.T).max() > 1e-9 * max(1.0, np.abs(A).max()):
+            raise ValueError("matrix is not symmetric within tolerance")
+        A = np.where(np.triu(np.ones((n, n), dtype=bool)), A, A.T)
+        A.flags.writeable = False
         p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.A.n,):
+        if p.shape != (n,):
             raise DimensionMismatch(
-                f"gradient shape {p.shape} vs matrix dim {self.A.n}"
+                f"gradient shape {p.shape} vs matrix dim {n}"
             )
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", float(self.r))
 
     @property
     def n(self) -> int:
-        return self.A.n
+        return self.A.shape[0]
 
     @classmethod
     def zero(cls, n: int) -> "Jet":
-        return cls(0.0, np.zeros(n), SymMatrix.zero(n))
+        return cls(0.0, np.zeros(n), np.zeros((n, n)))
 
     @classmethod
     def from_parts(cls, r=0.0, p=None, A=None, n: Optional[int] = None) -> "Jet":
         if A is None:
             if n is None:
                 raise DimensionMismatch("need A or n")
-            A = SymMatrix.zero(n)
-        elif not isinstance(A, SymMatrix):
-            A = SymMatrix.from_dense(A)
+            A = np.zeros((n, n))
+        A = np.asarray(A, dtype=float)
         if p is None:
-            p = np.zeros(A.n)
-        return cls(float(r), np.asarray(p, dtype=float), A)
+            p = np.zeros(A.shape[:1])
+        return cls(float(r), p, A)
 
     def __add__(self, other: "Jet") -> "Jet":
         if other.n != self.n:
@@ -86,10 +102,7 @@ class Jet:
         return Jet(-self.r, -self.p, -self.A)
 
     def scale(self, t: float) -> "Jet":
-        return Jet(t * self.r, t * self.p, self.A.scale(t))
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "p": self.p.tolist(), "A": self.A.mat.tolist()}
+        return Jet(t * self.r, t * self.p, t * self.A)
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,7 @@ class JetNorm:
     w_A: float = 1.0
 
     def __call__(self, jet: Jet) -> float:
-        fro = float(np.linalg.norm(jet.A.mat))
+        fro = float(np.linalg.norm(jet.A))
         return float(np.sqrt((self.w_r * jet.r) ** 2
                              + (self.w_p * np.linalg.norm(jet.p)) ** 2
                              + (self.w_A * fro) ** 2))
@@ -149,7 +162,7 @@ class Subequation:
         if jet.n != self.n:
             raise DimensionMismatch(f"jet dim {jet.n} != subequation dim {self.n}")
         return float(self.value_batch(np.array([jet.r]), jet.p[None, :],
-                                      jet.A.mat[None, :, :], x)[0])
+                                      jet.A[None, :, :], x)[0])
 
     def value_batch(self, r, p, A, x=None) -> np.ndarray:
         """rho on a batch of N jets.  ``x`` is read only when the set is
@@ -211,7 +224,7 @@ def dual(F: Subequation) -> Subequation:
 def shift(F: Subequation, jet0: Jet) -> Subequation:
     """Translate the constraint set: shift(F, J0) = F + J0."""
     base = F.rho_batch
-    r0, p0, A0 = jet0.r, jet0.p.copy(), jet0.A.mat.copy()
+    r0, p0, A0 = jet0.r, jet0.p.copy(), jet0.A
 
     def rho_shift(r, p, A, *x):
         return base(np.asarray(r) - r0, np.asarray(p) - p0,
@@ -690,7 +703,7 @@ def strict_member(F: Subequation, jet: Jet, c: float,
     dr, dp, dA = _sphere_jets(F.n, samples, c, norm, seed=seed)
     r = jet.r + dr
     p = jet.p[None, :] + dp
-    A = jet.A.mat[None, :, :] + dA
+    A = jet.A[None, :, :] + dA
     vals = F.value_batch(r, p, A, x)
     center = F.value(jet, x=x)
     return bool(center >= 0.0 and vals.min() >= 0.0)
@@ -712,9 +725,9 @@ def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
     norm = JetNorm()
     dr, dp, dA = _sphere_jets(F.n, trials, radius, norm, seed=seed)
     p = jet.p[None, :] + dp
-    A = jet.A.mat[None, :, :] + dA
+    A = jet.A[None, :, :] + dA
     pts = np.concatenate([jet.p[None, :], p])
-    As = np.concatenate([jet.A.mat[None, :, :], A])
+    As = np.concatenate([jet.A[None, :, :], A])
     rs = np.full(len(pts), jet.r)
     if F.cone and (F.reduced or F.pure_second_order):
         vals = F.value_batch(rs, pts, As, x)

@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .linalg import SymMatrix
 from .core import Jet, Subequation
 
 
@@ -175,6 +174,8 @@ class Grid:
         """Uniform lattice with m nodes per axis over [a1,b1]x...; spacing
         must agree across axes."""
         b = np.asarray(bounds, dtype=float).reshape(-1, 2)
+        if not np.isfinite(b).all():
+            raise ConfigError(f"box bounds must be finite, not {b.tolist()}")
         if m < 3:
             raise ConfigError("need at least 3 nodes per axis")
         hs = (b[:, 1] - b[:, 0]) / (m - 1)
@@ -331,4 +332,4 @@ def discrete_jet(u: np.ndarray, node, h: float, stencil: str = "9pt") -> Jet:
         V[k, 0] = u[tgt]
     r = np.array([u[node]])
     p, A = asm.assemble(V, r)
-    return Jet(float(r[0]), p[0], SymMatrix.from_dense(A[0], check=False))
+    return Jet(float(r[0]), p[0], A[0])

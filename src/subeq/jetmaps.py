@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .core import Jet, Subequation
-from .linalg import (SymMatrix, _as_dense, ComplexStructure,
-                     field_eigvalsh_batch)
+from .linalg import _as_dense, ComplexStructure, field_eigvalsh_batch
 
 MatField = Union[np.ndarray, Callable]      # (n,n) or x->(N,n,n)
 TenField = Union[np.ndarray, Callable]      # (n,n,n) or x->(N,n,n,n)
@@ -126,9 +125,8 @@ def apply(Psi: AffineJetMap, x, J: Jet) -> Jet:
     """Image of a single jet (x ignored by constant-coefficient maps)."""
     xb = None if x is None else np.asarray(x, dtype=float)[None, :]
     r, p, A = apply_batch(Psi, np.array([J.r]), J.p[None, :],
-                          J.A.mat[None, :, :], x=xb)
-    return Jet(float(r[0]), p[0], SymMatrix.from_dense(
-        0.5 * (A[0] + A[0].T), check=False))
+                          J.A[None, :, :], x=xb)
+    return Jet(float(r[0]), p[0], 0.5 * (A[0] + A[0].T))
 
 
 def _field(fn: Callable, x_dependent: bool):

@@ -1,9 +1,10 @@
-"""Symmetric matrices, batched eigenvalues and the small spectral toolbox
+"""Batched eigenvalues of symmetric matrices and the small spectral toolbox
 used everywhere else in the package.
 
 Matrices here are small (n <= 16): second-derivative data of functions of a
-few variables.  The eigenvalue kernel is ``eigvalsh_batch``: closed forms
-for 2x2 stacks (the quadratic formula) and for 3x3 stacks of at least
+few variables, held as plain dense arrays, one (n, n) matrix or an
+(N, n, n) stack.  The eigenvalue kernel is ``eigvalsh_batch``: closed
+forms for 2x2 stacks (the quadratic formula) and for 3x3 stacks of at least
 ``_EIG3_MIN_BATCH`` matrices (the trigonometric solution of the
 characteristic cubic, O. K. Smith 1961), LAPACK otherwise.  The 3x3 form
 sends rows near a repeated eigenvalue, where acos is ill-conditioned, and
@@ -30,110 +31,7 @@ from .errors import DimensionMismatch
 MAX_DIM = 16
 
 
-# ---------------------------------------------------------------------------
-# symmetric matrices, packed storage
-
-
-def _packed_size(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Real symmetric n x n matrix.
-
-    Only the upper triangle is stored, so symmetry is structural rather than
-    a numerical promise.
-    """
-
-    n: int
-    packed: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not (1 <= self.n <= MAX_DIM):
-            raise DimensionMismatch(f"dimension {self.n} outside 1..{MAX_DIM}")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (_packed_size(self.n),):
-            raise DimensionMismatch(
-                f"packed storage has {packed.shape}, expected ({_packed_size(self.n)},)"
-            )
-        object.__setattr__(self, "packed", packed)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, M, check: bool = True, tol: float = 1e-9) -> "SymMatrix":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"not square: {M.shape}")
-        n = M.shape[0]
-        if check:
-            scale = max(1.0, float(np.abs(M).max()))
-            if float(np.abs(M - M.T).max()) > tol * scale:
-                raise ValueError("matrix is not symmetric within tolerance")
-        iu = np.triu_indices(n)
-        return cls(n, M[iu].copy())
-
-    @classmethod
-    def diag(cls, values) -> "SymMatrix":
-        values = np.asarray(values, dtype=float)
-        return cls.from_dense(np.diag(values), check=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.diag(np.ones(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "SymMatrix":
-        return cls(n, np.zeros(_packed_size(n)))
-
-    # -- views --------------------------------------------------------------
-
-    @property
-    def mat(self) -> np.ndarray:
-        """Dense symmetric view (freshly allocated)."""
-        M = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        M[iu] = self.packed
-        M.T[iu] = self.packed
-        return M
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("size mismatch in SymMatrix addition")
-        return SymMatrix(self.n, self.packed + other.packed)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("size mismatch in SymMatrix subtraction")
-        return SymMatrix(self.n, self.packed - other.packed)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.n, -self.packed)
-
-    def scale(self, t: float) -> "SymMatrix":
-        return SymMatrix(self.n, t * self.packed)
-
-    def __mul__(self, t: float) -> "SymMatrix":
-        return self.scale(float(t))
-
-    __rmul__ = __mul__
-
-    def trace(self) -> float:
-        idx = np.cumsum([0] + list(range(self.n, 1, -1)))
-        return float(self.packed[idx].sum())
-
-    def quad(self, v) -> float:
-        """v^T A v."""
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.mat @ v)
-
-
 def _as_dense(A) -> np.ndarray:
-    if isinstance(A, SymMatrix):
-        return A.mat
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"not square: {M.shape}")

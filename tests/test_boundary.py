@@ -9,7 +9,6 @@ from subeq.boundary import (DEFAULT_LAMBDA_GRID, DomainSpec, ball_domain,
                             second_fundamental_form, sample_boundary_points,
                             strict_convexity_test, tangent_trace_test)
 from subeq.core import Jet, asymptotic_interior_member
-from subeq.linalg import SymMatrix
 from subeq.errors import ConfigError, GeometryError
 
 
@@ -45,7 +44,7 @@ class TestCurvature:
         x = R * np.array([0.6, 0.8, 0.0])
         nu, II, T = second_fundamental_form(B, x)
         assert np.allclose(nu, x / R, atol=1e-12)
-        assert np.allclose(np.linalg.eigvalsh(II.mat), 1.0 / R, atol=1e-9)
+        assert np.allclose(np.linalg.eigvalsh(II), 1.0 / R, atol=1e-9)
 
     def test_frame_is_orthonormal_and_tangent(self):
         B = ball_domain(4, radius=1.0)
@@ -61,14 +60,14 @@ class TestCurvature:
         x = np.array([1.0, 0.0])
         nu, II, T = second_fundamental_form(A, x)
         assert np.allclose(nu, [-1.0, 0.0], atol=1e-6)   # outward = inward ray
-        assert np.allclose(II.mat, [[-1.0]], atol=1e-5)
+        assert np.allclose(II, [[-1.0]], atol=1e-5)
 
     def test_annulus_outer_wall(self):
         A = annulus_domain(2, r_in=1.0, r_out=2.0)
         x = np.array([0.0, 2.0])
         nu, II, T = second_fundamental_form(A, x)
         assert np.allclose(nu, [0.0, 1.0], atol=1e-6)
-        assert np.allclose(II.mat, [[0.5]], atol=1e-5)
+        assert np.allclose(II, [[0.5]], atol=1e-5)
 
     def test_rejects_off_boundary_point(self):
         B = ball_domain(2)
@@ -170,15 +169,14 @@ def full_grid_verdicts(F, D, x, lambda_grid=DEFAULT_LAMBDA_GRID,
     evaluated, and the last four decide."""
     x = np.asarray(x, dtype=float)
     nu, II, T = second_fundamental_form(D, x)
-    II_amb = T @ II.mat @ T.T
+    II_amb = T @ II @ T.T
     ts = [1.0]
     while ts[-1] < t_max:
         ts.append(min(2.0 * ts[-1], t_max))
 
     def verdict_at(lam):
         tail = [asymptotic_interior_member(
-            F, Jet(lam, nu, SymMatrix.from_dense(
-                t * np.outer(nu, nu) + II_amb, check=False)),
+            F, Jet(lam, nu, t * np.outer(nu, nu) + II_amb),
             x=x if F.x_dependent else None) for t in ts]
         return all(tail[-4:])
 

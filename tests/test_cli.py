@@ -432,7 +432,14 @@ class TestOneValidator:
          "--sweep-tol", "-1"],
         ["solve", "--subeq", "laplace:n=2", "--bc", "x", "--m", "9",
          "--sweep-tol", "nan"],
+        ["solve", "--subeq", "laplace:n=2", "--bc", "0", "--box", "0,inf",
+         "--m", "9"],
+        ["solve", "--subeq", "laplace:n=2", "--bc", "0", "--box", "nan,1",
+         "--m", "9"],
         ["garding", "--poly", "det", "--n", "0", "--matrix", "1"],
+        ["garding", "--poly", "det", "--n", "2", "--matrix", "nan,0;0,1"],
+        ["convexity", "--subeq", "cy:n=2", "--domain", "ball:n=2",
+         "--points", "3", "--lambda-grid", "0,nan"],
     ])
     def test_library_bounds_exit_3_on_both_routes(self, tmp_path, argv):
         out = tmp_path / "report.json"

@@ -32,15 +32,15 @@ class TestJet:
         s = a + b
         assert s.r == -1.0
         assert np.allclose(s.p, [1, 1])
-        assert np.allclose(s.A.mat, 3 * np.eye(2))
+        assert np.allclose(s.A, 3 * np.eye(2))
         assert (a - a).r == 0.0
         assert np.allclose((-a).p, [-1, 0])
-        assert np.allclose(a.scale(2.0).A.mat, 2 * np.eye(2))
+        assert np.allclose(a.scale(2.0).A, 2 * np.eye(2))
 
     def test_zero(self):
         z = Jet.zero(3)
         assert z.n == 3 and z.r == 0.0
-        assert np.allclose(z.A.mat, np.zeros((3, 3)))
+        assert np.allclose(z.A, np.zeros((3, 3)))
 
     def test_dimension_guard(self):
         a = Jet.from_parts(0.0, [1, 0], np.eye(2))
@@ -52,6 +52,30 @@ class TestJet:
         norm = JetNorm()
         j = Jet.from_parts(3.0, [4.0, 0.0], np.zeros((2, 2)))
         assert norm(j) > 0
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            Jet.from_parts(A=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 3)), np.zeros(2),
+                                   np.zeros((17, 17)), np.zeros((0, 0))])
+    def test_rejects_bad_shape(self, A):
+        with pytest.raises(DimensionMismatch):
+            Jet.from_parts(A=A)
+
+    def test_A_is_the_mirrored_upper_triangle(self):
+        M = np.array([[1.0, -0.0, 2.0],
+                      [0.0, 3.0, 0.5 + 1e-12],
+                      [2.0, 0.5, -0.0]])
+        want = np.array([[1.0, -0.0, 2.0],
+                         [-0.0, 3.0, 0.5 + 1e-12],
+                         [2.0, 0.5 + 1e-12, -0.0]])
+        A = Jet.from_parts(A=M).A
+        assert A.tobytes() == want.tobytes()
+        assert A.tobytes() == A.T.copy().tobytes()
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 5.0
 
 
 class TestDuality:

@@ -65,7 +65,7 @@ class TestQuadraticExactness:
         x0 = h * np.array([3.0, 3.0])
         assert np.isclose(J.r, quad_field(0.3, b, Q)(x0)[0], atol=1e-12)
         assert np.allclose(J.p, b + Q @ x0, atol=1e-10)
-        assert np.allclose(J.A.mat, Q, atol=1e-9)
+        assert np.allclose(J.A, Q, atol=1e-9)
 
     def test_wide16_full_quadratic(self, rng):
         h = 0.05
@@ -75,14 +75,14 @@ class TestQuadraticExactness:
         J = discrete_jet(u, (4, 4), h, stencil="wide16")
         x0 = h * np.array([4.0, 4.0])
         assert np.allclose(J.p, b + Q @ x0, atol=1e-9)
-        assert np.allclose(J.A.mat, Q, atol=1e-8)
+        assert np.allclose(J.A, Q, atol=1e-8)
 
     def test_5pt_separable_quadratic(self, rng):
         h = 0.1
         Q = np.diag(rng.uniform(-2, 2, 2))
         u = sampled(quad_field(0.0, np.zeros(2), Q), 7, h, 2)
         J = discrete_jet(u, (3, 3), h, stencil="5pt")
-        assert np.allclose(J.A.mat, Q, atol=1e-9)
+        assert np.allclose(J.A, Q, atol=1e-9)
 
     def test_5pt_misses_mixed_terms(self):
         # documented limitation: axis-only stencils read zero cross term
@@ -90,14 +90,14 @@ class TestQuadraticExactness:
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
         u = sampled(quad_field(0.0, np.zeros(2), Q), 7, h, 2)
         J = discrete_jet(u, (3, 3), h, stencil="5pt")
-        assert abs(J.A.mat[0, 1]) < 1e-12
+        assert abs(J.A[0, 1]) < 1e-12
 
     def test_3d_mixed_terms(self, rng):
         h = 0.2
         Q = random_sym(rng, 3)
         u = sampled(quad_field(0.1, np.zeros(3), Q), 5, h, 3)
         J = discrete_jet(u, (2, 2, 2), h, stencil="9pt")
-        assert np.allclose(J.A.mat, Q, atol=1e-8)
+        assert np.allclose(J.A, Q, atol=1e-8)
 
     def test_edge_poke_raises(self):
         u = np.zeros((5, 5))
@@ -187,6 +187,9 @@ class TestGrid:
             Grid.regular([(0, 1), (0, 2)], 5)     # anisotropic spacing
         with pytest.raises(ConfigError):
             Grid.regular([(1, 1)], 5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="finite"):
+                Grid.regular([(0, bad), (0, bad)], 9)
 
 
 class TestGridProblem:
@@ -234,7 +237,7 @@ class TestGridProblem:
         J = discrete_jet(u.reshape(P.grid.shape), node, P.grid.h)
         assert np.isclose(r[k], J.r)
         assert np.allclose(p[k], J.p, atol=1e-12)
-        assert np.allclose(A[k], J.A.mat, atol=1e-12)
+        assert np.allclose(A[k], J.A, atol=1e-12)
 
     def test_nonfinite_data_rejected(self):
         g = Grid.regular([(0, 1), (0, 1)], 5)

@@ -1,4 +1,5 @@
-"""Symmetric-matrix kernel tests against independent numpy oracles."""
+"""Spectral kernel tests on dense symmetric arrays against independent
+numpy oracles."""
 
 import ast
 from pathlib import Path
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from subeq import dual, parse_name
 import subeq
-from subeq.linalg import (SymMatrix, eigvalsh_batch, esym_batch,
-                          ComplexStructure, field_eigvalsh_batch,
-                          hermitian_part_batch, poly_roots_batch,
+from subeq.linalg import (eigvalsh_batch, esym_batch, ComplexStructure,
+                          field_eigvalsh_batch, hermitian_part_batch,
+                          poly_roots_batch,
                           _EIG3_BLOCK, _EIG3_MIN_BATCH)
 
 from conftest import random_sym
@@ -38,34 +39,6 @@ def pso_vals(F, A):
     """Margins of a pure-second-order set on a batch of matrices."""
     m, n = len(A), A.shape[-1]
     return F.value_batch(np.zeros(m), np.zeros((m, n)), A)
-
-
-class TestSymMatrix:
-    def test_packed_round_trip(self, rng):
-        for n in (1, 2, 3, 5, 8):
-            M = random_sym(rng, n)
-            S = SymMatrix.from_dense(M)
-            assert np.allclose(S.mat, M, atol=1e-14)
-
-    def test_from_dense_rejects_asymmetric(self):
-        with pytest.raises(Exception):
-            SymMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_algebra(self, rng):
-        A = random_sym(rng, 4)
-        B = random_sym(rng, 4)
-        SA, SB = SymMatrix.from_dense(A), SymMatrix.from_dense(B)
-        assert np.allclose((SA + SB).mat, A + B)
-        assert np.allclose((SA - SB).mat, A - B)
-        assert np.allclose((-SA).mat, -A)
-        assert np.allclose(SA.scale(2.5).mat, 2.5 * A)
-        assert np.isclose(SA.trace(), np.trace(A))
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.isclose(SA.quad(v), v @ A @ v)
-
-    def test_identity_diag(self):
-        assert np.allclose(SymMatrix.identity(3).mat, np.eye(3))
-        assert np.allclose(SymMatrix.diag([1, 2, 3]).mat, np.diag([1.0, 2, 3]))
 
 
 class TestEigen:
