@@ -78,7 +78,7 @@ CONFIGS = [
                     "--cone", "appb:case=5:n=2:lam=1"]),
     ("mono-appb6", ["mono-test", "--subeq", "laplace:n=2",
                     "--cone", "appb:case=6:n=2:R=1"]),
-    # matrix-first draws for F, M and dual(F), F's at margin_min = eps_b
+    # matrix-first draws for F, M and dual(F), F's at margin DEFAULT_EPS_B
     ("mono-complex", ["mono-test", "--subeq", "branch:complex:k=1:n=2",
                       "--cone", "branch:complex:k=1:n=2"]),
     ("riesz-pucci", ["riesz", "--cone", "pucci:lam=1:Lam=2:n=3"]),
@@ -172,7 +172,8 @@ def run_config(src: Path, argv: list) -> dict:
     """Run one config; returns its digest line, exit code, parsed report
     (or None) and field values (last CSV column, by file name)."""
     # one BLAS thread on both sides, so the thread count cannot move bits
-    env = dict(os.environ, PYTHONPATH=str(src), SUBEQ_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "--config":
             Path(tmp, "config.json").write_text(argv[1])

@@ -10,7 +10,7 @@ from .errors import (SubeqError, DimensionMismatch, SamplerExhausted,
                      NotHyperbolicError, BracketError, GeometryError,
                      ConfigError)
 from .linalg import ComplexStructure, eigvalsh_batch
-from .core import (Jet, JetNorm, JetBox, Subequation, Membership,
+from .core import (Jet, jet_norm, JetBox, Subequation, Membership,
                    dual, shift, member, classify,
                    sample_jet_batch, sample_members, axiom_check,
                    monotonicity_check, strict_member,

@@ -64,14 +64,13 @@ class DomainSpec:
     """Region {rho_dom < 0} with geometry callbacks or difference fallbacks.
 
     rho_dom maps batched points (N, n) to (N,).  When analytic gradient or
-    Hessian callbacks are absent, central differences at step h_geo are used
-    and cross-checked by a half-step Richardson pass.
+    Hessian callbacks are absent, central differences at step ``_H_GEO``
+    (1e-4) and at half that step are combined by Richardson extrapolation.
     """
     n: int
     rho_dom: Callable
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
-    h_geo: float = _H_GEO
     label: str = "domain"
 
     def value(self, x) -> float:
@@ -82,8 +81,8 @@ class DomainSpec:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        g1 = _fd_gradient(self.rho_dom, x, self.h_geo)
-        g2 = _fd_gradient(self.rho_dom, x, 0.5 * self.h_geo)
+        g1 = _fd_gradient(self.rho_dom, x, _H_GEO)
+        g2 = _fd_gradient(self.rho_dom, x, 0.5 * _H_GEO)
         return (4.0 * g2 - g1) / 3.0
 
     def hessian(self, x) -> np.ndarray:
@@ -91,8 +90,8 @@ class DomainSpec:
         if self.hess is not None:
             H = np.asarray(self.hess(x), dtype=float)
         else:
-            H1 = _fd_hessian(self.rho_dom, x, self.h_geo)
-            H2 = _fd_hessian(self.rho_dom, x, 0.5 * self.h_geo)
+            H1 = _fd_hessian(self.rho_dom, x, _H_GEO)
+            H2 = _fd_hessian(self.rho_dom, x, 0.5 * _H_GEO)
             H = (4.0 * H2 - H1) / 3.0
         return 0.5 * (H + H.T)
 
@@ -100,16 +99,16 @@ class DomainSpec:
         return self.value(x) < 0.0
 
 
-def ball_domain(n: int, radius: float = 1.0, center=None) -> DomainSpec:
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+def ball_domain(n: int, radius: float = 1.0) -> DomainSpec:
+    """The ball of the given radius about the origin."""
     r2 = radius ** 2
 
     def rho(x):
-        d = np.asarray(x, dtype=float) - c
+        d = np.asarray(x, dtype=float)
         return np.einsum("ni,ni->n", d, d) - r2
 
     def grad(x):
-        return 2.0 * (np.asarray(x, dtype=float) - c)
+        return 2.0 * np.asarray(x, dtype=float)
 
     def hess(x):
         return 2.0 * np.eye(n)
@@ -126,11 +125,11 @@ def annulus_domain(n: int, r_in: float = 1.0, r_out: float = 2.0) -> DomainSpec:
     return DomainSpec(n, rho, label=f"annulus:{r_in}:{r_out}")
 
 
-def ellipsoid_domain(axes, rotation=None) -> DomainSpec:
+def ellipsoid_domain(axes) -> DomainSpec:
+    """The axis-aligned ellipsoid sum (x_i / axes_i)^2 < 1."""
     axes = np.asarray(axes, dtype=float)
     n = len(axes)
-    Q = np.eye(n) if rotation is None else np.asarray(rotation, dtype=float)
-    D = Q @ np.diag(1.0 / axes ** 2) @ Q.T
+    D = np.diag(1.0 / axes ** 2)
 
     def rho(x):
         x = np.asarray(x, dtype=float)
@@ -201,16 +200,17 @@ def second_fundamental_form(D: DomainSpec, x) -> tuple:
     return nu, 0.5 * (II + II.T), T
 
 
-def sample_boundary_points(D: DomainSpec, k: int, seed: int = 0,
-                           center=None) -> np.ndarray:
+def sample_boundary_points(D: DomainSpec, k: int,
+                           seed: int = 0) -> np.ndarray:
     """Boundary points by ray bisection from an interior anchor.
 
-    Works for domains star-shaped about the anchor (default: origin; if the
-    origin is exterior, as for an annulus, a deterministic scan picks an
-    interior anchor instead).  Each ray is bisected until its bracket is
-    below 1e-14 relative width, and the bracket midpoint is returned."""
-    c = np.zeros(D.n) if center is None else np.asarray(center, dtype=float)
-    if D.value(c) >= 0 and center is None:
+    Works for domains star-shaped about the anchor: the origin, or, if the
+    origin is not interior (as for an annulus), the point of lowest rho_dom
+    in a seeded scan of [-1.5, 1.5]^n.  Each ray is bisected until its
+    bracket is below 1e-14 relative width, and the bracket midpoint is
+    returned."""
+    c = np.zeros(D.n)
+    if D.value(c) >= 0:
         rng = np.random.default_rng(seed + 1)
         cand = rng.uniform(-1.5, 1.5, (4096, D.n))
         vals = np.asarray(D.rho_dom(cand), dtype=float)
@@ -310,9 +310,8 @@ def strict_convexity_test(F: Subequation, D: DomainSpec, x,
                             float(eigvalsh_batch(II[None])[0, 0]))
 
 
-def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray,
-                       tol: float = 1e-9) -> bool:
-    """Direct geometric criterion: tr_W II > 0 over tangent plane samples.
+def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray) -> bool:
+    """Direct geometric criterion: tr_W II > 1e-9 over tangent plane samples.
 
     ``frames`` stacks orthonormal (n, p) frames; each is projected to the
     tangent space at x and re-orthonormalized, dropping frames that collapse.
@@ -328,7 +327,7 @@ def tangent_trace_test(D: DomainSpec, x, frames: np.ndarray,
             continue                # frame had no tangent representative
         found += 1
         tr = float(np.einsum("ip,ij,jp->", q, II_amb, q))
-        if tr <= tol:
+        if tr <= 1e-9:
             ok = False
     if found == 0:
         raise GeometryError("no tangent planes among the sampled frames")

@@ -137,9 +137,9 @@ class DirectionalCone:
         norms = np.linalg.norm(p, axis=-1)
         return p @ self.axis - self.cos_half * norms
 
-    def sample(self, rng: np.random.Generator, size: int,
-               radius: float = 5.0) -> np.ndarray:
-        """Points of D with |p| <= radius (not uniform; full angular cover)."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Points of D with |p| <= 5, the ``JetBox`` p-radius (not uniform;
+        full angular cover)."""
         th = np.arccos(np.clip(self.cos_half, -1, 1))
         u = self.axis
         n = self.n
@@ -150,7 +150,7 @@ class DirectionalCone:
         perp = raw / nrm
         ang = th * rng.uniform(0.0, 1.0, size) ** (1.0 / max(n - 1, 1))
         dirs = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * perp
-        r = radius * rng.uniform(0.0, 1.0, size) ** (1.0 / self.n)
+        r = 5.0 * rng.uniform(0.0, 1.0, size) ** (1.0 / self.n)
         return dirs * r[:, None]
 
 
@@ -364,8 +364,7 @@ def _geometric(G: GrassmannSet) -> Subequation:
 
 def make_monotonicity_cone(case: int, n: int, gamma: float = None,
                            D: DirectionalCone = None, lam: float = None,
-                           R: float = None,
-                           directions: int = 64) -> Subequation:
+                           R: float = None) -> Subequation:
     """The stock convex monotonicity cones, numbered 1-6.
 
     1. A >= 0 only.
@@ -425,7 +424,7 @@ def make_monotonicity_cone(case: int, n: int, gamma: float = None,
         return replace(make_branch("real", 1, n), label=label,
                        member_sampler=sampler)
     if case == 5:
-        E = _unit_sphere_qmc(n, directions, seed=0)   # (K, n)
+        E = _unit_sphere_qmc(n, 64, seed=0)   # (K, n)
 
         def rho(r, p, A, _E=E, _l=float(lam)):
             p = np.asarray(p, dtype=float)

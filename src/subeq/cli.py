@@ -10,20 +10,6 @@ Exit codes: 0 success, 2 violations/non-convergence (report still written),
 joined to its flag: ``--box=-1,1`` (``--box -1,1`` reads ``-1,1`` as a flag).
 """
 
-import os as _os
-
-
-def _cap_threads():
-    t = _os.environ.get("SUBEQ_THREADS")
-    if t:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS"):
-            _os.environ.setdefault(var, t)
-
-
-_cap_threads()                      # must precede the numpy import chain
-
 import argparse
 import json
 import math
@@ -33,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SubeqError, ConfigError
-from .core import (JetBox, sample_jet_batch, axiom_check,
+from .core import (DEFAULT_EPS_B, JetBox, sample_jet_batch, axiom_check,
                    monotonicity_check, validate_registration, dual)
 from .catalog import parse_name, dual_name, _Params
 from .garding import (named_polynomial, garding_eigenvalues,
@@ -45,8 +31,6 @@ from .boundary import (sample_boundary_points, strict_convexity_test,
 from .expressions import parse_expression, expression_domain
 from .grid import Grid, GridProblem, SolverParams
 from .solver import perron_solve, obstacle_solve, dual_bracket_solve
-
-_BAND = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +292,7 @@ def _cmd_dual_test(args):
     r, p, A = sample_jet_batch(JetBox(), F.n, args.trials, rng)
     vd = dual(F).value_batch(r, p, A)
     vg = G.value_batch(r, p, A)
-    decidable = (np.abs(vd) > _BAND) & (np.abs(vg) > _BAND)
+    decidable = (np.abs(vd) > DEFAULT_EPS_B) & (np.abs(vg) > DEFAULT_EPS_B)
     disagree = decidable & ((vd > 0) != (vg > 0))
     count = int(disagree.sum())
     witness = None

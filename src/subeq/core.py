@@ -42,8 +42,9 @@ class Jet:
 
     ``A`` is kept as a read-only dense (n, n) array, 1 <= n <= MAX_DIM: the
     upper triangle of the matrix given and its mirror, so it is exactly
-    symmetric.  The matrix given must be symmetric within
-    1e-9 * max(1, max|A|).
+    symmetric.  Each pair (A_ij, A_ji) of the matrix given must be equal,
+    both NaN, or within 1e-9 * max(1, max|A|), the max over entries that
+    are not NaN.
     """
 
     r: float
@@ -57,7 +58,10 @@ class Jet:
         n = A.shape[0]
         if not (1 <= n <= MAX_DIM):
             raise DimensionMismatch(f"dimension {n} outside 1..{MAX_DIM}")
-        if np.abs(A - A.T).max() > 1e-9 * max(1.0, np.abs(A).max()):
+        tol = 1e-9 * np.max(np.abs(A), initial=1.0, where=~np.isnan(A))
+        ok = ((np.abs(A - A.T) <= tol) | (A == A.T)
+              | np.isnan(A) & np.isnan(A.T))
+        if not ok.all():
             raise ValueError("matrix is not symmetric within tolerance")
         A = np.where(np.triu(np.ones((n, n), dtype=bool)), A, A.T)
         A.flags.writeable = False
@@ -79,11 +83,7 @@ class Jet:
         return cls(0.0, np.zeros(n), np.zeros((n, n)))
 
     @classmethod
-    def from_parts(cls, r=0.0, p=None, A=None, n: Optional[int] = None) -> "Jet":
-        if A is None:
-            if n is None:
-                raise DimensionMismatch("need A or n")
-            A = np.zeros((n, n))
+    def from_parts(cls, r=0.0, p=None, A=None) -> "Jet":
         A = np.asarray(A, dtype=float)
         if p is None:
             p = np.zeros(A.shape[:1])
@@ -105,19 +105,11 @@ class Jet:
         return Jet(t * self.r, t * self.p, t * self.A)
 
 
-@dataclass(frozen=True)
-class JetNorm:
-    """Weighted jet norm sqrt((w_r r)^2 + (w_p |p|)^2 + (w_A |A|_F)^2)."""
-
-    w_r: float = 1.0
-    w_p: float = 1.0
-    w_A: float = 1.0
-
-    def __call__(self, jet: Jet) -> float:
-        fro = float(np.linalg.norm(jet.A))
-        return float(np.sqrt((self.w_r * jet.r) ** 2
-                             + (self.w_p * np.linalg.norm(jet.p)) ** 2
-                             + (self.w_A * fro) ** 2))
+def jet_norm(jet: Jet) -> float:
+    """Jet norm sqrt(r^2 + |p|^2 + |A|_F^2)."""
+    fro = float(np.linalg.norm(jet.A))
+    return float(np.sqrt(jet.r ** 2 + np.linalg.norm(jet.p) ** 2
+                         + fro ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +180,18 @@ class Membership:
         return self.status != "outside"
 
 
-def classify(margin: float, eps_b: float = DEFAULT_EPS_B) -> str:
-    if margin > eps_b:
+def classify(margin: float) -> str:
+    if margin > DEFAULT_EPS_B:
         return "inside"
-    if margin < -eps_b:
+    if margin < -DEFAULT_EPS_B:
         return "outside"
     return "boundary"
 
 
-def member(F: Subequation, jet: Jet, x=None, eps_b: float = DEFAULT_EPS_B) -> Membership:
-    """Classify a jet against F with a numerical boundary band of width eps_b."""
+def member(F: Subequation, jet: Jet, x=None) -> Membership:
+    """Classify a jet against F with the boundary band DEFAULT_EPS_B."""
     m = F.value(jet, x=x)
-    return Membership(classify(m, eps_b), m)
+    return Membership(classify(m), m)
 
 
 def dual(F: Subequation) -> Subequation:
@@ -567,11 +559,12 @@ def _witness_dict(r, p, A, r2, p2, A2, margin) -> dict:
             "margin": float(margin)}
 
 
-def _violations(label: str, axiom: str, vals: np.ndarray, eps_b: float,
-                base: tuple, added: tuple) -> ViolationReport:
+def _violations(label: str, axiom: str, vals: np.ndarray, base: tuple,
+                added: tuple) -> ViolationReport:
     """Report on the sums base + added, one per entry of their margins
-    ``vals``: those below -eps_b are violations, the first the witness."""
-    bad = vals < -eps_b
+    ``vals``: those below -DEFAULT_EPS_B are violations, the first the
+    witness."""
+    bad = vals < -DEFAULT_EPS_B
     nviol = int(bad.sum())
     witness = None
     if nviol:
@@ -585,18 +578,17 @@ def _violations(label: str, axiom: str, vals: np.ndarray, eps_b: float,
 
 
 def axiom_check(F: Subequation, axiom: str, trials: int = 10_000,
-                seed: int = 0, box: Optional[JetBox] = None,
-                eps_b: float = DEFAULT_EPS_B, x=None) -> ViolationReport:
+                seed: int = 0, x=None) -> ViolationReport:
     """Sampled verification of (P) or (N).
 
-    Draws members J of F, perturbs by J' in the relevant direction (a PSD
-    matrix for (P), a nonpositive value shift for (N)) and counts sums that
-    leave F beyond the boundary band.
+    Draws members J of F from the default ``JetBox``, perturbs by J' in the
+    relevant direction (a PSD matrix for (P), a nonpositive value shift for
+    (N)) and counts sums that leave F beyond the boundary band.
     """
     if axiom not in ("P", "N"):
         raise ValueError(f"axiom must be 'P' or 'N', got {axiom!r}")
     rng = np.random.default_rng(seed)
-    r, p, A = sample_members(F, trials, rng, box=box, x=x)
+    r, p, A = sample_members(F, trials, rng, x=x)
     size = len(r)
     if axiom == "P":
         dA = _haar_psd(rng, F.n, size)
@@ -605,13 +597,12 @@ def axiom_check(F: Subequation, axiom: str, trials: int = 10_000,
         dA = np.zeros_like(A)
         dr = -rng.uniform(0.0, 5.0, size)
     vals = F.value_batch(r + dr, p, A + dA, x)
-    return _violations(F.label, axiom, vals, eps_b, (r, p, A),
+    return _violations(F.label, axiom, vals, (r, p, A),
                        (dr, np.zeros_like(p), dA))
 
 
 def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
-                       seed: int = 0, box: Optional[JetBox] = None,
-                       eps_b: float = DEFAULT_EPS_B) -> MonotonicityReport:
+                       seed: int = 0) -> MonotonicityReport:
     """Sampled test of F + M subset F, together with its dual reformulation
     F + dual(F) subset dual(M); the two must agree for exact monotonicity
     cones, and the report records whether they do.
@@ -622,18 +613,18 @@ def monotonicity_check(F: Subequation, M: Subequation, trials: int = 10_000,
         raise DimensionMismatch("dimension mismatch between F and M")
     rng = np.random.default_rng(seed)
 
-    rF, pF, AF = sample_members(F, trials, rng, box=box, margin_min=eps_b)
-    rM, pM, AM = sample_members(M, trials, rng, box=box)
+    rF, pF, AF = sample_members(F, trials, rng, margin_min=DEFAULT_EPS_B)
+    rM, pM, AM = sample_members(M, trials, rng)
     vals = F.value_batch(rF + rM, pF + pM, AF + AM)
-    direct = _violations(f"{F.label}+{M.label}", "monotonicity", vals, eps_b,
+    direct = _violations(f"{F.label}+{M.label}", "monotonicity", vals,
                          (rF, pF, AF), (rM, pM, AM))
 
     Fd = dual(F)
     Md = dual(M)
-    rD, pD, AD = sample_members(Fd, trials, rng, box=box)
+    rD, pD, AD = sample_members(Fd, trials, rng)
     vals2 = Md.value_batch(rF + rD, pF + pD, AF + AD)
     dual_form = _violations(f"{F.label}+{Fd.label} in {Md.label}",
-                            "monotonicity-dual", vals2, eps_b, (rF, pF, AF),
+                            "monotonicity-dual", vals2, (rF, pF, AF),
                             (rD, pD, AD))
     return MonotonicityReport(direct, dual_form,
                               agreement=direct.passed == dual_form.passed)
@@ -671,8 +662,8 @@ def _jet_dim(n: int) -> int:
     return 1 + n + n * (n + 1) // 2
 
 
-def _sphere_jets(n: int, k: int, radius: float, norm: JetNorm, seed: int = 0):
-    """Jets on the jet-norm sphere of the given radius, as batch arrays.
+def _sphere_jets(n: int, k: int, radius: float, seed: int = 0):
+    """Jets on the ``jet_norm`` sphere of the given radius, as batch arrays.
 
     The Frobenius norm of the matrix part is respected by splitting packed
     off-diagonal coordinates with weight sqrt(2).
@@ -683,24 +674,22 @@ def _sphere_jets(n: int, k: int, radius: float, norm: JetNorm, seed: int = 0):
     offdiag = iu[0] != iu[1]
     w = np.ones(len(iu[0]))
     w[offdiag] = 1.0 / np.sqrt(2.0)   # entry pairs contribute twice to |A|_F
-    r = radius * U[:, 0] / norm.w_r
-    p = radius * U[:, 1:1 + n] / norm.w_p
-    packed = radius * U[:, 1 + n:] * w[None, :] / norm.w_A
+    r = radius * U[:, 0]
+    p = radius * U[:, 1:1 + n]
+    packed = radius * U[:, 1 + n:] * w[None, :]
     A = np.zeros((k, n, n))
     A[:, iu[0], iu[1]] = packed
     A[:, iu[1], iu[0]] = packed
     return r, p, A
 
 
-def strict_member(F: Subequation, jet: Jet, c: float,
-                  norm: Optional[JetNorm] = None, x=None,
-                  samples: int = 64, seed: int = 0) -> bool:
-    """Sampled test that the jet-norm ball of radius c around the jet stays
-    inside F.  Conservative: a sampled proxy for distance-to-boundary, it can
-    accept jets whose true distance is slightly below c.
+def strict_member(F: Subequation, jet: Jet, c: float, x=None) -> bool:
+    """Sampled test that the ``jet_norm`` ball of radius c around the jet
+    stays inside F, probed at 64 quasi-random points of its sphere.
+    Conservative: a sampled proxy for distance-to-boundary, it can accept
+    jets whose true distance is slightly below c.
     """
-    norm = norm or JetNorm()
-    dr, dp, dA = _sphere_jets(F.n, samples, c, norm, seed=seed)
+    dr, dp, dA = _sphere_jets(F.n, 64, c)
     r = jet.r + dr
     p = jet.p[None, :] + dp
     A = jet.A[None, :, :] + dA
@@ -709,21 +698,18 @@ def strict_member(F: Subequation, jet: Jet, c: float,
     return bool(center >= 0.0 and vals.min() >= 0.0)
 
 
-def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
-                               radius: float = 1e-2, trials: int = 16,
-                               t_max: Optional[float] = None, x=None,
-                               eps_b: float = DEFAULT_EPS_B,
-                               seed: int = 0) -> bool:
+def asymptotic_interior_member(F: Subequation, jet: Jet, x=None) -> bool:
     """Test membership of a jet in the asymptotic interior of F.
 
     The value slot is held fixed (for r-dependent F this probes the slice
-    at level r = jet.r) while a sampled ball around (p, A) is scaled by t
-    on a geometric grid in [t0, t_max] (default t_max = 1e3 * t0); every
-    scaled jet must lie in F.  For reduced cone-flagged F this collapses
-    to robust strict interior membership of the ball itself.
+    at level r = jet.r) while (p, A) and 16 quasi-random points of the
+    ``jet_norm`` sphere of radius 1e-2 around it are scaled by t at the 17
+    points of the geometric grid from 1 to 1e3; every scaled jet must lie
+    in F beyond the boundary band DEFAULT_EPS_B.  For reduced cone-flagged
+    F this collapses to robust strict interior membership of the ball
+    itself.
     """
-    norm = JetNorm()
-    dr, dp, dA = _sphere_jets(F.n, trials, radius, norm, seed=seed)
+    dr, dp, dA = _sphere_jets(F.n, 16, 1e-2)
     p = jet.p[None, :] + dp
     A = jet.A[None, :, :] + dA
     pts = np.concatenate([jet.p[None, :], p])
@@ -731,12 +717,10 @@ def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
     rs = np.full(len(pts), jet.r)
     if F.cone and (F.reduced or F.pure_second_order):
         vals = F.value_batch(rs, pts, As, x)
-        return bool(vals.min() > eps_b)
-    t_max = t_max if t_max is not None else 1e3 * t0
-    ts = np.geomspace(t0, t_max, 17)
-    for t in ts:
+        return bool(vals.min() > DEFAULT_EPS_B)
+    for t in np.geomspace(1.0, 1e3, 17):
         vals = F.value_batch(rs, t * pts, t * As, x)
-        if vals.min() < -eps_b:
+        if vals.min() < -DEFAULT_EPS_B:
             return False
     return True
 
@@ -745,22 +729,22 @@ def asymptotic_interior_member(F: Subequation, jet: Jet, t0: float = 1.0,
 # registration sanity
 
 
-def validate_registration(F: Subequation, seed: int = 0, trials: int = 256,
-                          box: Optional[JetBox] = None,
-                          proximity: float = 1e-3) -> dict:
-    """Spot-check the registration contract.
+def validate_registration(F: Subequation, seed: int = 0,
+                          trials: int = 256) -> dict:
+    """Spot-check the registration contract on ``trials`` jets drawn from
+    the default ``JetBox``.
 
     * cone flag: rho keeps its sign along rays (sampled at t = 1/2, 2);
-    * boundary points admit interior points within ``proximity`` in jet norm.
+    * boundary points admit interior points within 1e-3 in ``jet_norm``
+      (64 quasi-random points of that sphere are probed).
 
     Returns a small report dict; callers decide whether failures are fatal
     (entries representing closures of discontinuous-fiber sets are documented
     exceptions).
     """
     rng = np.random.default_rng(seed)
-    box = box or JetBox()
     report = {"label": F.label, "cone_sign_ok": True, "boundary_ok": True}
-    r, p, A = sample_jet_batch(box, F.n, trials, rng)
+    r, p, A = sample_jet_batch(JetBox(), F.n, trials, rng)
     vals = F.value_batch(r, p, A)
     if F.cone:
         for t in (0.5, 2.0):
@@ -781,7 +765,7 @@ def validate_registration(F: Subequation, seed: int = 0, trials: int = 256,
         jet_in, _ = bisect(lambda v: F.value_batch(*unpack(v))[0] >= 0,
                            J[i], J[i + 1], 60)
         ra, pa, Aa = unpack(jet_in)
-        dr, dp, dA = _sphere_jets(F.n, 64, proximity, JetNorm(), seed=seed)
+        dr, dp, dA = _sphere_jets(F.n, 64, 1e-3, seed=seed)
         vv = F.value_batch(ra + dr, pa + dp, Aa + dA)
         if vv.max() <= 0:
             report["boundary_ok"] = False

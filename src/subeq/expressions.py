@@ -23,6 +23,7 @@ from typing import Callable, FrozenSet
 
 import numpy as np
 
+from .boundary import DomainSpec
 from .errors import ConfigError
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
@@ -170,10 +171,8 @@ def parse_expression(src: str) -> Expression:
     return _Parser(src).parse()
 
 
-def expression_domain(src: str, n: int):
+def expression_domain(src: str, n: int) -> DomainSpec:
     """DomainSpec {expr < 0}; validates the coordinate count up front."""
-    from .boundary import DomainSpec
-
     e = parse_expression(src)
     if e.max_index >= n:
         raise ConfigError(

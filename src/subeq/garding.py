@@ -210,12 +210,13 @@ class HyperbolicityReport:
 
 
 def hyperbolicity_check(Q: HyperbolicPolynomial, trials: int = 200,
-                        seed: int = 0, scale: float = 3.0) -> HyperbolicityReport:
-    """Sample random symmetric matrices and count non-real root events."""
+                        seed: int = 0) -> HyperbolicityReport:
+    """Sample random symmetric matrices, the symmetric parts of matrices
+    with entries uniform in [-3, 3], and count non-real root events."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    B = rng.uniform(-scale, scale, (trials, Q.n, Q.n))
+    B = rng.uniform(-3.0, 3.0, (trials, Q.n, Q.n))
     mats = 0.5 * (B + np.swapaxes(B, 1, 2))
     if Q.root_map is not None:
         try:

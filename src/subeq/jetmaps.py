@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .core import Jet, Subequation
+from .catalog import make_branch
 from .linalg import _as_dense, ComplexStructure, field_eigvalsh_batch
 
 MatField = Union[np.ndarray, Callable]      # (n,n) or x->(N,n,n)
@@ -56,10 +57,9 @@ class AffineJetMap:
         return cls.linear(np.eye(n), np.eye(n), label="id")
 
     @classmethod
-    def linear(cls, g, h, L=None, n: Optional[int] = None,
-               label: str = "phi") -> "AffineJetMap":
+    def linear(cls, g, h, L=None, label: str = "phi") -> "AffineJetMap":
         g = np.asarray(g, dtype=float)
-        n = n or g.shape[0]
+        n = g.shape[0]
         if L is None:
             L = np.zeros((n, n, n))
         return cls(n, g, np.asarray(h, dtype=float), _sym_tensor(L, n),
@@ -263,8 +263,6 @@ def inhom_branch(k: int, n: int, f: Callable) -> Subequation:
     ``f`` takes batched base points (N, n) and returns (N,).  Built as a
     translate of the homogeneous branch by (0, 0, f(x) Id).
     """
-    from .catalog import make_branch
-
     def S(x, N):
         fx = np.asarray(f(np.atleast_2d(np.asarray(x, dtype=float))),
                         dtype=float)

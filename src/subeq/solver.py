@@ -811,13 +811,6 @@ class ComparisonReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "witness": self.witness,
-                "boundary_max": self.boundary_max,
-                "interior_max": self.interior_max,
-                "sub_margin": self.sub_margin,
-                "dual_margin": self.dual_margin}
-
 
 def _interior_margins(grid: Grid, K_nd: np.ndarray, stencil: str):
     """Interior of the mask K_nd for the stencil, its flat node indices,
@@ -840,16 +833,15 @@ def _interior_margins(grid: Grid, K_nd: np.ndarray, stencil: str):
 
 def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
                      F: Subequation, K: Optional[np.ndarray] = None,
-                     stencil: str = "9pt", jet_tol: Optional[float] = None,
-                     zmp_tol: Optional[float] = None) -> ComparisonReport:
+                     stencil: str = "9pt") -> ComparisonReport:
     """Discrete zero-maximum-principle check for the pair (u, v) on K.
 
     Preconditions: the jets of u on the interior of K lie in F and those of
-    v lie in dual(F), both within jet_tol (default 10 h, the discretization
-    slack for twice-differentiable fields).  Then u + v <= 0 on the edge
-    band of K must propagate to all of K; a node where it fails is returned
-    as the witness.  If the edge condition itself fails the implication is
-    vacuous and reported as such.
+    v lie in dual(F), both within 10 h, the discretization slack for
+    twice-differentiable fields.  Then u + v <= 1e-9 max(1, max|u|, max|v|)
+    on the edge band of K must propagate to all of K; a node where it fails
+    is returned as the witness.  If the edge condition itself fails the
+    implication is vacuous and reported as such.
     """
     u = np.asarray(u, dtype=float).reshape(grid.shape)
     v = np.asarray(v, dtype=float).reshape(grid.shape)
@@ -857,10 +849,10 @@ def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
         K_nd = np.ones(grid.shape, dtype=bool)
     else:
         K_nd = np.asarray(K, dtype=bool).reshape(grid.shape)
-    jet_tol = 10.0 * grid.h if jet_tol is None else float(jet_tol)
+    jet_tol = 10.0 * grid.h
     scale = max(1.0, float(np.nanmax(np.abs(u[K_nd]))),
                 float(np.nanmax(np.abs(v[K_nd]))))
-    zmp_tol = 1e-9 * scale if zmp_tol is None else float(zmp_tol)
+    zmp_tol = 1e-9 * scale
 
     inner, flat_idx, jet_margins = _interior_margins(grid, K_nd, stencil)
     edge = K_nd & ~inner

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import jsonschema
 
-from subeq.cli import main, render_json, write_field_csv, _cap_threads
+from subeq.cli import main, render_json, write_field_csv
 from subeq.grid import Grid
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__import__("subeq").__file__),
@@ -266,22 +266,6 @@ class TestFieldCsv:
         text = (tmp_path / "f.csv").read_text()
         assert text.count(",nan\n") == 2
         assert "\n-1.2,-0.59999999999999998,-0\n" in text
-
-
-class TestThreadCap:
-    def test_applies_to_blas_vars(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("SUBEQ_THREADS", "3")
-        _cap_threads()
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
-    def test_does_not_override_existing(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.setenv("SUBEQ_THREADS", "5")
-        _cap_threads()
-        assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
 class TestConfigErrors:

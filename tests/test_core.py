@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from subeq import (Jet, JetBox, JetNorm, Subequation, dual, shift, member,
+from subeq import (Jet, JetBox, jet_norm, Subequation, dual, shift, member,
                    classify, axiom_check, monotonicity_check, sample_members,
                    sample_jet_batch, validate_registration,
                    asymptotic_interior_member, strict_member, parse_name)
@@ -49,13 +49,23 @@ class TestJet:
             a + b
 
     def test_norm(self):
-        norm = JetNorm()
-        j = Jet.from_parts(3.0, [4.0, 0.0], np.zeros((2, 2)))
-        assert norm(j) > 0
+        j = Jet.from_parts(3.0, [0.0, 4.0], np.diag([0.0, 12.0]))
+        assert jet_norm(j) == 13.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             Jet.from_parts(A=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("A", [[[np.nan, 5.0], [0.0, 1.0]],
+                                   [[1.0, np.nan], [2.0, 1.0]]])
+    def test_nan_does_not_hide_asymmetry(self, A):
+        with pytest.raises(ValueError, match="not symmetric"):
+            Jet.from_parts(A=A)
+
+    def test_accepts_symmetric_nan_pattern(self):
+        # a masked field's discrete jets carry NaN in mirrored pairs
+        A = Jet.from_parts(A=[[np.nan, np.nan], [np.nan, 1.0]]).A
+        assert np.isnan(A[0]).all() and np.isnan(A[1, 0]) and A[1, 1] == 1.0
 
     @pytest.mark.parametrize("A", [np.zeros((2, 3)), np.zeros(2),
                                    np.zeros((17, 17)), np.zeros((0, 0))])
@@ -447,6 +457,23 @@ class TestAxioms:
     def test_registration(self):
         rep = validate_registration(laplace(2))
         assert rep["cone_sign_ok"] and rep["boundary_ok"]
+
+    def test_registration_flags_a_false_cone(self):
+        # tr A - 1 changes sign along rays, so it is no cone
+        F = Subequation(2, lambda r, p, A: np.trace(A, axis1=1, axis2=2) - 1,
+                        "bad-cone", cone=True)
+        assert not validate_registration(F)["cone_sign_ok"]
+
+    def test_registration_flags_a_fat_zero_shell(self):
+        # rho = 0 on all of 0 <= tr A <= 2, so {rho > 0} is not the
+        # interior of F: no interior point lies near the boundary tr A = 0
+        def rho(r, p, A):
+            t = np.trace(A, axis1=1, axis2=2)
+            return np.where(t > 2, t - 2, np.minimum(t, 0.0))
+
+        F = Subequation(2, rho, "fat-shell", pure_second_order=True)
+        rep = validate_registration(F)
+        assert rep["cone_sign_ok"] and not rep["boundary_ok"]
 
 
 class TestMonotonicity:
