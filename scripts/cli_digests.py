@@ -149,6 +149,19 @@ CONFIGS = [
     # start, as on a masked domain
     ("solve-laplace-m64", ["solve", "--subeq", "laplace:n=2",
                            "--bc", "x^2-y^2", "--m", "64"]),
+    # masked 3-D Newton, and a second 3-D field dump
+    ("solve-laplace3-annulus-m33", ["solve", "--subeq", "laplace:n=3",
+                                    "--bc", "(x^2+y^2+z^2)^(-0.5)",
+                                    "--domain", "annulus:n=3:r_in=0.4:r_out=1",
+                                    "--box=-1,1", "--m", "33"]),
+    # masked Newton on Riesz-kernel data, then the certifying sweep
+    ("solve-pucci-annulus-m65", ["solve", "--subeq", "pucci:lam=1:Lam=2:n=2",
+                                 "--bc", "(x^2+y^2)^0.25",
+                                 "--domain", "annulus:n=2:r_in=0.4:r_out=1",
+                                 "--box=-1,1", "--m", "65"]),
+    # the 3-D rectangle ladder: Newton on both levels
+    ("solve-slag3-m33", ["solve", "--subeq", "slag:c=0:n=3",
+                         "--bc", "x^2+y^2-z^2", "--box=-1,1", "--m", "33"]),
     # Howard's rows for the clamp over the 25 -> 385 ladder
     ("obstacle-well-m385", ["obstacle", "--subeq", "branch:real:k=1:n=1",
                             "--bc", "(x*x-1)^2", "--obstacle", "(x*x-1)^2",

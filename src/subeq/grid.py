@@ -301,6 +301,19 @@ class GridProblem:
         u[self.boundary_idx] = self.phi
         return u
 
+    def start_field(self, start: Optional[np.ndarray],
+                    cap: Optional[np.ndarray]) -> np.ndarray:
+        """A solve's start field: the boundary data, the interior values of
+        ``start`` (None: the boundary minimum), clamped to the obstacle
+        ``cap`` at the interior nodes."""
+        u = self.initial_field()
+        ii = self.interior_idx
+        if start is not None:
+            u[ii] = np.asarray(start, dtype=float).ravel()[ii]
+        if cap is not None:
+            u[ii] = np.minimum(u[ii], cap)
+        return u
+
     def jets_at(self, u: np.ndarray):
         """Batched discrete jets (r, p, A) at the interior nodes."""
         r = u[self.interior_idx]

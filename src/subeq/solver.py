@@ -44,41 +44,21 @@ problem itself last: on a rectangle with an odd number of at least 33 nodes
 per axis the ladder holds its coarsenings (``_cascade_ladder``), otherwise
 the problem is the only level.  Each level starts from the prolongation of
 the field below it (the coarsest from the boundary minimum).  On a grid
-with at least 33 nodes per axis, rectangle or masked domain alike, damped
-Newton on G(u) = rho(J(u)) + eps_b = 0 runs on each level until its first
-abandonment; on the coarsest level of a rectangle it starts from the
-discrete Laplace solve, on a masked domain from the boundary minimum.  The
-Jacobian is never formed as a matrix.  It is stored as per-node stencil
-weights: grad rho, a one-sided difference of ``value_batch`` in the jet
-columns of ``JetAssembler.W`` (its step scaled per node by that node's own
-jet), pulled back through W to one weight per neighbour, and applied as
-dr v + sum_k w_k (v[nb_k] - v) without assembling jets.  Each
-linear solve is restarted GMRES, right preconditioned by the
-fast-diagonalization inverse of sum_i a_i D_ii (a_i the mean of
-d rho / dA_ii, D_ii the axis second difference); numpy only.  Steps
-backtrack on max|G|; a level is done at max|G| / |c| <= 1e-3 sweep_tol,
-c the stencil's dA/dr diagonal.  A level Newton solved is handed on as it
-is, with no sweeps.
+with at least 33 nodes per axis, rectangle or masked domain alike, the
+damped Newton solve of ``newton`` runs on each level until its first
+abandonment.  A level Newton solved is handed on as it is, with no sweeps.
 
 Certification.  The level where Newton is abandoned and every finer level
 run the Perron sweeps from their start, and the finest level runs them
 whatever Newton did: every answer is a Perron fixed point, and
 ``converged`` still means final_update <= sweep_tol (one sweep, typically,
-after Newton).  Newton is abandoned on the first GMRES solve that misses
-its tolerance within its cap, on a line search that finds no decrease, on
-a non-finite residual, at the per-level iteration cap, or before a finer
-level when one GMRES solve on the level below needed more than half the
-cap (the mean-coefficient preconditioner loses about a factor two per
-refinement where d rho / dA varies across the grid, so the finer level
-would miss the cap after paying for most of its iterations).  Abandoned on
-the coarsest level, the pass is the Perron cascade; abandoned higher up,
-the levels below keep Newton's fields.  ``SolveReport.newton_abandoned``
-records why and on which level, and the ``subeq`` logger says so at INFO.
-On a masked domain the preconditioner acts on the bounding block of its
-interior.  ``obstacle_solve`` makes the same pass on min(G, |c| (g - u)) = 0,
-every level clamped to g and the active obstacle rows -|c| I (Howard's
-rule).  Grids with fewer than 33 nodes on some axis run the Perron sweeps
-alone; ``dual_bracket_solve`` is two ``perron_solve`` calls.
+after Newton).  Abandoned on the coarsest level, the pass is the Perron
+cascade; abandoned higher up, the levels below keep Newton's fields.
+``SolveReport.newton_abandoned`` records why and on which level, and the
+``subeq`` logger says so at INFO.  ``obstacle_solve`` makes the same pass
+with every level clamped to the obstacle g.  Grids with fewer than 33 nodes
+on some axis run the Perron sweeps alone; ``dual_bracket_solve`` is two
+``perron_solve`` calls.
 """
 
 from __future__ import annotations
@@ -87,7 +67,6 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,21 +76,12 @@ from .core import (DEFAULT_EPS_B, ILLINOIS_SLACK, Subequation, axiom_check,
                    dual, illinois)
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
 from .linalg import eigvalsh_batch
+from .newton import _NewtonLevel
 
 log = logging.getLogger("subeq")
 
 _BRACKET_PAD = 10.0
-
-# nested Newton start
 _NEWTON_MIN_NODES = 33  # per axis, for a ladder or a Newton start
-_NEWTON_TOL = 1e-3      # stop at max|G| / |c| <= this * sweep_tol
-_NEWTON_ITERS = 30      # per level
-_LINE_SEARCH = 12       # step halvings before the attempt is abandoned
-_GMRES_RTOL = 0.1
-_GMRES_RESTART = 20
-_GMRES_ITERS = 40       # a solve that needs more abandons the attempt
-_KRYLOV_GROWTH = 2.0    # expected growth of the GMRES count per refinement
-_FD_STEP = 1.5e-8       # one-sided difference step, relative to a node's jet
 
 
 @dataclass
@@ -268,32 +238,15 @@ class _NodeUpdater:
         return r_new, degen
 
 
-def _refine_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    """Double the resolution along one axis (midpoint interpolation)."""
-    a = np.moveaxis(a, axis, 0)
-    out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:], dtype=a.dtype)
-    out[::2] = a
-    out[1::2] = 0.5 * (a[:-1] + a[1:])
-    return np.moveaxis(out, 0, axis)
-
-
 def _prolong(u_coarse: np.ndarray) -> np.ndarray:
+    """Double the resolution along every axis (midpoint interpolation)."""
     for ax in range(u_coarse.ndim):
-        u_coarse = _refine_axis(u_coarse, ax)
+        a = np.moveaxis(u_coarse, ax, 0)
+        out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:], dtype=a.dtype)
+        out[::2] = a
+        out[1::2] = 0.5 * (a[:-1] + a[1:])
+        u_coarse = np.moveaxis(out, 0, ax)
     return u_coarse
-
-
-def _start_field(P: GridProblem, start: Optional[np.ndarray],
-                 cap: Optional[np.ndarray]) -> np.ndarray:
-    """A level's start field: P's boundary data, the interior values of
-    ``start`` (None: the boundary minimum), clamped to the obstacle cap."""
-    u = P.initial_field()
-    ii = P.interior_idx
-    if start is not None:
-        u[ii] = np.asarray(start, dtype=float).ravel()[ii]
-    if cap is not None:
-        u[ii] = np.minimum(u[ii], cap)
-    return u
 
 
 def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
@@ -312,7 +265,7 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
     bt = st_run / 16.0
     upd = _NodeUpdater(P, bt)
     ii = P.interior_idx
-    u = _start_field(P, u0, cap)
+    u = P.start_field(u0, cap)
 
     sweeps = 0
     final_update = np.inf
@@ -395,291 +348,14 @@ def _cascade_ladder(P: GridProblem) -> list:
     return levels[::-1]
 
 
-# ---------------------------------------------------------------------------
-# nested Newton start
-
-
-class _FastDiag:
-    """Exact inverse of sum_i a_i D_ii on a rectangular block with zero data
-    outside it, D_ii the 3-point second difference along axis i (Lynch, Rice
-    and Thomas 1964).  The orthogonal sine matrix S of one axis diagonalizes
-    its D_ii, S D_ii S = diag(mu); S is symmetric, so it also undoes itself.
-
-    A vector on the nodes where the block-shaped mask ``inside`` holds is
-    scattered into the block (zero elsewhere), solved there and gathered back
-    in C order: on a masked interior, the embedding of Buzbee, Dorr, George
-    and Golub without its capacitance correction; on a rectangle, ``inside``
-    holds everywhere."""
-
-    def __init__(self, inside: np.ndarray, h: float):
-        self.shape = inside.shape
-        self.inside = inside
-        self.mu = [-4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, N + 1)
-                                          / (N + 1)) ** 2 for N in self.shape]
-
-    @cached_property
-    def S(self) -> list:
-        """The sine matrices, built at the first solve: a level that Newton
-        leaves at once never holds them."""
-        out = []
-        for N in self.shape:
-            k = np.arange(1, N + 1)
-            out.append(np.sqrt(2.0 / (N + 1))
-                       * np.sin(np.pi * np.outer(k, k) / (N + 1)))
-        return out
-
-    def _sine(self, y: np.ndarray) -> np.ndarray:
-        for ax, S in enumerate(self.S):
-            y = np.moveaxis(np.tensordot(S, y, axes=(1, ax)), 0, ax)
-        return y
-
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.shape)
-        y[self.inside] = x
-        return y
-
-    def gather(self, y: np.ndarray) -> np.ndarray:
-        return y[self.inside]
-
-    def solve(self, x: np.ndarray, a) -> np.ndarray:
-        """(sum_i a_i D_ii)^-1 x on the block, for a vector x on its nodes."""
-        n = len(self.shape)
-        lam = sum(ai * mu.reshape([-1 if j == i else 1 for j in range(n)])
-                  for i, (ai, mu) in enumerate(zip(a, self.mu)))
-        return self.gather(self._sine(self._sine(self.scatter(x)) / lam))
-
-
-def _gmres(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float,
-           restart: int, maxiter: int):
-    """Right-preconditioned restarted GMRES from x = 0, with Givens rotations
-    on the Hessenberg columns and a Krylov basis grown one vector at a time.
-    Returns (x, iterations, converged), where converged means
-    ||b - A x|| <= rtol ||b||."""
-    x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
-    r = b
-    its = 0
-    while True:
-        beta = np.linalg.norm(r)
-        if beta <= target:
-            return x, its, True
-        if its >= maxiter:
-            return x, its, False
-        V = [r / beta]
-        H, cs, sn, g = [], [], [], [beta]
-        while True:
-            w = matvec(precond(V[-1]))
-            its += 1
-            col = np.empty(len(V) + 1)
-            for i, v in enumerate(V):        # modified Gram-Schmidt
-                col[i] = w @ v
-                w -= col[i] * v
-            col[-1] = np.linalg.norm(w)
-            for i in range(len(cs)):
-                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                      cs[i] * col[i + 1] - sn[i] * col[i])
-            d = np.hypot(col[-2], col[-1])
-            if d == 0.0:
-                return x, its, False
-            cs.append(col[-2] / d)
-            sn.append(col[-1] / d)
-            col[-2] = d
-            g.append(-sn[-1] * g[-1])
-            g[-2] *= cs[-1]
-            H.append(col[:-1])
-            if (abs(g[-1]) <= target or col[-1] == 0.0 or len(H) == restart
-                    or its >= maxiter):
-                break
-            V.append(w / col[-1])
-        k = len(H)
-        R = np.zeros((k, k))
-        for j, c in enumerate(H):
-            R[:j + 1, j] = c
-        y = np.linalg.solve(R, g[:k])
-        z = y[0] * V[0]
-        for yi, v in zip(y[1:], V[1:]):
-            z += yi * v
-        x = x + precond(z)
-        r = b - matvec(x)
-
-
-class _NewtonLevel:
-    """G(u) = rho(J(u)) + eps_b at the interior nodes of one rectangle, its
-    Jacobian as one weight per stencil neighbour and node, and the Jacobian
-    applied to a vector.
-
-    G and the jets are evaluated on the whole interior through
-    ``GridProblem.jets_at``.  The gradient of rho is a one-sided difference
-    of ``value_batch`` in the columns of ``JetAssembler.W``, J = (p, A), and
-    in r, skipping r for reduced sets and p for pure second-order ones: one
-    code path for every set.  Its step is per node, ``_FD_STEP`` (1 + the
-    largest |coordinate| of that node's r, p or A; Dennis and Schnabel's
-    per-component step), so each node's gradient depends on its own jet
-    alone.  The jet is (V - r) W, V the neighbour values, so the gradient dJ
-    pulls back to the weights w = W dJ^T on V - r: at each node the
-    linearization is one linear stencil operator, dr v + sum_k w_k
-    (v[nb_k] - v), with v zero on the boundary nodes.
-
-    With an obstacle ``cap`` (at the interior nodes) the residual is
-    H = min(G, |c| (cap - u)), c the stencil's dA/dr diagonal; rows where
-    the obstacle branch is the smaller are -|c| I in the Jacobian and the
-    preconditioner (Howard's policy rule)."""
-
-    def __init__(self, P: GridProblem, cap: Optional[np.ndarray] = None):
-        self.P = P
-        multi = np.unravel_index(P.interior_idx, P.grid.shape)
-        inside = np.zeros([a.max() - a.min() + 1 for a in multi], dtype=bool)
-        inside[tuple(a - a.min() for a in multi)] = True
-        self.fd = _FastDiag(inside, P.grid.h)
-        self.dr = self.w = None
-        self.cap, self.active = cap, None
-        self.c = abs(P.assembler.slopes()[1][0, 0])
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.P.rho_at(u) + DEFAULT_EPS_B
-
-    def clamped(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """H = min(G, |c| (cap - u)), or G itself without an obstacle."""
-        if self.cap is None:
-            return G
-        return np.minimum(G, self.c * (self.cap - u[self.P.interior_idx]))
-
-    def linearize(self, u: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Stores the Jacobian of G at u (where G is the residual) as the
-        centre term ``dr`` and the (K, M) stencil weights ``w``, and the rows
-        where the obstacle branch is active; returns the mean of
-        d rho / dA_ii over the nodes."""
-        if self.cap is not None:
-            self.active = self.clamped(u, G) < G
-        P, n = self.P, self.P.grid.n
-        r, p, A = P.jets_at(u)
-        J = np.concatenate([p, A.reshape(len(r), -1)], axis=1)
-        rho0 = G - DEFAULT_EPS_B
-
-        def slope(r, J, t):
-            return (P.F.value_batch(r, J[:, :n], J[:, n:].reshape(-1, n, n),
-                                    x=P.xb) - rho0) / t
-
-        def step(a):
-            # max over a node's entries as an elementwise maximum of the
-            # columns: a reduction along the short axis is ~15x slower
-            cols = np.abs(a).reshape(len(a), -1).T
-            return _FD_STEP * (1.0 + reduce(np.maximum, cols))
-
-        # the perturbed columns of J and their steps: A_ij with its twin
-        # A_ji, and p_i
-        t_A = step(A)
-        cols = [(sorted({n + n * i + j, n + n * j + i}), t_A)
-                for i in range(n) for j in range(i, n)]
-        if not P.F.pure_second_order:
-            t_p = step(p)
-            cols += [([k], t_p) for k in range(n)]
-        dJ = np.zeros_like(J)
-        for c, t in cols:
-            Jc = J.copy()
-            Jc[:, c] += t[:, None]
-            dJ[:, c[0]] = slope(r, Jc, t)
-        if P.F.reduced:
-            self.dr = 0.0
-        else:
-            t = step(r)
-            self.dr = slope(r + t, J, t)
-        self.w = P.assembler.W @ dJ.T
-        return dJ[:, [n + (n + 1) * i for i in range(n)]].mean(axis=0)
-
-    def jvp(self, v: np.ndarray) -> np.ndarray:
-        """dr v + sum_k w_k (v[nb_k] - v), v zero on the boundary nodes."""
-        P = self.P
-        x = np.zeros(P.grid.size())
-        x[P.interior_idx] = v
-        d = x[P.nb]
-        d -= v
-        out = self.dr * v + np.einsum("km,km->m", self.w, d)
-        if self.active is not None:
-            out[self.active] = -self.c * v[self.active]
-        return out
-
-    def precond(self, y: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """The fast-diagonalization inverse with coefficients a, the active
-        obstacle rows taken out of the embedding and inverted as -|c| I."""
-        if self.active is None:
-            return self.fd.solve(y, a)
-        z = self.fd.solve(np.where(self.active, 0.0, y), a)
-        return np.where(self.active, -y / self.c, z)
-
-    def laplace_start(self) -> np.ndarray:
-        """The discrete harmonic field with the level's boundary data: the
-        trace of the assembled A is the 5-point Laplacian for the direct
-        stencils, and the fast-diagonalization inverse with a_i = 1 solves it."""
-        P = self.P
-        u = P.initial_field()
-        u[P.interior_idx] = 0.0
-        b = np.trace(P.jets_at(u)[2], axis1=1, axis2=2)
-        u[P.interior_idx] = -self.fd.solve(b, np.ones(P.grid.n))
-        return u
-
-    def run(self, start: Optional[np.ndarray], level: int):
-        """Damped Newton from the interior values of ``start`` clamped to the
-        obstacle; a None start is the Laplace solve on a rectangle, the
-        boundary minimum on a masked interior.  Returns (u, iterations, the
-        GMRES iterations of each linear solve, reason): reason is None on
-        success, else why the attempt stopped."""
-        P = self.P
-        ii = P.interior_idx
-        if start is None and P.domain is None:
-            start = self.laplace_start()
-        u = _start_field(P, start, self.cap)
-        st = P.params.resolved(P.data_range())
-        target = _NEWTON_TOL * st * self.c
-        G = self.residual(u)
-        H = self.clamped(u, G)
-        gmax = float(np.abs(H).max())
-        krylov = []
-        for it in range(_NEWTON_ITERS + 1):
-            log.debug("newton level %d iteration %d: max|G| %.3e (target "
-                      "%.3e)", level, it, gmax, target)
-            if not np.isfinite(gmax):
-                return u, it, krylov, "non-finite residual"
-            if gmax <= target:
-                return u, it, krylov, None
-            if it == _NEWTON_ITERS:
-                return u, it, krylov, "iteration cap"
-            a = np.maximum(self.linearize(u, G), 0.0)
-            if not a.max() > 0.0:
-                return u, it, krylov, "no elliptic mean coefficient"
-            if self.active is not None:
-                log.debug("newton level %d iteration %d: %d active obstacle "
-                          "rows", level, it, int(self.active.sum()))
-            du, k, ok = _gmres(self.jvp, lambda y: self.precond(y, a), -H,
-                               _GMRES_RTOL, _GMRES_RESTART, _GMRES_ITERS)
-            krylov.append(k)
-            if not ok:
-                return u, it, krylov, "gmres"
-            step = 1.0
-            for _ in range(_LINE_SEARCH):
-                u_try = u.copy()
-                u_try[ii] += step * du
-                G_try = self.residual(u_try)
-                H_try = self.clamped(u_try, G_try)
-                g_try = float(np.abs(H_try).max())
-                if g_try < gmax:
-                    break
-                step *= 0.5
-            else:
-                return u, it, krylov, "line search"
-            log.debug("newton level %d: %d gmres iterations, step %g",
-                      level, k, step)
-            u, G, H, gmax = u_try, G_try, H_try, g_try
-
-
 def _solve(P: GridProblem, g: Optional[Callable] = None,
            label: str = "") -> SolveReport:
     """The pass of ``perron_solve``, with the obstacle g if one is given:
     one pass over the cascade ladder of P and P itself, coarsest first.
     Each level starts from the prolongation of the field below it, the
-    coarsest from the boundary minimum (Newton's from ``_NewtonLevel.run``);
-    with an obstacle g every start is clamped to g, so the contact set is
-    carried upward.  On grids of at least 33 nodes per axis Newton runs on
+    coarsest from the boundary minimum (Newton's: see ``newton``); with an
+    obstacle g every start is clamped to g, so the contact set is carried
+    upward.  On grids of at least 33 nodes per axis Newton runs on
     each level until its first abandonment, and a level it solved is handed
     on unchanged.  The level where it is abandoned and every finer one run
     the Perron sweeps from their start, and so does the finest level in any
@@ -699,10 +375,7 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
                else np.asarray(g(Q.pts[Q.interior_idx]), dtype=float))
         solved = None
         if newton and abandoned is None:
-            if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
-                it, ks, reason = 0, [], "krylov growth"
-            else:
-                solved, it, ks, reason = _NewtonLevel(Q, cap).run(u, level)
+            solved, it, ks, reason = _NewtonLevel(Q, cap).run(u, level, kmax)
             iters.append(it)
             krylov += sum(ks)
             kmax = max(ks, default=0)
@@ -746,9 +419,17 @@ def perron_solve(P: GridProblem) -> SolveReport:
 
 def obstacle_solve(P: GridProblem, g: Callable) -> SolveReport:
     """Perron solve constrained below the obstacle g: ``perron_solve``'s
-    pass on min(G, |c| (g - u)) = 0, node updates clamped to g.  Boundary
-    data exceeding the obstacle is rejected up front."""
-    gb = np.asarray(g(P.pts[P.boundary_idx]), dtype=float)
+    pass on min(G, |c| (g - u)) = 0, node updates clamped to g.  An
+    obstacle that is NaN or -inf at a boundary or interior node, and
+    boundary data exceeding the obstacle, are rejected up front; +inf
+    leaves a node unconstrained."""
+    nodes = np.concatenate([P.boundary_idx, P.interior_idx])
+    gv = np.asarray(g(P.pts[nodes]), dtype=float)
+    bad = np.flatnonzero(np.isnan(gv) | np.isneginf(gv))
+    if len(bad):
+        raise ConfigError(f"obstacle g={gv[bad[0]]:g} at node {nodes[bad[0]]}"
+                          ": it must be a number or +inf")
+    gb = gv[:len(P.boundary_idx)]
     scale = max(1.0, float(np.abs(P.phi).max()))
     if np.any(P.phi > gb + 1e-12 * scale):
         k = int(np.argmax(P.phi - gb))
@@ -849,12 +530,11 @@ def comparison_check(grid: Grid, u: np.ndarray, v: np.ndarray,
         K_nd = np.ones(grid.shape, dtype=bool)
     else:
         K_nd = np.asarray(K, dtype=bool).reshape(grid.shape)
+    inner, flat_idx, jet_margins = _interior_margins(grid, K_nd, stencil)
     jet_tol = 10.0 * grid.h
     scale = max(1.0, float(np.nanmax(np.abs(u[K_nd]))),
                 float(np.nanmax(np.abs(v[K_nd]))))
     zmp_tol = 1e-9 * scale
-
-    inner, flat_idx, jet_margins = _interior_margins(grid, K_nd, stencil)
     edge = K_nd & ~inner
     pts = grid.points()
 

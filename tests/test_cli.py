@@ -196,6 +196,14 @@ class TestSolveFamily:
         assert code == 3
         assert json.loads(out.read_text())["status"] == "config_error"
 
+    def test_nan_obstacle_is_config_error(self, tmp_path):
+        code, out = run(tmp_path, "obstacle", "--subeq", "laplace:n=2",
+                        "--bc", "0", "--obstacle", "(x-0.5)^0.5", "--m", "17")
+        assert code == 3
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "config_error"
+        assert rep["error"].startswith("obstacle g=nan at node ")
+
     def test_obstacle_and_bracket(self, tmp_path):
         code, _ = run(tmp_path, "obstacle", "--subeq", "laplace", "--bc",
                       "x*x-y*y", "--obstacle", "10", "--m", "9",

@@ -17,9 +17,9 @@ from subeq import parse_name
 from subeq.boundary import ball_domain
 from subeq.expressions import expression_domain, parse_expression
 from subeq.grid import Grid, GridProblem, JetAssembler, SolverParams
-from subeq.solver import (_FastDiag, _NewtonLevel, _cascade_ladder, _gmres,
-                          _prolong, _solve_loop, dual_bracket_solve,
-                          obstacle_solve, perron_solve)
+from subeq.newton import _FastDiag, _NewtonLevel, _gmres
+from subeq.solver import (_cascade_ladder, _prolong, _solve_loop,
+                          dual_bracket_solve, obstacle_solve, perron_solve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BOX = ((-1, 1), (-1, 1))
@@ -315,16 +315,18 @@ class TestObstacleNewton:
         u[ii] = cubic(P.pts[ii]) + 0.01 * rng.standard_normal(len(ii))
         cap = u[ii] + np.where(rng.random(len(ii)) < 0.5, 0.0, 1.0)
         free, lev = _NewtonLevel(P), _NewtonLevel(P, cap)
-        G = free.residual(u)
-        a = free.linearize(u, G)
-        lev.linearize(u, G)
-        act = lev.active
-        assert np.array_equal(act, lev.clamped(u, G) < G) and 0 < act.sum()
-        assert np.array_equal(lev.clamped(u, G), np.where(act, 0.0, G))
+        G, H = lev.residual(u)
+        assert np.array_equal(free.residual(u)[1], G)
+        lin_free, lin = free.linearize(u, G, G), lev.linearize(u, G, H)
+        act = lin.active
+        assert lin_free.active is None
+        assert np.array_equal(act, H < G) and 0 < act.sum()
+        assert np.array_equal(H, np.where(act, 0.0, G))
         v = rng.standard_normal(len(ii))
         c = 2.0 / P.grid.h ** 2
-        assert np.array_equal(lev.jvp(v), np.where(act, -c * v, free.jvp(v)))
-        assert np.array_equal(lev.precond(v, a)[act], -v[act] / c)
+        assert np.array_equal(lin.jvp(v), np.where(act, -c * v,
+                                                   lin_free.jvp(v)))
+        assert np.array_equal(lin.precond(v)[act], -v[act] / c)
 
 
 def axis_operator(x, h, a):
@@ -405,16 +407,15 @@ class TestJacobian:
         u = P.initial_field()
         u[P.interior_idx] = bc(P.pts[P.interior_idx]) \
             + 0.01 * rng.standard_normal(len(P.interior_idx))
-        G = lev.residual(u)
-        lev.linearize(u, G)
-        assert lev.w.shape == (P.assembler.K, len(P.interior_idx))
+        lin = lev.linearize(u, *lev.residual(u))
+        assert lin.w.shape == (P.assembler.K, len(P.interior_idx))
         v = rng.standard_normal(len(P.interior_idx))
         eps = 1e-5
         up, um = u.copy(), u.copy()
         up[P.interior_idx] += eps * v
         um[P.interior_idx] -= eps * v
-        fd = (lev.residual(up) - lev.residual(um)) / (2 * eps)
-        Jv = lev.jvp(v)
+        fd = (lev.residual(up)[0] - lev.residual(um)[0]) / (2 * eps)
+        Jv = lin.jvp(v)
         assert np.abs(Jv - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_linearize_is_local(self, rng):
@@ -430,8 +431,7 @@ class TestJacobian:
         cols = []
         for field in (u, bumped):
             lev = _NewtonLevel(P)
-            lev.linearize(field, lev.residual(field))
-            cols.append(lev.w)
+            cols.append(lev.linearize(field, *lev.residual(field)).w)
         far = ~np.any(P.nb == ii[k], axis=0)
         far[k] = False
         assert far.sum() > len(ii) // 2

@@ -11,7 +11,7 @@ from subeq.boundary import ball_domain
 from subeq.core import Subequation
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
-from subeq.solver import (SolveReport, _NodeUpdater, _refine_axis, _prolong,
+from subeq.solver import (SolveReport, _NodeUpdater, _prolong,
                           _cascade_ladder, _solve_loop, perron_solve,
                           obstacle_solve, dual_bracket_solve, comparison_check,
                           membership_scan, _precheck)
@@ -30,7 +30,7 @@ def saddle(x):
 class TestProlongation:
     def test_refine_axis_shape_and_endpoints(self):
         a = np.array([0.0, 2.0, 6.0])
-        out = _refine_axis(a, 0)
+        out = _prolong(a)
         assert np.allclose(out, [0.0, 1.0, 2.0, 4.0, 6.0])
 
     def test_prolong_exact_on_linear_fields(self):
@@ -164,6 +164,25 @@ class TestObstacle:
         P = box_problem(lambda x: x[:, 0], m=9)
         with pytest.raises(ConfigError):
             obstacle_solve(P, lambda x: np.full(len(x), 0.5))
+
+    def test_nan_or_minus_inf_obstacle_rejected(self):
+        # sqrt(x - 0.5) is NaN left of x = 0.5, on the boundary too; -inf
+        # at one interior node is named; +inf means no constraint there
+        P = box_problem(lambda x: 0.0 * x[:, 0], m=17)
+        with (pytest.raises(ConfigError, match=r"g=nan at node 0:"),
+              np.errstate(invalid="ignore")):
+            obstacle_solve(P, lambda x: np.sqrt(x[:, 0] - 0.5))
+        k = P.interior_idx[7]
+
+        def g(x):
+            out = np.ones(len(x))
+            out[np.all(x == P.pts[k], axis=1)] = -np.inf
+            return out
+
+        with pytest.raises(ConfigError, match=rf"g=-inf at node {k}:"):
+            obstacle_solve(P, g)
+        rep = obstacle_solve(P, lambda x: np.where(x[:, 0] < 0.5, np.inf, 1.0))
+        assert rep.converged
 
 
 class TestDualBracket:
@@ -336,6 +355,12 @@ class TestComparison:
         K = np.zeros(self.g.shape, dtype=bool)
         K[3, 3] = True
         with pytest.raises(ConfigError):
+            comparison_check(self.g, np.zeros(self.g.shape),
+                             np.zeros(self.g.shape), self.F, K=K)
+
+    def test_empty_mask_rejected(self):
+        K = np.zeros(self.g.shape, dtype=bool)
+        with pytest.raises(ConfigError, match="no interior"):
             comparison_check(self.g, np.zeros(self.g.shape),
                              np.zeros(self.g.shape), self.F, K=K)
 
