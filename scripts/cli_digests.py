@@ -125,6 +125,10 @@ CONFIGS = [
                            "--m", "21"]),
     ("solve-klapinf-ball", ["solve", "--subeq", "klap:k=inf:n=2",
                             "--bc", "x", "--domain", "ball:n=2", "--m", "17"]),
+    # the finite-k line restriction on a mask
+    ("solve-klap3-ball-m21", ["solve", "--subeq", "klap:k=3:n=2",
+                              "--bc", "x", "--domain", "ball:n=2",
+                              "--m", "21"]),
     # Newton is abandoned on the coarsest level: the Perron cascade
     ("solve-klapinf-box-m33", ["solve", "--subeq", "klap:k=inf:n=2",
                                "--bc", "abs(x)^(4/3)-abs(y)^(4/3)",
@@ -171,6 +175,13 @@ CONFIGS = [
                           "--m", "17"]),
     ("bracket-laplace", ["bracket", "--subeq", "laplace:n=2",
                          "--bc", "x^2-y^2", "--m", "17"]),
+    # the dual line restrictions of sets that are not spectral
+    ("bracket-klapinf-ball-m17", ["bracket", "--subeq", "klap:k=inf:n=2",
+                                  "--bc", "x", "--domain", "ball:n=2",
+                                  "--m", "17"]),
+    ("bracket-cy-ball-m21", ["bracket", "--subeq", "cy:n=2",
+                             "--bc", "x^2+y^2", "--domain", "ball:n=2",
+                             "--m", "21"]),
 ]
 
 

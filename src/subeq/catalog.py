@@ -8,7 +8,9 @@ case 5, which also needs eigenvectors, calls ``np.linalg.eigh``.  The
 O(n)-invariant entries (real branches, pcone, pbranch, pucci, delta,
 deltabranch, sigma, slag) are stated once, as a function of the ascending
 spectrum, through ``_spectral_entry``; laplace keeps its trace and carries
-the spectral sum.
+the spectral sum.  Those entries, klap and cy also carry a line restriction
+(``Subequation.line``) for the grid solver's node update: f on a shifted
+spectrum, klap's affine form and cy's one eigensolve.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -28,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GeometryError
-from .core import Subequation, _ball, _haar_psd, _unit_sphere_qmc
+from .core import (Subequation, _ball, _haar_psd, _unit_sphere_qmc,
+                   spectral_line)
 from .linalg import (ComplexStructure, eigvalsh_batch, esym_batch,
                      field_eigvalsh_batch)
 
@@ -44,12 +47,13 @@ def _trace(A) -> np.ndarray:
 def _spectral_entry(n: int, f, label: str, cone: bool = True) -> Subequation:
     """Pure second-order, O(n)-invariant entry given by f on the ascending
     spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
-    kept as ``spectral`` for the solver's one-eigensolve node update and
-    for the spectrum-first draws of ``core.sample_members``."""
+    kept as ``spectral`` for the spectrum-first draws of
+    ``core.sample_members`` and, through ``spectral_line``, the solver's
+    one-eigensolve node update."""
     def rho(r, p, A):
         return f(eigvalsh_batch(A))
     return Subequation(n, rho, label, pure_second_order=True, reduced=True,
-                       cone=cone, spectral=f)
+                       cone=cone, spectral=f, line=spectral_line(f))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +282,14 @@ def make_delta_branch(k: int, d: float, n: int) -> Subequation:
 def _laplace(n: int) -> Subequation:
     def rho(r, p, A):
         return _trace(A)
-    # the trace needs no eigensolve; the solver's spectral path sums
-    # the eigenvalues it has already computed
+    def f(eigs):
+        return eigs.sum(axis=1)
+
+    # the trace needs no eigensolve; the solver's line restriction sums the
+    # eigenvalues it has already computed
     return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
-                       reduced=True, cone=True,
-                       spectral=lambda eigs: eigs.sum(axis=1))
+                       reduced=True, cone=True, spectral=f,
+                       line=spectral_line(f))
 
 
 def _sigma(k: int, n: int) -> Subequation:
@@ -308,12 +315,21 @@ def _slag(c: float, n: int) -> Subequation:
 
 
 def _calabi_yau(n: int) -> Subequation:
-    def rho(r, p, A):
+    def line(p, A, c):
+        # A + c r I has the spectrum of A shifted by c r
         eigs = eigvalsh_batch(A)
-        tr = eigs.sum(axis=1)
-        return np.minimum(tr + n - np.exp(np.asarray(r, dtype=float)),
-                          eigs[:, 0] + 1.0)
-    return Subequation(n, rho, f"cy:n={n}")
+        tr, low = eigs.sum(axis=1) + n, eigs[:, 0] + 1.0
+
+        def g(r, idx=slice(None)):
+            return np.minimum(tr[idx] + n * c * r - np.exp(r),
+                              low[idx] + c * r)
+        return g
+
+    def rho(r, p, A):
+        # c = 0 adds exact zeros: min(tr A + n - e^r, lambda_1 + 1)
+        return line(p, A, 0.0)(np.asarray(r, dtype=float))
+
+    return Subequation(n, rho, f"cy:n={n}", line=line)
 
 
 def _k_laplacian(k: float, n: int) -> Subequation:
@@ -323,7 +339,7 @@ def _k_laplacian(k: float, n: int) -> Subequation:
         def rho(r, p, A):
             p = np.asarray(p, dtype=float)
             return np.einsum("ni,nij,nj->n", p, _as_batch(A), p)
-        label = f"klap:k=inf:n={n}"
+        label, width = f"klap:k=inf:n={n}", 1.0
     else:
         def rho(r, p, A, _k=k):
             p = np.asarray(p, dtype=float)
@@ -331,8 +347,19 @@ def _k_laplacian(k: float, n: int) -> Subequation:
             pp = np.einsum("ni,ni->n", p, p)
             pAp = np.einsum("ni,nij,nj->n", p, A, p)
             return pp * _trace(A) + (_k - 2.0) * pAp
-        label = f"klap:k={k:g}:n={n}"
-    return Subequation(n, rho, label, reduced=True, cone=True)
+        label, width = f"klap:k={k:g}:n={n}", n + k - 2.0
+
+    def line(p, A, c):
+        # affine on the line: A + c r I adds c r |p|^2 to p^t A p and
+        # c r n |p|^2 to |p|^2 tr A
+        q = rho(None, p, A)
+        slope = (c * width) * np.einsum("ni,ni->n", p, p)
+
+        def g(r, idx=slice(None)):
+            return q[idx] + slope[idx] * r
+        return g
+
+    return Subequation(n, rho, label, reduced=True, cone=True, line=line)
 
 
 # rows of A per GEMM block in the geometric margin: bounds its

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, SamplerExhausted
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, eigvalsh_batch
 
 DEFAULT_EPS_B = 1e-9
 REJECTION_CAP = 10 ** 6
@@ -138,6 +138,17 @@ class Subequation:
     O(n)-invariant and sees A only through its ordered spectrum.  Only the
     catalog sets it (the solver trusts the identity); ``dual`` carries it
     over, every other derived set drops it.
+
+    ``line``, when set, restricts rho to the lines r -> (r, p, A + c r I)
+    along which the solver's node update moves: ``line(p, A, c)`` takes N
+    base jets p (N, n), A (N, n, n) and a scalar c, and returns
+    ``g(r, idx=slice(None))`` with g(r, idx) equal to
+    ``rho_batch(r, p[idx], A[idx] + c r I)`` up to rounding, for r of the
+    length of the rows idx.  Its set-up (an eigensolve, a quadratic form)
+    is paid once per call, so g must be cheap.  The catalog sets it on the
+    spectral sets (``spectral_line``: f on the shifted spectrum), klap and
+    cy; ``dual`` carries it over, and shift, jet-map images and
+    x-dependent sets have none.
     """
 
     n: int
@@ -149,6 +160,7 @@ class Subequation:
     x_dependent: bool = False
     member_sampler: Optional[Callable] = None  # (rng, size) -> (r, p, A)
     spectral: Optional[Callable] = None        # ascending eigs (N, n) -> (N,)
+    line: Optional[Callable] = None            # (p, A, c) -> g(r, idx)
 
     def value(self, jet: Jet, x=None) -> float:
         if jet.n != self.n:
@@ -194,23 +206,47 @@ def member(F: Subequation, jet: Jet, x=None) -> Membership:
     return Membership(classify(m), m)
 
 
+def spectral_line(f: Callable) -> Callable:
+    """The ``Subequation.line`` of a spectral set with form f: one
+    eigensolve of the base Hessians, then f on the spectrum shifted by c r."""
+    def line(p, A, c):
+        lam = eigvalsh_batch(A)
+
+        def g(r, idx=slice(None)):
+            return f(lam[idx] + c * r[:, None])
+        return g
+    return line
+
+
 def dual(F: Subequation) -> Subequation:
     """Dirichlet dual, rho~(x, J) = -rho(x, -J).
 
     An involution on defining functions: dual(dual(F)) evaluates bitwise
     like F.  A spectral F has the spectral dual f~(lam) = -f(-lam reversed),
-    since the ascending spectrum of -A is minus that of A, reversed.
+    since the ascending spectrum of -A is minus that of A, reversed.  Any
+    other ``line`` g of F gives the dual's as -g(-r) built on (-p, -A): at
+    r on the line through (p, A), rho~ is minus rho at -r on the line
+    through (-p, -A), with the same c.
     """
     base = F.rho_batch
     spec = F.spectral
+    line = F.line
     spec_dual = None if spec is None else (
         lambda lam: -spec(-lam[:, ::-1]))
+    if spec_dual is not None:
+        line_dual = spectral_line(spec_dual)
+    elif line is not None:
+        def line_dual(p, A, c):
+            g = line(-p, -A, c)
+            return lambda r, idx=slice(None): -g(-r, idx)
+    else:
+        line_dual = None
 
     def rho_dual(r, p, A, *x):
         return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A), *x)
 
     return replace(F, rho_batch=rho_dual, label=f"dual({F.label})",
-                   member_sampler=None, spectral=spec_dual)
+                   member_sampler=None, spectral=spec_dual, line=line_dual)
 
 
 def shift(F: Subequation, jet0: Jet) -> Subequation:
@@ -223,7 +259,8 @@ def shift(F: Subequation, jet0: Jet) -> Subequation:
                     np.asarray(A) - A0, *x)
 
     return replace(F, rho_batch=rho_shift, label=f"shift({F.label})",
-                   cone=False, member_sampler=None, spectral=None)
+                   cone=False, member_sampler=None, spectral=None,
+                   line=None)
 
 
 # ---------------------------------------------------------------------------

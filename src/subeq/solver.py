@@ -10,12 +10,14 @@ g(r) = rho(J(r)) + eps_b (``core.DEFAULT_EPS_B``), and membership is
 g(r) >= 0.  Sweeps repeat until the largest node change drops below the
 tolerance.
 
-Margin.  When the set is spectral (``Subequation.spectral``) and the
-stencil moves only A, by c*I per unit of r (the direct stencils, masked or
-not), the spectrum shifts rigidly: g(r) = f(lam_base + c r) + eps_b, with
-one eigensolve of the base Hessians per node update.  Every other case
-(wide16, r-, p- or x-dependent sets, jet-map images) evaluates rho on the
-full jet at each r.
+Margin.  The direct stencils, masked or not, move only A, by c*I per
+unit of r, so a node update searches the line r -> (r, p, A + c r I)
+through its base jet.  A set with a line restriction
+(``Subequation.line``) sets that line up once per node update and then
+evaluates it cheaply: spectral sets shift the spectrum of one eigensolve,
+g(r) = f(lam_base + c r) + eps_b, klap is affine in r and cy reads one
+eigensolve too.  Every other case (the wide16 stencil, shifted sets,
+jet-map images, x-dependent sets) evaluates rho on the full jet at each r.
 
 Root-find, the same for both margins.  The bracket is widened until its
 lower end is a member and its upper end is not (or the fiber is found
@@ -75,7 +77,6 @@ from .errors import BracketError, ConfigError, SamplerExhausted
 from .core import (DEFAULT_EPS_B, ILLINOIS_SLACK, Subequation, axiom_check,
                    dual, illinois)
 from .grid import Grid, GridProblem, JetAssembler, stencil_table
-from .linalg import eigvalsh_batch
 from .newton import _NewtonLevel
 
 log = logging.getLogger("subeq")
@@ -147,25 +148,26 @@ class _NodeUpdater:
         self.bt = bt
         self.p_slope, self.A_slope = P.assembler.slopes()
         self.p_static = not np.any(self.p_slope)
-        # the spectral margin needs dp/dr = 0 and dA/dr = c*I
-        c = self.A_slope[0, 0]
+        # the set's line restriction needs dp/dr = 0 and dA/dr = c*I
+        self.c = self.A_slope[0, 0]
         rigid = self.p_static and np.array_equal(
-            self.A_slope, c * np.eye(len(self.A_slope)))
-        self.shift = c if rigid and P.F.spectral is not None else None
+            self.A_slope, self.c * np.eye(len(self.A_slope)))
+        self.line = P.F.line if rigid else None
         self.evals = 0
         self.capped = 0
 
     def margin_fn(self, p_base, A_base, xb):
         """g(r) = rho(J(r)) + eps_b on the base jets of one node update;
         ``g(r, idx)`` evaluates it at the nodes ``idx`` only."""
-        F = self.P.F
-        if self.shift is not None:
-            lam, c = eigvalsh_batch(A_base), self.shift
+        if self.line is not None:
+            h = self.line(p_base, A_base, self.c)
 
             def g(rr, idx=slice(None)):
                 self.evals += len(rr)
-                return F.spectral(lam[idx] + c * rr[:, None]) + DEFAULT_EPS_B
+                return h(rr, idx) + DEFAULT_EPS_B
         else:
+            F = self.P.F
+
             def g(rr, idx=slice(None)):
                 self.evals += len(rr)
                 p = (p_base[idx] if self.p_static
@@ -176,7 +178,8 @@ class _NodeUpdater:
         return g
 
     def solve(self, u: np.ndarray, sel: np.ndarray, warm: float):
-        """Returns (r_new, degenerate_mask) for interior nodes ``sel``."""
+        """Returns (r_new, degenerate_mask, r_cur) for interior nodes
+        ``sel``, r_cur their values in u."""
         P = self.P
         nb_vals = u[P.nb[:, sel]]
         r_cur = u[P.interior_idx[sel]]
@@ -235,7 +238,7 @@ class _NodeUpdater:
                               (g_lo, g_hi), self.bt)
             self.capped += int(np.sum(hi - lo > self.bt))
         r_new = np.where(degen, np.maximum(max_nb, r_cur), lo)
-        return r_new, degen
+        return r_new, degen, r_cur
 
 
 def _prolong(u_coarse: np.ndarray) -> np.ndarray:
@@ -277,8 +280,7 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
         max_upd = 0.0
         degen_total = 0
         for sel in P.colors:
-            r_star, degen = upd.solve(u, sel, warm)
-            r_old = u[ii[sel]]
+            r_star, degen, r_old = upd.solve(u, sel, warm)
             # over-relax toward the envelope value (same fixed point);
             # degenerate fibers take their fallback value verbatim
             r_new = np.where(degen, r_star, r_old + omega * (r_star - r_old))

@@ -493,21 +493,75 @@ class TestSpectralRepresentation:
                      "appb:case=5:n=2:lam=1", "appb:case=6:n=2:R=1",
                      "branch:complex:k=1:n=2",
                      "branch:quaternionic:k=1:n=1"):
-            assert parse_name(name).spectral is None, name
+            F = parse_name(name)
+            assert F.spectral is None, name
+            # of these, only cy and klap restrict to the solver's line
+            assert (F.line is not None) == name.startswith(("cy", "klap"))
 
     def test_derived_sets_drop_it(self):
         F = parse_name("branch:real:k=1:n=2")
         J0 = Jet.from_parts(0.0, [0.0, 0.0], np.diag([1.0, 0.0]))
         assert shift(F, J0).spectral is None
+        assert shift(F, J0).line is None
         # jet-map images are built afresh, even the identity's
         Psi = AffineJetMap.identity(2)
         assert transform_subequation(F, Psi).spectral is None
+        assert transform_subequation(F, Psi).line is None
+        # an x-dependent image: the line restriction takes no base points
+        Sx = AffineJetMap.translation(
+            lambda x: (x[:, 0], np.zeros_like(x), np.zeros((len(x), 2, 2))),
+            n=2)
+        for G in (F, parse_name("klap:k=inf:n=2"), parse_name("cy:n=2")):
+            image = transform_subequation(G, Sx)
+            assert image.x_dependent and image.line is None, G.label
+            assert dual(image).line is None, G.label
         # Garding branches are spectral only through a root map; the named
         # polynomials have one (tests/test_garding.py), the generic route not
         Q = HyperbolicPolynomial.from_callable(
             2, 2, lambda A: float(np.linalg.det(A)), label="gdet")
         assert garding_cone(Q).spectral is None
         assert branch_subequation(Q, 2).spectral is None
+
+
+def _line_sets(n):
+    """Every catalog set of dimension n with a line restriction, and the
+    dual of each."""
+    names = _spectral_names(n) + [f"klap:k={k}:n={n}"
+                                  for k in ("1", "3", "inf")] + [f"cy:n={n}"]
+    sets = [parse_name(name) for name in names]
+    return sets + [dual(F) for F in sets]
+
+
+class TestLineRestriction:
+    """``line(p, A, c)`` is rho on the lines r -> (r, p, A + c r I) of the
+    grid solver's node update, set up once per batch of base jets."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_rho_on_the_line(self, rng, n):
+        r, p, A = _jets(rng, n, size=200)
+        lam = eigvalsh_batch(A)
+        rows = rng.permutation(len(r))[:64]
+        for c in (-8.0, -2.0 / 0.05 ** 2):
+            on_line = A + c * r[:, None, None] * np.eye(n)
+            for F in _line_sets(n):
+                g = F.line(p, A, c)
+                got = g(r)
+                want = F.value_batch(r, p, on_line)
+                scale = max(1.0, float(np.abs(want).max()))
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * scale,
+                                           err_msg=F.label)
+                assert np.array_equal(g(r[rows], rows), got[rows]), F.label
+                if F.spectral is not None:
+                    # the solver's one-eigensolve margin, bit for bit
+                    assert np.array_equal(
+                        got, F.spectral(lam + c * r[:, None])), F.label
+
+    def test_dual_is_an_involution(self, rng):
+        r, p, A = _jets(rng, 3, size=64)
+        for F in _line_sets(3):
+            assert np.array_equal(dual(dual(F)).line(p, A, -8.0)(r),
+                                  F.line(p, A, -8.0)(r)), F.label
 
 
 def _pso_sets(n):

@@ -111,7 +111,7 @@ class TestSlopes:
         p_s, A_s = asm.slopes()
         assert np.allclose(p_s, 0.0)
         assert np.allclose(A_s, -2.0 / 0.25 ** 2 * np.eye(2))
-        # the spectral node update needs dA/dr = c*I exactly
+        # the line-restricted node update needs dA/dr = c*I exactly
         assert np.array_equal(A_s, A_s[0, 0] * np.eye(2))
 
     @pytest.mark.parametrize("stencil, n", [

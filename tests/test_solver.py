@@ -11,6 +11,7 @@ from subeq.boundary import ball_domain
 from subeq.core import Subequation
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
+from subeq.jetmaps import AffineJetMap, transform_subequation
 from subeq.solver import (SolveReport, _NodeUpdater, _prolong,
                           _cascade_ladder, _solve_loop, perron_solve,
                           obstacle_solve, dual_bracket_solve, comparison_check,
@@ -203,10 +204,22 @@ def square(x):
     return x[:, 0] ** 2
 
 
+def radial(x):
+    return x[:, 0] ** 2 + x[:, 1] ** 2
+
+
+def linear(x):
+    return x[:, 0]
+
+
+def aronsson(x):
+    return np.abs(x[:, 0]) ** (4 / 3) - np.abs(x[:, 1]) ** (4 / 3)
+
+
 class TestNodeSolvePaths:
-    """The spectral margin f(lam_base + c r) and the full-jet margin reach
-    the same fixed point; both run the same root-find (a false-position
-    point, its probes, then budgeted Illinois steps)."""
+    """The set's line restriction (``Subequation.line``) and the full-jet
+    margin reach the same fixed point; both run the same root-find (a
+    false-position point, its probes, then budgeted Illinois steps)."""
 
     BOX = ((-1, 1), (-1, 1))
 
@@ -225,32 +238,45 @@ class TestNodeSolvePaths:
         ("laplace:n=2", 33, cubic, False, True),
         ("pucci:lam=1:Lam=2:n=2", 33, cubic, False, False),
         ("branch:real:k=2:n=2", 21, square, True, False),
+        # the bench's Perron cascade (Newton abandoned on level 0)
+        ("klap:k=inf:n=2", 33, aronsson, False, True),
+        ("klap:k=3:n=2", 21, linear, True, True),
+        ("cy:n=2", 21, radial, True, False),
     ])
     def test_same_fixed_point(self, name, m, bc, ball, affine):
         F = parse_name(name)
         g = Grid.regular([(-1.2, 1.2)] * 2 if ball else self.BOX, m)
         dom = ball_domain(2) if ball else None
         P = GridProblem(g, F, bc, domain=dom)
-        assert _NodeUpdater(P, 1e-12).shift == -2.0 / g.h ** 2
-        spec = perron_solve(P)
-        P_full = GridProblem(g, replace(F, spectral=None), bc, domain=dom)
-        assert _NodeUpdater(P_full, 1e-12).shift is None
+        upd = _NodeUpdater(P, 1e-12)
+        assert upd.line is F.line and upd.c == -2.0 / g.h ** 2
+        hooked = perron_solve(P)
+        P_full = GridProblem(g, replace(F, line=None), bc, domain=dom)
+        assert _NodeUpdater(P_full, 1e-12).line is None
         full = perron_solve(P_full)
-        assert spec.converged and full.converged
-        assert np.nanmax(np.abs(spec.u - full.u)) <= spec.sweep_tol
-        assert spec.bisect_capped == full.bisect_capped == 0
+        assert hooked.converged and full.converged
+        assert np.nanmax(np.abs(hooked.u - full.u)) <= hooked.sweep_tol
+        assert hooked.bisect_capped == full.bisect_capped == 0
         if affine:
             # the false-position point is the root: no Illinois step is
             # needed
-            assert spec.evals <= 8 * self._node_updates(P, spec)
+            assert hooked.evals <= 8 * self._node_updates(P, hooked)
 
     def test_fallback_paths(self):
         g = Grid.regular(self.BOX, 9)
-        for F, stencil in ((parse_name("laplace:n=2"), "wide16"),
-                           (parse_name("cy:n=2"), "9pt"),
-                           (parse_name("klap:k=inf:n=2"), "9pt")):
+        lap = parse_name("laplace:n=2")
+        # an x-dependent image of laplace: the line takes no base points
+        shift_x = AffineJetMap.translation(
+            lambda x: (x[:, 0], np.zeros_like(x), np.zeros((len(x), 2, 2))),
+            n=2)
+        for F, stencil in ((lap, "wide16"),
+                           (transform_subequation(lap, shift_x), "9pt")):
             P = GridProblem(g, F, saddle, params=SolverParams(stencil=stencil))
-            assert _NodeUpdater(P, 1e-12).shift is None, F.label
+            assert _NodeUpdater(P, 1e-12).line is None, F.label
+        for name in ("cy:n=2", "klap:k=inf:n=2", "klap:k=3:n=2"):
+            F = parse_name(name)
+            P = GridProblem(g, F, saddle)
+            assert _NodeUpdater(P, 1e-12).line is F.line is not None, name
 
     def test_counters_add_up_over_levels(self):
         P = box_problem(saddle, m=33)
@@ -260,10 +286,6 @@ class TestNodeSolvePaths:
         assert 4 * n <= rep.evals <= 8 * n
         d = rep.to_json_dict()
         assert not {"evals", "level_sweeps", "bisect_capped"} & set(d)
-
-
-def radial(x):
-    return x[:, 0] ** 2 + x[:, 1] ** 2
 
 
 class TestIllinoisFinisher:
