@@ -9,7 +9,10 @@ results for every workload and seed, with their environment lines.
 
 ``run`` calls ``python3 bench/run.py --workload W --seed S --trace 0`` in
 the checkout (default: this one) for each workload and seed, and stores the
-``#`` lines and the result line of each call.  With ``--against`` it runs
+``#`` lines and the result line of each call, and beside them the call's
+``PYTHONDONTWRITEBYTECODE`` (null when unset): without a bytecode cache
+every fresh interpreter compiles the package again, which doubles
+``setup_s``.  With ``--against`` it runs
 the same calls in a second checkout too, alternating which checkout goes
 first from one call to the next, so that both files see the same machine
 state.  Each checkout runs its own ``bench/``.
@@ -17,7 +20,10 @@ state.  Each checkout runs its own ``bench/``.
 ``diff`` prints, per workload and end-to-end metric, the median over seeds
 of each file, their ratio, and in how many seeds the second file is lower;
 then the same for each operation's median time, from the ``# op NAME: ...
-median_s=...`` lines; then the failed operations of each file.
+median_s=...`` lines; then the failed operations of each file, and the
+``PYTHONDONTWRITEBYTECODE`` values of each file's runs when the two files
+differ in them (``unset``, or ``not recorded`` for files written before
+the field).
 """
 
 import argparse
@@ -29,6 +35,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("box-cascade", "masked-fallback", "calculus")
+BYTECODE = "PYTHONDONTWRITEBYTECODE"
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -40,6 +47,7 @@ def bench_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"workload": workload, "seed": seed,
             "env": [ln for ln in lines if ln.startswith("#")],
+            "PYTHONDONTWRITEBYTECODE": os.environ.get(BYTECODE),
             "result": json.loads(lines[-1])}
 
 
@@ -99,6 +107,12 @@ def _print_table(column: str, width: int, old: dict, new: dict) -> None:
               f"{b / a:8.3f}  {wins}/{len(seeds)}")
 
 
+def _bytecode_flag(rec: dict) -> str:
+    if BYTECODE not in rec:
+        return "not recorded"
+    return "unset" if rec[BYTECODE] is None else repr(rec[BYTECODE])
+
+
 def diff(args) -> None:
     docs = []
     for path in (args.old, args.new):
@@ -112,6 +126,10 @@ def diff(args) -> None:
         failed = sum(r["result"]["failed"] for r in doc["runs"])
         attempted = sum(r["result"]["attempted"] for r in doc["runs"])
         print(f"{path}: {failed} of {attempted} operations failed")
+    flags = [sorted({_bytecode_flag(r) for r in doc["runs"]}) for doc in docs]
+    if flags[0] != flags[1]:
+        for path, vals in zip((args.old, args.new), flags):
+            print(f"{path}: {BYTECODE} {', '.join(vals)}")
 
 
 def main(argv=None) -> None:

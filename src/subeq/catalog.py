@@ -10,7 +10,11 @@ deltabranch, sigma, slag) are stated once, as a function of the ascending
 spectrum, through ``_spectral_entry``; laplace keeps its trace and carries
 the spectral sum.  Those entries, klap and cy also carry a line restriction
 (``Subequation.line``) for the grid solver's node update: f on a shifted
-spectrum, klap's affine form and cy's one eigensolve.
+spectrum, klap's affine form and cy's one eigensolve.  The spectral entries,
+geom with line frames in 2-D and 3-D, and the complex and quaternionic
+branches carry a ``Subequation.spectral_bound``, an upper bound of rho over
+the rotations of a spectrum, on which ``core.sample_members`` rejects
+spectra before it rotates them.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -22,6 +26,7 @@ never exits (``solver._NodeUpdater.solve``), not a rule of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -44,16 +49,24 @@ def _trace(A) -> np.ndarray:
     return np.einsum("nii->n", _as_batch(A))
 
 
-def _spectral_entry(n: int, f, label: str, cone: bool = True) -> Subequation:
+def _spectral_entry(n: int, f, label: str, cone: bool = True,
+                    nondecreasing: bool = False) -> Subequation:
     """Pure second-order, O(n)-invariant entry given by f on the ascending
     spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
-    kept as ``spectral`` for the spectrum-first draws of
-    ``core.sample_members`` and, through ``spectral_line``, the solver's
-    one-eigensolve node update."""
+    kept as ``spectral``, as the exact ``spectral_bound`` of the
+    spectrum-first draws of ``core.sample_members`` and, through
+    ``spectral_line``, for the solver's one-eigensolve node update.
+
+    ``nondecreasing`` states that f(mu) <= f(nu) whenever mu <= nu entry
+    by entry; it is kept as f's attribute of that name, from which
+    ``jetmaps.transform_subequation`` bounds congruence images."""
     def rho(r, p, A):
         return f(eigvalsh_batch(A))
+    if nondecreasing:
+        f.nondecreasing = True
     return Subequation(n, rho, label, pure_second_order=True, reduced=True,
-                       cone=cone, spectral=f, line=spectral_line(f))
+                       cone=cone, spectral=f, line=spectral_line(f),
+                       spectral_bound=f)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +103,65 @@ class GrassmannSet:
     @property
     def stack(self) -> np.ndarray:
         return np.stack(self.frames)  # (F, n, p)
+
+    @functools.cached_property
+    def line_radius(self) -> float:
+        """For line frames (p = 1) in n = 2 or 3, an upper bound of their
+        covering radius (:func:`_line_cover_radius`); computed on first
+        use."""
+        return _line_cover_radius(self.stack[:, :, 0])
+
+
+# rows per block of the covering-radius search: bounds its (rows, frames)
+# temporary to 1 MB at 256 frames
+_COVER_ROWS = 512
+_COVER_TOL = 1e-3
+
+
+def _line_cover_radius(W: np.ndarray) -> float:
+    """An upper bound theta of the covering radius of the lines through
+    the unit rows of W (F, n), n = 2 or 3: every unit v lies within angle
+    theta of w or -w for some row w.
+
+    n = 2: half the largest gap between the lines' angles mod pi, plus
+    1e-12 for their rounding.
+
+    n = 3: theta exceeds the covering radius by at most ``_COVER_TOL``.
+    The angle d(v) from v to the nearest line is 1-Lipschitz on the
+    sphere.  The hemisphere z >= 0 meets every line; a cell of it of
+    widths dt in polar angle and df in azimuth lies within dt/2 +
+    sin(tc) df/2 of its centre at polar angle tc (along the meridian, then
+    along the circle of latitude tc, whose arc is at least the great-circle
+    distance), so d <= d(centre) + that radius on the whole cell.  From
+    8 x 32 cells on, each cell whose bound exceeds L + tol/2, L the largest
+    d at a centre so far, is split in four and the others are done; a
+    cell's radius halves each round, so none is left once it is below
+    tol/2.  Every point then has d <= L + tol/2, and theta = L + tol leaves
+    tol/2 for the rounding of d (about 1e-15).  256 golden-angle lines take
+    9,412 centres and 15 ms (shared 2-core x86 box).
+    """
+    if W.shape[1] == 2:
+        ang = np.sort(np.arctan2(W[:, 1], W[:, 0]) % np.pi)
+        return 0.5 * float(np.diff(ang, append=ang[0] + np.pi).max()) + 1e-12
+    t, f = np.meshgrid((np.arange(8) + 0.5) * (np.pi / 16),
+                       (np.arange(32) + 0.5) * (np.pi / 16), indexing="ij")
+    t, f, dt, df = t.ravel(), f.ravel(), np.pi / 16, np.pi / 16
+    L = 0.0
+    while len(t):
+        v = np.stack([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f),
+                      np.cos(t)], axis=1)
+        d = np.empty(len(v))
+        for i in range(0, len(v), _COVER_ROWS):
+            dots = np.abs(v[i:i + _COVER_ROWS] @ W.T).max(axis=1)
+            d[i:i + _COVER_ROWS] = np.arccos(np.minimum(dots, 1.0))
+        L = max(L, float(d.max()))
+        split = d + 0.5 * dt + 0.5 * np.sin(t) * df > L + 0.5 * _COVER_TOL
+        t, f, dt, df = t[split], f[split], 0.5 * dt, 0.5 * df
+        t = np.concatenate([t - 0.5 * dt, t - 0.5 * dt, t + 0.5 * dt,
+                            t + 0.5 * dt])
+        f = np.concatenate([f - 0.5 * df, f + 0.5 * df, f - 0.5 * df,
+                            f + 0.5 * df])
+    return L + _COVER_TOL
 
 
 def grassmann_sample(p: int, n: int, count: int = 256) -> GrassmannSet:
@@ -185,7 +257,8 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
         raise ConfigError(f"branch index k={k} out of range 1..{n}")
     if kind == "real":
         return _spectral_entry(n, lambda eigs, _i=k - 1: eigs[:, _i],
-                               f"branch:real:k={k}:n={n}")
+                               f"branch:real:k={k}:n={n}",
+                               nondecreasing=True)
     if kind == "complex":
         structure = ComplexStructure.standard_complex(n)
     elif kind == "quaternionic":
@@ -196,7 +269,40 @@ def make_branch(kind: str, k: int, n: int) -> Subequation:
     def rho(r, p, A, _s=structure, _i=k - 1):
         return field_eigvalsh_batch(A, _s)[:, _i]
     return Subequation(structure.dim, rho, f"branch:{kind}:k={k}:n={n}",
-                       pure_second_order=True, reduced=True, cone=True)
+                       pure_second_order=True, reduced=True, cone=True,
+                       spectral_bound=_field_branch_bound(structure, k))
+
+
+def _field_branch_bound(structure: ComplexStructure, k: int):
+    """Upper bound of the k-th field eigenvalue mu_k on the ascending real
+    spectrum lam (N, D) of A.
+
+    The hermitian part is H = (1/d) sum_t U_t^t A U_t over the d = 2 or 4
+    orthogonal matrices U_t = I and the structure matrices, each term with
+    A's spectrum, and mu_k is H's real eigenvalue of index j = d (k - 1)
+    (0-based, ascending).  Two bounds, of which u takes the smaller:
+
+    * Weyl's inequality lam_{a+b-D}(X + Y) <= lam_a(X) + lam_b(Y) (1-based,
+      ascending), applied d - 1 times: mu_k <= (1/d) sum_t lam_{i_t} for
+      every index tuple with sum_t (D - 1 - i_t) = D - 1 - j (0-based).
+      For k = 1 the tuple (0, D - 1, ...) is the test vector bound
+      (lam_1 + (d - 1) lam_max) / d.
+    * The trace: by Ky Fan the sum of the j smallest eigenvalues is
+      concave, so H's is at least A's, while tr H = tr A; hence the mean
+      of H's eigenvalues from index j on, which is at least mu_k, is at
+      most the mean of lam from index j on (for k = 1, tr A / D).
+    """
+    d = 1 + len(structure.mats)
+    D, j = structure.dim, d * (k - 1)
+    tuples = [[D - 1 - e for e in c] for c in
+              itertools.combinations_with_replacement(range(D - j), d)
+              if sum(c) == D - 1 - j]
+
+    def bound(lam):
+        weyl = functools.reduce(np.minimum, (sum(lam[:, i] for i in t)
+                                             for t in tuples))
+        return np.minimum(weyl / d, lam[:, j:].mean(axis=1))
+    return bound
 
 
 def make_pcone(p: float, n: int) -> Subequation:
@@ -217,7 +323,7 @@ def make_pcone(p: float, n: int) -> Subequation:
             s = s + frac * eigs[:, m]
         return s
 
-    return _spectral_entry(n, f, f"pcone:p={p:g}:n={n}")
+    return _spectral_entry(n, f, f"pcone:p={p:g}:n={n}", nondecreasing=True)
 
 
 def make_pbranch(k: int, p: int, n: int) -> Subequation:
@@ -235,7 +341,8 @@ def make_pbranch(k: int, p: int, n: int) -> Subequation:
         sums.sort(axis=1)
         return sums[:, k - 1]
 
-    return _spectral_entry(n, f, f"pbranch:k={k}:p={p}:n={n}")
+    return _spectral_entry(n, f, f"pbranch:k={k}:p={p}:n={n}",
+                           nondecreasing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +361,8 @@ def make_uniformly_elliptic(kind: str, n: int, lam: float = None,
             neg = np.clip(eigs, None, 0.0).sum(axis=1)
             return _l * pos + _L * neg
 
-        return _spectral_entry(n, f, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}")
+        return _spectral_entry(n, f, f"pucci:lam={lam:g}:Lam={Lam:g}:n={n}",
+                               nondecreasing=True)
     if kind == "delta":
         if d is None or d <= 0:
             raise ConfigError(f"need d > 0, got {d}")
@@ -272,7 +380,8 @@ def make_delta_branch(k: int, d: float, n: int) -> Subequation:
     def f(eigs, _d=float(d), _i=k - 1):
         return eigs[:, _i] + _d * eigs.sum(axis=1)
 
-    return _spectral_entry(n, f, f"deltabranch:k={k}:d={d:g}:n={n}")
+    return _spectral_entry(n, f, f"deltabranch:k={k}:d={d:g}:n={n}",
+                           nondecreasing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +393,13 @@ def _laplace(n: int) -> Subequation:
         return _trace(A)
     def f(eigs):
         return eigs.sum(axis=1)
+    f.nondecreasing = True
 
     # the trace needs no eigensolve; the solver's line restriction sums the
     # eigenvalues it has already computed
     return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
                        reduced=True, cone=True, spectral=f,
-                       line=spectral_line(f))
+                       line=spectral_line(f), spectral_bound=f)
 
 
 def _sigma(k: int, n: int) -> Subequation:
@@ -311,7 +421,8 @@ def _slag(c: float, n: int) -> Subequation:
     def f(eigs, _c=c):
         return np.arctan(eigs).sum(axis=1) - _c
 
-    return _spectral_entry(n, f, f"slag:c={c:g}:n={n}", cone=False)
+    return _spectral_entry(n, f, f"slag:c={c:g}:n={n}", cone=False,
+                           nondecreasing=True)
 
 
 def _calabi_yau(n: int) -> Subequation:
@@ -369,7 +480,15 @@ _GEOM_ROWS = 4096
 
 def _geometric(G: GrassmannSet) -> Subequation:
     """min over frames W of tr(W^t A W) = <A, W W^t>_F: one GEMM of the
-    flattened matrices against the frame projectors W W^t, (n^2, F)."""
+    flattened matrices against the frame projectors W W^t, (n^2, F).
+
+    Line frames (p = 1) in n = 2 or 3 carry the spectral bound
+    u = lam_1 cos^2 theta + lam_n sin^2 theta, theta = ``G.line_radius``.
+    Proof: some frame line w lies at an angle a <= theta from an
+    eigenvector q_1 of lam_1, so w^t A w = sum_i lam_i (q_i^t w)^2 with
+    (q_1^t w)^2 = cos^2 a and the other weights summing to sin^2 a, which
+    is at most lam_1 cos^2 a + lam_n sin^2 a <= u, as lam_n >= lam_1 and
+    a <= theta <= pi/2.  rho, the min over frames, is at most that."""
     W = G.stack  # (F, n, p)
     P = np.einsum("fip,fjp->ijf", W, W).reshape(G.n * G.n, len(W))
 
@@ -380,9 +499,17 @@ def _geometric(G: GrassmannSet) -> Subequation:
             out[i:i + _GEOM_ROWS] = (A[i:i + _GEOM_ROWS] @ _P).min(axis=1)
         return out
 
+    bound = None
+    if G.p == 1 and G.n in (2, 3):
+        def bound(lam):
+            th = G.line_radius
+            return (math.cos(th) ** 2 * lam[:, 0]
+                    + math.sin(th) ** 2 * lam[:, -1])
+
     return Subequation(G.n, rho,
                        f"geom:p={G.p}:n={G.n}:frames={len(G.frames)}",
-                       pure_second_order=True, reduced=True, cone=True)
+                       pure_second_order=True, reduced=True, cone=True,
+                       spectral_bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,10 @@ def transform_subequation(F: Subequation, Psi: AffineJetMap) -> Subequation:
 
     Flags are recomputed conservatively: properties are kept only when the
     map provably preserves them (no gradient fill-in for pure second-order,
-    no translation for the cone property).
+    no translation for the cone property).  A linear congruence image
+    A -> h A h^t of a spectral set whose f is nondecreasing (the attribute
+    ``nondecreasing`` of f, set by ``catalog._spectral_entry``) carries a
+    spectral bound (:func:`_congruence_bound`); other images carry none.
     """
     if F.n != Psi.n:
         raise DimensionMismatch("map and subequation dimensions differ")
@@ -248,9 +251,31 @@ def transform_subequation(F: Subequation, Psi: AffineJetMap) -> Subequation:
 
     pso = F.pure_second_order and _is_zero_tensor(Psi.L)
     cone = F.cone and _is_zero_translation(Psi.S) and not Psi.x_dependent
+    bound = None
+    if (getattr(F.spectral, "nondecreasing", False) and pso and not x_dep
+            and _is_zero_translation(Psi.S)):
+        bound = _congruence_bound(F.spectral, inv.h)
     return Subequation(F.n, rho, f"{Psi.label}({F.label})",
                        pure_second_order=pso, reduced=F.reduced,
-                       cone=cone, x_dependent=x_dep)
+                       cone=cone, x_dependent=x_dep, spectral_bound=bound)
+
+
+def _congruence_bound(f: Callable, k: np.ndarray) -> Callable:
+    """Spectral bound of the set A -> f(lam(k A k^t)), f nondecreasing:
+    u(lam) = f(phi(lam)) with phi(t) = s_max^2 t for t >= 0 and
+    s_min^2 t for t < 0, s the singular values of k.
+
+    Proof: by Ostrowski's quantitative law of inertia (PNAS 1959), the
+    i-th ascending eigenvalue of k A k^t is theta_i lam_i with theta_i
+    between s_min^2 and s_max^2, so it is at most phi(lam_i).  phi is
+    increasing, so phi(lam) is ascending, and f nondecreasing gives
+    f(lam(k A k^t)) <= f(phi(lam))."""
+    s = np.linalg.svd(k, compute_uv=False)
+    hi, lo = float(s[0]) ** 2, float(s[-1]) ** 2
+
+    def bound(lam):
+        return f(np.where(lam >= 0, hi * lam, lo * lam))
+    return bound
 
 
 # ---------------------------------------------------------------------------

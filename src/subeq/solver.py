@@ -199,13 +199,19 @@ class _NodeUpdater:
         lo = np.maximum(r_cur - warm, lo_full)
         hi = np.maximum(np.minimum(r_cur + warm, hi_full), lo + self.bt)
 
-        # lower end must be a member; a fiber with none is empty
+        # lower end must be a member; a fiber with none is empty, and a NaN
+        # or infinite margin is a field that has diverged
         bad, g_lo = _widen(lo, lo_full, -width_full, g, lambda v: ~(v >= 0))
         if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise BracketError(
-                f"{P.F.label}: no admissible value at node "
-                f"{P.interior_idx[sel][i]} (empty fiber)")
+            lost = bad & ~np.isfinite(g_lo)
+            i = int(np.flatnonzero(lost if lost.any() else bad)[0])
+            node = P.interior_idx[sel][i]
+            if lost.any():
+                raise BracketError(
+                    f"{P.F.label}: margins are not finite at node {node} "
+                    f"(value {r_cur[i]:.6g}); the field has diverged")
+            raise BracketError(f"{P.F.label}: no admissible value at node "
+                               f"{node} (empty fiber)")
 
         # upper end must be outside; a fiber that never exits is degenerate
         # (the operator ignores r there) and falls back to the neighbor max

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subeq import (parse_name, dual_name, dual, make_pcone, make_branch,
                    make_uniformly_elliptic)
 from subeq.catalog import _geometric, grassmann_sample
 from subeq.cli import _resolve_domain
-from subeq.core import Jet, axiom_check, shift
+from subeq.core import Jet, _ascending, _haar_psd, axiom_check, shift
 from subeq.errors import ConfigError
 from subeq.garding import (HyperbolicPolynomial, branch_subequation,
                            garding_cone, named_polynomial)
@@ -591,9 +592,9 @@ def _pso_sets(n):
 
 
 class TestPureSecondOrderContract:
-    """``core.sample_members`` decides membership of a pure second-order set
-    on A alone, before r and p are drawn; that needs rho(r, p, A) to be
-    rho(0, 0, A) bit for bit."""
+    """``core.sample_members`` rejects the spectra of a pure second-order
+    set on a bound of rho over A alone, before r and p are drawn; that
+    needs rho(r, p, A) to be rho(0, 0, A) bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_value_ignores_r_and_p_bitwise(self, rng, n):
@@ -618,3 +619,106 @@ class TestPureSecondOrderContract:
         L = rng.uniform(-1, 1, (2, 2, 2))
         Psi = AffineJetMap.linear(np.eye(2), np.eye(2), L=L)
         assert not transform_subequation(F, Psi).pure_second_order
+
+
+def _image(name, seed=0):
+    """The congruence image of a catalog entry under h = a rotation times
+    an anisotropic scaling."""
+    F = parse_name(name)
+    rot = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (F.n, F.n)))[0]
+    h = rot @ np.diag(np.geomspace(0.5, 2.0, F.n))
+    return transform_subequation(F, AffineJetMap.linear(np.eye(F.n), h))
+
+
+_BOUNDED = (
+    [f"geom:p=1:n={n}:frames={c}" for n in (2, 3) for c in (8, 64, 256)]
+    + [f"branch:complex:k={k}:n={n}" for n in (1, 2, 3)
+       for k in range(1, n + 1)]
+    + [f"branch:quaternionic:k={k}:n={n}" for n in (1, 2)
+       for k in range(1, n + 1)]
+    + [f"image:{name}" for name in (
+        "branch:real:k=2:n=3", "branch:real:k=1:n=2", "pucci:lam=1:Lam=2:n=3",
+        "pbranch:k=2:p=2:n=3", "deltabranch:k=1:d=0.5:n=3",
+        "slag:c=0.5:n=2", "laplace:n=3")]
+    + ["sigma:k=2:n=3", "pcone:p=1.5:n=3"])
+
+# eigenvalues: ties, signed zeros and margins near 0 come from the sampled
+# constants, the rest from the box's range
+_EIG = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 5.0,
+                                  -5.0]),
+                 st.floats(-5.0, 5.0))
+
+
+def _bounded(name):
+    return _image(name[6:]) if name.startswith("image:") else parse_name(name)
+
+
+class TestSpectralBound:
+    """``spectral_bound`` u is at least rho on every rotation of its
+    spectrum, which lets the sampler reject spectra before rotating them."""
+
+    @pytest.mark.parametrize("name", _BOUNDED)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bound_is_above_rho_at_random_rotations(self, name, data):
+        F = _bounded(name)
+        lam = np.sort(data.draw(st.lists(_EIG, min_size=F.n,
+                                         max_size=F.n)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rows = np.repeat(lam[None], 64, axis=0)
+        A = _haar_psd(np.random.default_rng(seed), F.n, 64, eigs=rows)
+        u = F.spectral_bound(_ascending(rows))
+        tol = 1e-10 * max(1.0, np.abs(lam).max())
+        assert np.all(pso_vals(F, A) <= u + tol), (lam, u)
+
+    @pytest.mark.parametrize("count", [8, 64, 256])
+    def test_geom_bound_is_attained_between_two_lines(self, count):
+        # in 2-D the eigenvector of lam_1 halfway between two frame lines
+        # is the worst case: there rho equals the bound
+        F = parse_name(f"geom:p=1:n=2:frames={count}")
+        lam = np.array([[-3.0, 2.0]])
+        for a in np.pi * np.arange(0, count, max(1, count // 8)) / count:
+            Q = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            A = (Q @ np.diag(lam[0]) @ Q.T)[None]
+            u = F.spectral_bound(lam)
+            assert abs(pso_vals(F, A)[0] - u[0]) <= 1e-9
+
+    @pytest.mark.parametrize("count", [8, 64, 256])
+    def test_line_radius_covers_the_sphere_and_is_tight(self, count):
+        G = grassmann_sample(1, 3, count)
+        W = G.stack[:, :, 0]
+        v = np.random.default_rng(count).standard_normal((100_000, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        d = np.concatenate([
+            np.arccos(np.minimum(np.abs(b @ W.T).max(axis=1), 1.0))
+            for b in np.array_split(v, 25)])
+        # 1e5 probes leave gaps of about 0.01 rad between them
+        assert d.max() <= G.line_radius <= d.max() + 0.02
+        G2 = grassmann_sample(1, 2, count)
+        assert abs(G2.line_radius - np.pi / (2 * count)) <= 1e-11
+
+    def test_derived_sets_carry_or_drop_it(self, rng):
+        F = parse_name("pucci:lam=1:Lam=2:n=3")
+        assert F.spectral_bound is F.spectral
+        Fd = dual(F)
+        assert Fd.spectral_bound is Fd.spectral is not None
+        for name in ("geom:p=1:n=3", "branch:complex:k=1:n=2",
+                     "branch:quaternionic:k=2:n=2"):
+            assert parse_name(name).spectral_bound is not None, name
+            assert dual(parse_name(name)).spectral_bound is None, name
+        assert shift(F, Jet.zero(3)).spectral_bound is None
+        # images: linear congruences of nondecreasing spectral forms only
+        assert _image("pucci:lam=1:Lam=2:n=3").spectral_bound is not None
+        assert _image("sigma:k=2:n=3").spectral_bound is None
+        assert _image("geom:p=1:n=3").spectral_bound is None
+        moved = AffineJetMap.translation((0.0, np.zeros(3), np.eye(3)))
+        assert transform_subequation(F, moved).spectral_bound is None
+        L = rng.uniform(-1, 1, (3, 3, 3))
+        fill = AffineJetMap.linear(np.eye(3), np.eye(3), L=L)
+        assert transform_subequation(F, fill).spectral_bound is None
+        from subeq.jetmaps import inhom_branch
+        assert inhom_branch(1, 3, lambda x: x[:, 0]).spectral_bound is None
+        for name in ("geom:p=2:n=3", "geom:p=1:n=4", "cy:n=2",
+                     "klap:k=inf:n=2", "appb:case=5:n=2:lam=1"):
+            assert parse_name(name).spectral_bound is None, name

@@ -11,7 +11,8 @@ from subeq import (Jet, JetBox, jet_norm, Subequation, dual, shift, member,
                    classify, axiom_check, monotonicity_check, sample_members,
                    sample_jet_batch, validate_registration,
                    asymptotic_interior_member, strict_member, parse_name)
-from subeq.core import _decide_first_draw, _haar_psd, _unit_sphere_qmc
+from subeq.core import (_ascending, _decide_first_draw, _haar_psd,
+                        _unit_sphere_qmc)
 from subeq.errors import DimensionMismatch, SamplerExhausted
 
 from conftest import random_sym
@@ -256,14 +257,14 @@ class TestSpectrumFirst:
     @staticmethod
     def counting(F):
         seen = {"drawn": 0, "passed": 0}
-        f = F.spectral
+        f = F.spectral_bound
 
-        def spectral(eigs):
+        def bound(eigs):
             vals = f(eigs)
             seen["drawn"] += len(eigs)
             seen["passed"] += int((vals >= 0.5).sum())
             return vals
-        return replace(F, spectral=spectral), seen
+        return replace(F, spectral_bound=bound), seen
 
     @pytest.mark.parametrize("name", ["sigma:k=2:n=3", "pucci:lam=1:Lam=2:n=3",
                                       "branch:real:k=2:n=3"])
@@ -273,8 +274,9 @@ class TestSpectrumFirst:
                                  margin_min=0.5)
         assert len(r) == 20_000
         assert F.value_batch(r, p, A).min() >= 0.5
-        # plain rejection: the same set with its spectral form dropped
-        G = replace(F, spectral=None)
+        # the same set with its spectral form and bound dropped: every
+        # spectrum is rotated and decided on rho
+        G = replace(F, spectral=None, spectral_bound=None)
         r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(2),
                                     margin_min=0.5)
         rb, pb, Ab = sample_jet_batch(JetBox(), 3, 200_000,
@@ -298,9 +300,25 @@ class TestSpectrumFirst:
         assert len(r) == 5000 and Fd.value_batch(r, p, A).min() >= 1e-9
 
 
+def image_of_branch(seed=0):
+    """phi(branch:real:k=2:n=3): the congruence A -> h A h^t with h a
+    rotated anisotropic scaling, as in the calculus benchmark."""
+    from subeq.jetmaps import AffineJetMap, transform_subequation
+    rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+    h = rot @ np.diag([1.0, 2.0, 0.5])
+    return transform_subequation(parse_name("branch:real:k=2:n=3"),
+                                 AffineJetMap.linear(np.eye(3), h,
+                                                     label="phi"))
+
+
+def bounded_set(name):
+    return image_of_branch() if name == "image" else parse_name(name)
+
+
 class TestMatrixFirst:
-    """Pure second-order sets without a spectral form draw A, reject on it,
-    and draw r and p for the survivors only."""
+    """Pure second-order sets without a spectral form draw spectra, reject
+    them on their spectral bound when they have one, and rotate and draw r
+    and p for the survivors only."""
 
     NAMES = ["branch:complex:k=1:n=2", "geom:p=1:n=3:frames=64",
              "branch:quaternionic:k=1:n=1"]
@@ -316,8 +334,8 @@ class TestMatrixFirst:
         assert r.min() >= -1.0 and r.max() <= 2.0
         assert np.linalg.norm(p, axis=1).max() <= 0.5
 
-    def test_acceptance_and_law_match_plain_rejection(self):
-        F = parse_name("branch:complex:k=1:n=2")
+    @staticmethod
+    def check_law(F):
         m = 100_000
         r, p, A = _decide_first_draw(F, JetBox(), np.random.default_rng(1),
                                      m, m, 0.0)
@@ -330,11 +348,22 @@ class TestMatrixFirst:
         # the same set with the flag dropped takes plain rejection
         G = replace(F, pure_second_order=False)
         r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(3))
+        last = F.n - 1
         for a, b in [(r, r2), (np.linalg.norm(p, axis=1),
                                np.linalg.norm(p2, axis=1)),
-                     (A[:, 0, 0], A2[:, 0, 0]), (A[:, 0, 3], A2[:, 0, 3]),
+                     (A[:, 0, 0], A2[:, 0, 0]),
+                     (A[:, 0, last], A2[:, 0, last]),
                      (np.einsum("nii->n", A), np.einsum("nii->n", A2))]:
             assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_acceptance_and_law_match_plain_rejection(self):
+        self.check_law(parse_name("branch:complex:k=1:n=2"))
+
+    @pytest.mark.parametrize("name", ["geom:p=1:n=3:frames=64", "image"])
+    def test_bounded_sets_keep_the_law_of_plain_rejection(self, name):
+        F = bounded_set(name)
+        assert F.spectral_bound is not None and F.spectral is None
+        self.check_law(F)
 
     def test_draws_stop_at_need(self):
         F = parse_name("branch:complex:k=1:n=2")
@@ -351,9 +380,9 @@ class TestMatrixFirst:
         xb = np.repeat(x[None], 500, 0)
         assert F.value_batch(r, p, A, x=xb).min() >= 0.0
 
-    def test_each_drawn_jet_is_evaluated_at_most_once(self, monkeypatch):
+    @staticmethod
+    def check_at_most_once(F, monkeypatch):
         import subeq.core
-        F = parse_name("branch:complex:k=1:n=2")
         rho, haar = F.rho_batch, subeq.core._haar_psd
         counts = {"evaluated": 0, "drawn": 0}
 
@@ -370,6 +399,67 @@ class TestMatrixFirst:
         r, p, A = sample_members(F, 10_000, np.random.default_rng(7))
         assert len(r) == 10_000
         assert 0 < counts["evaluated"] <= counts["drawn"]
+
+    def test_each_drawn_jet_is_evaluated_at_most_once(self, monkeypatch):
+        self.check_at_most_once(parse_name("branch:complex:k=1:n=2"),
+                                monkeypatch)
+
+    @pytest.mark.parametrize("name", ["geom:p=1:n=3:frames=64", "image"])
+    def test_bounded_sets_evaluate_each_jet_at_most_once(self, name,
+                                                         monkeypatch):
+        self.check_at_most_once(bounded_set(name), monkeypatch)
+
+
+class TestAscending:
+    """The sampler orders spectra by a compare-exchange network on the
+    transposed block, bit for bit as np.sort."""
+
+    @staticmethod
+    def draws(n, m=5000, seed=0):
+        rng = np.random.default_rng(seed)
+        part = rng.uniform(-5.0, 5.0, (m, n))
+        # ties of whole rows, of pairs, and integer-valued rows
+        part[::7] = part[::7, :1]
+        part[1::5, -1] = part[1::5, 0]
+        part[2::3] = rng.integers(-2, 3, part[2::3].shape)
+        return part
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_np_sort_bit_for_bit(self, n):
+        part = self.draws(n)
+        got = _ascending(part)
+        assert np.array_equal(np.sort(part, axis=1).view(np.int64),
+                              got.view(np.int64))
+        assert np.array_equal(part, self.draws(n))       # input untouched
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signed_zeros_keep_their_order(self, n):
+        # a stable sort: +0 and -0 keep the order they came in.  np.sort
+        # need not (its vectorised kernels may swap them), so the network
+        # is held to np.sort(kind="stable") here
+        rng = np.random.default_rng(n)
+        part = rng.integers(-1, 2, (20_000, n)).astype(float)
+        part[rng.random(part.shape) < 0.3] *= -1.0
+        part = np.where(rng.random(part.shape) < 0.3, -0.0, part)
+        got = _ascending(part)
+        want = np.sort(part, axis=1, kind="stable")
+        assert np.array_equal(want.view(np.int64), got.view(np.int64))
+        assert np.array_equal(got, np.sort(part, axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spectral_forms_read_the_view_bit_for_bit(self, n):
+        from test_catalog import _spectral_names
+        part = self.draws(n)
+        view, flat = _ascending(part), np.sort(part, axis=1)
+        assert not view.flags.c_contiguous
+        for name in _spectral_names(n):
+            for F in (parse_name(name), dual(parse_name(name))):
+                assert np.array_equal(F.spectral(view).view(np.int64),
+                                      F.spectral(flat).view(np.int64)), name
+
+    def test_larger_rows_take_np_sort(self):
+        part = self.draws(6)
+        assert np.array_equal(_ascending(part), np.sort(part, axis=1))
 
 
 class TestBasePoint:

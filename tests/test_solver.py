@@ -120,8 +120,23 @@ class TestDegenerateAndEmptyFibers:
         P = GridProblem(g, F, lambda x: x[:, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(BracketError):
+            with pytest.raises(BracketError, match="empty fiber"):
                 perron_solve(P)
+
+    def test_diverged_field_is_not_an_empty_fiber(self):
+        # a field of size 1e160: p^t A p overflows, and the margins on the
+        # line are inf - inf = NaN, which is no sign of an empty fiber
+        g = Grid.regular([(-1, 1), (-1, 1)], 5)
+        P = GridProblem(g, parse_name("klap:k=inf:n=2"), lambda x: x[:, 0])
+        x = g.points()
+        u = 1e160 * (x[:, 0] + x[:, 0] ** 2 + x[:, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(BracketError,
+                               match=r"margins are not finite at node 6 "
+                                     r"\(value -7\.5e\+159\)"):
+                _NodeUpdater(P, 1e-12).solve(
+                    u, np.arange(len(P.interior_idx)), np.inf)
 
     def test_precheck_warns_on_bad_axioms(self):
         antilap = Subequation(
