@@ -12,18 +12,24 @@ the checkout (default: this one) for each workload and seed, and stores the
 ``#`` lines and the result line of each call, and beside them the call's
 ``PYTHONDONTWRITEBYTECODE`` (null when unset): without a bytecode cache
 every fresh interpreter compiles the package again, which doubles
-``setup_s``.  With ``--against`` it runs
-the same calls in a second checkout too, alternating which checkout goes
-first from one call to the next, so that both files see the same machine
-state.  Each checkout runs its own ``bench/``.
+``setup_s``.  Each call is followed by one ``--trace 1 --seconds 2`` call,
+whose work counts are stored under ``counts``: the per-layer metrics of
+unit ``count`` and the count fields of its ``# op`` lines (``sweeps=``,
+``rho_calls=``, ...).  They come from the first traced pass of each
+operation, so the length of the call does not move them.  With
+``--against`` it runs the same calls in a second checkout too, alternating
+which checkout goes first from one call to the next, so that both files
+see the same machine state.  Each checkout runs its own ``bench/``.
 
 ``diff`` prints, per workload and end-to-end metric, the median over seeds
 of each file, their ratio, and in how many seeds the second file is lower;
 then the same for each operation's median time, from the ``# op NAME: ...
-median_s=...`` lines; then the failed operations of each file, and the
-``PYTHONDONTWRITEBYTECODE`` values of each file's runs when the two files
-differ in them (``unset``, or ``not recorded`` for files written before
-the field).
+median_s=...`` lines; then every work count of each workload and seed,
+old -> new, with ``CHANGED`` on those that differ (files written before
+the counts were recorded have none); then the failed operations of each
+file, and the ``PYTHONDONTWRITEBYTECODE`` values of each file's runs when
+the two files differ in them (``unset``, or ``not recorded`` for files
+written before the field).
 """
 
 import argparse
@@ -39,16 +45,44 @@ BYTECODE = "PYTHONDONTWRITEBYTECODE"
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def bench_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def _bench(checkout: str, workload: str, seed: int, seconds: float,
+           trace: int) -> list:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
-    lines = proc.stdout.strip().splitlines()
+    return proc.stdout.strip().splitlines()
+
+
+OP_FIELDS = re.compile(r"# op (.+?): (.*)")
+COUNT_FIELD = re.compile(r"(\w+)=(\d+)(?=\s|$)")
+
+
+def counts_once(checkout: str, workload: str, seed: int) -> dict:
+    """The work counts of one traced call: {"metrics": {name: count},
+    "ops": {op: {field: count}}}.  An op line's ``runs=`` counts
+    repetitions, not work, and is left out."""
+    lines = _bench(checkout, workload, seed, 2, 1)
+    metrics = {name: v["value"] for name, v
+               in json.loads(lines[-1])["metrics"].items()
+               if v["unit"] == "count"}
+    ops = {}
+    for line in lines:
+        m = OP_FIELDS.match(line)
+        if m:
+            ops[m[1]] = {k: int(v) for k, v in COUNT_FIELD.findall(m[2])
+                         if k != "runs"}
+    return {"metrics": metrics, "ops": ops}
+
+
+def bench_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    lines = _bench(checkout, workload, seed, seconds, 0)
     return {"workload": workload, "seed": seed,
             "env": [ln for ln in lines if ln.startswith("#")],
             "PYTHONDONTWRITEBYTECODE": os.environ.get(BYTECODE),
-            "result": json.loads(lines[-1])}
+            "result": json.loads(lines[-1]),
+            "counts": counts_once(checkout, workload, seed)}
 
 
 def run(args) -> None:
@@ -113,6 +147,29 @@ def _bytecode_flag(rec: dict) -> str:
     return "unset" if rec[BYTECODE] is None else repr(rec[BYTECODE])
 
 
+def _print_counts(old_doc: dict, new_doc: dict) -> None:
+    """Every work count of the runs both files hold, old -> new."""
+    old = {(r["workload"], r["seed"]): r.get("counts")
+           for r in old_doc["runs"]}
+    changed = compared = 0
+    for rec in new_doc["runs"]:
+        key = (rec["workload"], rec["seed"])
+        a, b = old.get(key), rec.get("counts")
+        if a is None or b is None:
+            continue
+        compared += 1
+        rows = [(name, a["metrics"].get(name), v)
+                for name, v in b["metrics"].items()]
+        rows += [(f"{op} {k}", a["ops"].get(op, {}).get(k), v)
+                 for op, fields in b["ops"].items() for k, v in fields.items()]
+        for name, x, y in rows:
+            changed += x != y
+            print(f"{key[0]:16s} {key[1]:4d} {name:40s} {x} -> {y}"
+                  + ("" if x == y else "  CHANGED"))
+    print(f"work counts: {changed} changed over {compared} runs"
+          if compared else "work counts: not recorded in both files")
+
+
 def diff(args) -> None:
     docs = []
     for path in (args.old, args.new):
@@ -122,6 +179,8 @@ def diff(args) -> None:
     _print_table("metric", 12, old, new)
     print()
     _print_table("op median_s", 24, old_ops, new_ops)
+    print()
+    _print_counts(*docs)
     for path, doc in zip((args.old, args.new), docs):
         failed = sum(r["result"]["failed"] for r in doc["runs"])
         attempted = sum(r["result"]["attempted"] for r in doc["runs"])

@@ -129,6 +129,10 @@ CONFIGS = [
     ("solve-klap3-ball-m21", ["solve", "--subeq", "klap:k=3:n=2",
                               "--bc", "x", "--domain", "ball:n=2",
                               "--m", "21"]),
+    # a p-dependent set's line restriction on the wide16 stencil
+    ("solve-klap3-wide16-m21", ["solve", "--subeq", "klap:k=3:n=2",
+                                "--bc", "x", "--box=-1,1", "--m", "21",
+                                "--stencil", "wide16"]),
     # Newton is abandoned on the coarsest level: the Perron cascade
     ("solve-klapinf-box-m33", ["solve", "--subeq", "klap:k=inf:n=2",
                                "--bc", "abs(x)^(4/3)-abs(y)^(4/3)",

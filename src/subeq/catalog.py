@@ -6,15 +6,16 @@ Ordered spectra come from ``linalg.eigvalsh_batch``, and the complex and
 quaternionic field spectra from ``linalg.field_eigvalsh_batch``; only appb
 case 5, which also needs eigenvectors, calls ``np.linalg.eigh``.  The
 O(n)-invariant entries (real branches, pcone, pbranch, pucci, delta,
-deltabranch, sigma, slag) are stated once, as a function of the ascending
-spectrum, through ``_spectral_entry``; laplace keeps its trace and carries
-the spectral sum.  Those entries, klap and cy also carry a line restriction
-(``Subequation.line``) for the grid solver's node update: f on a shifted
-spectrum, klap's affine form and cy's one eigensolve.  The spectral entries,
-geom with line frames in 2-D and 3-D, and the complex and quaternionic
-branches carry a ``Subequation.spectral_bound``, an upper bound of rho over
-the rotations of a spectrum, on which ``core.sample_members`` rejects
-spectra before it rotates them.
+deltabranch, sigma, slag) are stated once, as a function f of the ascending
+spectrum, through ``_spectral_entry``; laplace keeps its trace and states
+the spectral sum.  That f is all the solver's node update
+(``Subequation.on_line``) and the sampler need of them.  klap and cy carry
+their own line restriction (``Subequation.line``): klap's affine form and
+cy's one eigensolve.  geom with line frames in 2-D and 3-D and the complex
+and quaternionic branches are not spectral but carry a
+``Subequation.spectral_bound``, an upper bound of rho over the rotations of
+a spectrum, on which ``core.sample_members`` rejects spectra before it
+rotates them.
 
 Known caveat, documented once here: the k-Laplacian entries use the raw
 polynomial rho = |p|^2 tr A + (k-2) p^t A p, which vanishes identically on
@@ -35,8 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GeometryError
-from .core import (Subequation, _ball, _haar_psd, _unit_sphere_qmc,
-                   spectral_line)
+from .core import Subequation, _ball, _haar_psd, _unit_sphere_qmc
 from .linalg import (ComplexStructure, eigvalsh_batch, esym_batch,
                      field_eigvalsh_batch)
 
@@ -53,9 +53,8 @@ def _spectral_entry(n: int, f, label: str, cone: bool = True,
                     nondecreasing: bool = False) -> Subequation:
     """Pure second-order, O(n)-invariant entry given by f on the ascending
     spectrum, (N, n) -> (N,): rho_batch is f(eigvalsh_batch(A)), and f is
-    kept as ``spectral``, as the exact ``spectral_bound`` of the
-    spectrum-first draws of ``core.sample_members`` and, through
-    ``spectral_line``, for the solver's one-eigensolve node update.
+    kept as ``spectral``, the exact bound of the spectrum-first draws of
+    ``core.sample_members`` and the solver's one-eigensolve node update.
 
     ``nondecreasing`` states that f(mu) <= f(nu) whenever mu <= nu entry
     by entry; it is kept as f's attribute of that name, from which
@@ -65,8 +64,7 @@ def _spectral_entry(n: int, f, label: str, cone: bool = True,
     if nondecreasing:
         f.nondecreasing = True
     return Subequation(n, rho, label, pure_second_order=True, reduced=True,
-                       cone=cone, spectral=f, line=spectral_line(f),
-                       spectral_bound=f)
+                       cone=cone, spectral=f)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +393,10 @@ def _laplace(n: int) -> Subequation:
         return eigs.sum(axis=1)
     f.nondecreasing = True
 
-    # the trace needs no eigensolve; the solver's line restriction sums the
+    # the trace needs no eigensolve; the solver's node update sums the
     # eigenvalues it has already computed
     return Subequation(n, rho, f"laplace:n={n}", pure_second_order=True,
-                       reduced=True, cone=True, spectral=f,
-                       line=spectral_line(f), spectral_bound=f)
+                       reduced=True, cone=True, spectral=f)
 
 
 def _sigma(k: int, n: int) -> Subequation:
@@ -627,13 +624,16 @@ def _int(s: str) -> int:
         raise ConfigError(f"bad integer {s!r}") from exc
 
 
-def _num(s: str) -> float:
-    if s.lower() in ("inf", "infinity"):
-        return math.inf
+def _num(s: str, what: str) -> float:
+    """s as a float; "inf" is one (``klap:k=inf``), NaN is refused, with
+    ``what`` naming the parameter."""
     try:
-        return float(s)
+        v = float(s)
     except ValueError as exc:
-        raise ConfigError(f"bad number {s!r}") from exc
+        raise ConfigError(f"{what}: bad number {s!r}") from exc
+    if math.isnan(v):
+        raise ConfigError(f"{what} is NaN")
+    return v
 
 
 def _appb(kv: dict) -> Subequation:
@@ -643,12 +643,13 @@ def _appb(kv: dict) -> Subequation:
         axis = np.zeros(n)
         axis[0] = 1.0
         if "axis" in kv:
-            axis = np.asarray([_num(t) for t in kv["axis"].split(",")])
-        D = circular_cone(axis, math.radians(_num(kv.get("angle", "45"))))
+            axis = np.asarray([_num(t, f"{kv.name!r}: parameter 'axis'")
+                               for t in kv["axis"].split(",")])
+        D = circular_cone(axis, math.radians(kv.num("angle", "45")))
     # each case reads only the scalar it takes: any other is unknown
     key = {4: "gamma", 5: "lam", 6: "R"}.get(case)
     return make_monotonicity_cone(case, n, D=D,
-                                  **({key: _num(kv[key])} if key else {}))
+                                  **({key: kv.num(key)} if key else {}))
 
 
 def _branch_dual(name: str, kv: dict) -> str:
@@ -667,22 +668,22 @@ _FAMILIES = {
     "branch": (lambda kv: make_branch(kv["kind"], _int(kv["k"]),
                                       _int(kv["n"])),
                _branch_dual),
-    "pcone": (lambda kv: make_pcone(_num(kv["p"]), _int(kv["n"])), None),
+    "pcone": (lambda kv: make_pcone(kv.num("p"), _int(kv["n"])), None),
     "pbranch": (lambda kv: make_pbranch(_int(kv["k"]), _int(kv["p"]),
                                         _int(kv["n"])), None),
     "pucci": (lambda kv: make_uniformly_elliptic(
-        "pucci", _int(kv["n"]), lam=_num(kv["lam"]), Lam=_num(kv["Lam"])),
+        "pucci", _int(kv["n"]), lam=kv.num("lam"), Lam=kv.num("Lam")),
         None),
     "delta": (lambda kv: make_uniformly_elliptic("delta", _int(kv["n"]),
-                                                 d=_num(kv["d"])), None),
-    "deltabranch": (lambda kv: make_delta_branch(_int(kv["k"]), _num(kv["d"]),
+                                                 d=kv.num("d")), None),
+    "deltabranch": (lambda kv: make_delta_branch(_int(kv["k"]), kv.num("d"),
                                                  _int(kv["n"])), None),
     "sigma": (lambda kv: _sigma(_int(kv["k"]), _int(kv["n"])), None),
-    "slag": (lambda kv: _slag(_num(kv.get("c", "0")), _int(kv["n"])),
-             lambda name, kv: f"slag:c={-_num(kv.get('c', '0')):g}:"
+    "slag": (lambda kv: _slag(kv.num("c", "0"), _int(kv["n"])),
+             lambda name, kv: f"slag:c={-kv.num('c', '0'):g}:"
                               f"n={_int(kv['n'])}"),
     "cy": (lambda kv: _calabi_yau(_int(kv["n"])), None),
-    "klap": (lambda kv: _k_laplacian(_num(kv["k"]), _int(kv["n"])),
+    "klap": (lambda kv: _k_laplacian(kv.num("k"), _int(kv["n"])),
              _self_dual),
     "geom": (lambda kv: _geometric(grassmann_sample(
         _int(kv["p"]), _int(kv["n"]), count=_int(kv.get("frames", "256")))),
@@ -693,9 +694,9 @@ _FAMILIES = {
 
 class _Params(dict):
     """key=value parameters of one catalog or domain name; a missing or
-    repeated key raises :class:`ConfigError`, and so does, in
-    :meth:`build`, a key the constructor never read.  The branch kind is
-    the parameter "kind"."""
+    repeated key raises :class:`ConfigError`, and so do a dimension n
+    below 1 and, in :meth:`build`, a key the constructor never read.  The
+    branch kind is the parameter "kind"."""
 
     def __init__(self, name: str):
         self.name, self.read = name, set()
@@ -711,6 +712,8 @@ class _Params(dict):
             if key in self:
                 raise ConfigError(f"{name!r}: repeated parameter {key!r}")
             self[key] = val
+        if "n" in self and _int(dict.get(self, "n")) < 1:
+            raise ConfigError(f"{name!r}: parameter 'n' must be >= 1")
 
     def __missing__(self, key):
         raise ConfigError(f"{self.name!r}: missing parameter {key!r}")
@@ -722,6 +725,11 @@ class _Params(dict):
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
+
+    def num(self, key, default=None) -> float:
+        """The parameter ``key`` (or ``default``) as a number, by ``_num``."""
+        text = self[key] if default is None else self.get(key, default)
+        return _num(text, f"{self.name!r}: parameter {key!r}")
 
     def build(self, make):
         """make(self); a key that make never read raises ConfigError."""

@@ -122,9 +122,12 @@ _COUNT = _at_least(int, 1)
 _POSITIVE = _at_least(float, 0, strict=True)
 
 
-def _add_common(sp, run):
+def _add_common(sp, run, seed=True):
+    """The flags every command takes; ``--seed`` only where a command draws
+    samples (the grid solves draw none)."""
     sp.set_defaults(run=run)
-    sp.add_argument("--seed", type=_at_least(int, 0), default=0)
+    if seed:
+        sp.add_argument("--seed", type=_at_least(int, 0), default=0)
     sp.add_argument("--out", default="subeq-report.json",
                     help="report JSON path")
 
@@ -213,18 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="Dirichlet solve")
     _add_grid_flags(sp)
-    _add_common(sp, _cmd_solve)
+    _add_common(sp, _cmd_solve, seed=False)
 
     sp = sub.add_parser("obstacle", help="Dirichlet solve under an obstacle")
     _add_grid_flags(sp)
     sp.add_argument("--obstacle", required=True, dest="obstacle_expr",
                     help="obstacle expression g")
-    _add_common(sp, _cmd_obstacle)
+    _add_common(sp, _cmd_obstacle, seed=False)
 
     sp = sub.add_parser("bracket", help="upper/lower Perron bracket")
     _add_grid_flags(sp)
     sp.add_argument("--out-field-dual", default="subeq-field-dual.csv")
-    _add_common(sp, _cmd_bracket)
+    _add_common(sp, _cmd_bracket, seed=False)
 
     return p
 
@@ -499,7 +502,7 @@ def _cmd_solve(args):
     rep = perron_solve(P)
     write_field_csv(args.out_field, P.grid, rep.u)
     report = {"command": "solve", "config": _grid_config_echo(args, P),
-              "seed": args.seed, "report": rep.to_json_dict()}
+              "report": rep.to_json_dict()}
     line = (f"[solve] {P.F.label} h={P.grid.h:g} sweeps={rep.sweeps} "
             f"{'converged' if rep.converged else 'NOT CONVERGED'} "
             f"residual={rep.residual:.3g}")
@@ -512,8 +515,7 @@ def _cmd_obstacle(args):
     rep = obstacle_solve(P, g)
     write_field_csv(args.out_field, P.grid, rep.u)
     report = {"command": "obstacle", "config": _grid_config_echo(args, P),
-              "obstacle": args.obstacle_expr, "seed": args.seed,
-              "report": rep.to_json_dict()}
+              "obstacle": args.obstacle_expr, "report": rep.to_json_dict()}
     line = (f"[obstacle] {P.F.label} h={P.grid.h:g} sweeps={rep.sweeps} "
             f"contact={rep.contact_nodes} "
             f"{'converged' if rep.converged else 'NOT CONVERGED'}")
@@ -529,7 +531,7 @@ def _cmd_bracket(args):
     bracket_ok = res.min_gap >= -10.0 * st
     both = res.report.converged and res.report_dual.converged
     report = {"command": "bracket", "config": _grid_config_echo(args, P),
-              "seed": args.seed, "bracket_ok": bracket_ok,
+              "bracket_ok": bracket_ok,
               **res.to_json_dict()}
     line = (f"[bracket] {P.F.label} gap in [{res.min_gap:.3g}, "
             f"{res.max_gap:.3g}] bracket {'holds' if bracket_ok else 'FAILS'}")

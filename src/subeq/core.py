@@ -127,8 +127,7 @@ class Subequation:
     Flags are metadata used by downstream checks:
 
     pure_second_order  rho ignores (r, p): ``rho_batch(r, p, A)`` equals
-                       ``rho_batch(0, 0, A)``, and ``sample_members`` draws
-                       and rejects spectra before it draws r and p
+                       ``rho_batch(0, 0, A)``
     reduced            membership ignores r
     cone               rho keeps its sign along rays t J, t > 0
     x_dependent        rho reads the base point
@@ -136,30 +135,21 @@ class Subequation:
     ``spectral``, when set, is f on ascending eigenvalues, (N, n) -> (N,),
     with ``rho_batch(r, p, A) == f(eigvalsh_batch(A))``: the set is
     O(n)-invariant and sees A only through its ordered spectrum.  Only the
-    catalog sets it (the solver trusts the identity); ``dual`` carries it
-    over, every other derived set drops it.
+    catalog sets it, and ``on_line`` and ``sample_members`` trust the
+    identity; ``dual`` carries it over, every other derived set drops it.
 
-    ``spectral_bound``, when set, is u on ascending eigenvalues,
-    (N, n) -> (N,), with u(lam) >= rho(r, p, Q diag(lam) Q^t) for every
-    orthogonal Q, r and p, up to rounding: no jet whose spectrum has
-    u < t has margin t or more, and ``sample_members`` rejects spectra on
-    u before it rotates them.  Only constructors set it, each with a proof
-    in its docstring: f itself on spectral sets, and bounds for ``geom``
-    with line frames, the complex and quaternionic branches and congruence
-    images of spectral sets.  ``dual`` carries a spectral set's exact bound
-    (its dual f) and drops the others, since the dual needs a lower bound
-    of rho; ``shift`` and every other derived set drop it.
+    ``spectral_bound``, for sets that are not spectral, is u on ascending
+    eigenvalues with u(lam) >= rho(r, p, Q diag(lam) Q^t) for every
+    orthogonal Q, r and p, up to rounding: ``sample_members`` rejects
+    spectra on u before it rotates them.  Only constructors set it, each
+    with a proof in its docstring (``geom`` with line frames, the complex
+    and quaternionic branches, congruence images of spectral sets);
+    ``dual`` and ``shift`` drop it (the dual would need a lower bound).
 
-    ``line``, when set, restricts rho to the lines r -> (r, p, A + c r I)
-    along which the solver's node update moves: ``line(p, A, c)`` takes N
-    base jets p (N, n), A (N, n, n) and a scalar c, and returns
-    ``g(r, idx=slice(None))`` with g(r, idx) equal to
-    ``rho_batch(r, p[idx], A[idx] + c r I)`` up to rounding, for r of the
-    length of the rows idx.  Its set-up (an eigensolve, a quadratic form)
-    is paid once per call, so g must be cheap.  The catalog sets it on the
-    spectral sets (``spectral_line``: f on the shifted spectrum), klap and
-    cy; ``dual`` carries it over, and shift, jet-map images and
-    x-dependent sets have none.
+    ``line``, when set, is the set's own ``line(p, A, c)`` with the
+    contract of ``on_line``, its only reader: klap (affine in r) and cy
+    (one eigensolve).  ``dual`` carries it over; no other derived set has
+    one.
     """
 
     n: int
@@ -193,6 +183,31 @@ class Subequation:
             x = np.repeat(x[None, :], len(A), 0)
         return np.asarray(self.rho_batch(r, p, A, x), dtype=float)
 
+    def on_line(self, p, A, c: float, x=None) -> Callable:
+        """rho on the lines r -> (r, p, A + c r I) through N base jets p
+        (N, n), A (N, n, n), along which the solver's node update moves.
+
+        Returns g with g(r, idx=slice(None)) equal to
+        ``value_batch(r, p[idx], A[idx] + c r I, x[idx])`` up to rounding,
+        for r of the length of the rows idx; x holds the N base points of
+        an x-dependent set.  The set-up is paid once per call, so that g is
+        cheap where the set allows: the set's own ``line``, else f on the
+        spectrum of one eigensolve shifted by c r for a spectral set, else
+        rho on the full jet at each r.
+        """
+        if self.line is not None:
+            return self.line(p, A, c)
+        f = self.spectral
+        if f is not None:
+            lam = eigvalsh_batch(A)
+            return lambda r, idx=slice(None): f(lam[idx] + c * r[:, None])
+        cI = c * np.eye(self.n)
+
+        def g(r, idx=slice(None)):
+            return self.value_batch(r, p[idx], A[idx] + r[:, None, None] * cI,
+                                    None if x is None else x[idx])
+        return g
+
 
 @dataclass(frozen=True)
 class Membership:
@@ -218,48 +233,35 @@ def member(F: Subequation, jet: Jet, x=None) -> Membership:
     return Membership(classify(m), m)
 
 
-def spectral_line(f: Callable) -> Callable:
-    """The ``Subequation.line`` of a spectral set with form f: one
-    eigensolve of the base Hessians, then f on the spectrum shifted by c r."""
-    def line(p, A, c):
-        lam = eigvalsh_batch(A)
-
-        def g(r, idx=slice(None)):
-            return f(lam[idx] + c * r[:, None])
-        return g
-    return line
-
-
 def dual(F: Subequation) -> Subequation:
     """Dirichlet dual, rho~(x, J) = -rho(x, -J).
 
     An involution on defining functions: dual(dual(F)) evaluates bitwise
     like F.  A spectral F has the spectral dual f~(lam) = -f(-lam reversed),
-    since the ascending spectrum of -A is minus that of A, reversed.  Any
-    other ``line`` g of F gives the dual's as -g(-r) built on (-p, -A): at
-    r on the line through (p, A), rho~ is minus rho at -r on the line
-    through (-p, -A), with the same c.
+    since the ascending spectrum of -A is minus that of A, reversed.  A
+    ``line`` g of F gives the dual's as -g(-r) built on (-p, -A): at r on
+    the line through (p, A), rho~ is minus rho at -r on the line through
+    (-p, -A), with the same c.  No ``spectral_bound`` is carried: a
+    spectral dual is bounded by its f~, and the others would need a lower
+    bound of rho.
     """
     base = F.rho_batch
     spec = F.spectral
     line = F.line
     spec_dual = None if spec is None else (
         lambda lam: -spec(-lam[:, ::-1]))
-    if spec_dual is not None:
-        line_dual = spectral_line(spec_dual)
-    elif line is not None:
+    line_dual = None
+    if line is not None:
         def line_dual(p, A, c):
             g = line(-p, -A, c)
             return lambda r, idx=slice(None): -g(-r, idx)
-    else:
-        line_dual = None
 
     def rho_dual(r, p, A, *x):
         return -base(-np.asarray(r), -np.asarray(p), -np.asarray(A), *x)
 
     return replace(F, rho_batch=rho_dual, label=f"dual({F.label})",
                    member_sampler=None, spectral=spec_dual, line=line_dual,
-                   spectral_bound=spec_dual)
+                   spectral_bound=None)
 
 
 def shift(F: Subequation, jet0: Jet) -> Subequation:
@@ -503,13 +505,13 @@ def _ascending(part: np.ndarray) -> np.ndarray:
 
 def _decide_first_draw(F: Subequation, box: JetBox,
                        rng: np.random.Generator, m: int, need: int,
-                       margin_min: float):
-    """Draw ``m`` spectra from the box, drop those whose
-    ``F.spectral_bound`` is below ``margin_min``, and rotate the survivors
-    in order, with r and p drawn for each, in blocks no larger than the
-    members still needed call for, until ``need`` jets clear
-    ``margin_min`` on ``F.value_batch``; returns the first ``need`` of
-    them (fewer when the survivors run out).
+                       margin_min: float, x=None):
+    """Draw ``m`` spectra from the box, drop those whose bound (f of a
+    spectral F, else ``F.spectral_bound``) is below ``margin_min``, and
+    rotate the survivors in order, with r and p drawn for each, in blocks
+    no larger than the members still needed call for, until ``need`` jets
+    clear ``margin_min`` on ``F.value_batch`` at x; returns the first
+    ``need`` of them (fewer when the survivors run out).
 
     The first block is ``need`` survivors; each later one is the number
     still needed over the share kept so far, plus a margin of twice its
@@ -522,8 +524,9 @@ def _decide_first_draw(F: Subequation, box: JetBox,
     them, so the kept jets have the law of plain rejection from the box.
     """
     part = rng.uniform(box.eig_lo, box.eig_hi, (m, F.n))
-    if F.spectral_bound is not None:
-        part = part[F.spectral_bound(_ascending(part)) >= margin_min]
+    bound = F.spectral if F.spectral is not None else F.spectral_bound
+    if bound is not None:
+        part = part[bound(_ascending(part)) >= margin_min]
     out, got, start, size = [], 0, 0, need
     while True:
         eigs = part[start:start + size]
@@ -532,7 +535,7 @@ def _decide_first_draw(F: Subequation, box: JetBox,
         r = rng.uniform(box.r_lo, box.r_hi, k)
         p = _ball(rng, F.n, k, box.p_radius)
         out.append(_kept(F, (r, p, _haar_psd(rng, F.n, k, eigs=eigs)),
-                         margin_min))
+                         margin_min, x))
         got += len(out[-1][0])
         if got >= need or start >= len(part):
             return tuple(np.concatenate(a)[:need] for a in zip(*out))
@@ -547,21 +550,20 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
     """Sample exactly ``count`` jets of F with rho >= margin_min; ``x`` is
     the one base point of an x-dependent F.
 
-    Jets are drawn in chunks by one of three recipes, each of which returns
+    Jets are drawn in chunks by one of two recipes, each of which returns
     only the jets it keeps; the chunks are topped up until ``count`` are
     kept.
 
     * A constructive ``member_sampler``, when F has one (thin cones whose
-      rejection rate would exhaust the cap); its first chunk is ``count``.
-    * For a spectral or pure second-order F that does not read x: spectra
-      uniform in the box, rejected on ``F.spectral_bound`` when F has one,
-      then rotated, with r and p drawn, for the survivors only and no more
-      of them than the members still needed call for, and checked with
-      ``F.value_batch`` (:func:`_decide_first_draw`).  The kept jets have
-      the same law as those of plain rejection.
-    * Otherwise plain rejection from the box (:func:`sample_jet_batch`).
+      rejection rate would exhaust the cap); its first chunk is ``count``,
+      and each chunk is checked whole with ``F.value_batch``.
+    * Otherwise spectra uniform in the box, rejected on ``F.spectral`` or
+      ``F.spectral_bound`` when F has one, then rotated, with r and p
+      drawn, for the survivors only and no more of them than the members
+      still need, and checked with ``F.value_batch``
+      (:func:`_decide_first_draw`): the law of plain rejection from the
+      box (:func:`sample_jet_batch`).
 
-    The first and last recipes check whole chunks with ``F.value_batch``.
     Raises :class:`SamplerExhausted` once ``cap`` jets (spectra, on the
     second recipe) have been drawn without keeping ``count``.
     """
@@ -571,13 +573,9 @@ def sample_members(F: Subequation, count: int, rng: np.random.Generator,
         first = count
         draw = lambda m, need: _kept(F, F.member_sampler(rng, m),
                                      margin_min, x)
-    elif ((F.spectral is not None or F.pure_second_order)
-          and not F.x_dependent):
-        draw = lambda m, need: _decide_first_draw(F, box, rng, m, need,
-                                                  margin_min)
     else:
-        draw = lambda m, need: _kept(F, sample_jet_batch(box, F.n, m, rng),
-                                     margin_min, x)
+        draw = lambda m, need: _decide_first_draw(F, box, rng, m, need,
+                                                  margin_min, x)
     out = []
     drawn = 0
     got = 0

@@ -4,9 +4,9 @@ The solver reads second-order data off a uniform lattice: value r at the
 node, centered gradient p, and a Hessian A.  Each stencil is one linear map
 of the neighbor differences V_k - r (``JetAssembler.W``): centered axis and
 diagonal differences for the direct stencils, the least-squares quadratic
-fit for the wide one.  The center value enters the jet affinely, which the
-node update exploits: jets along the bisection line are base + r * slope,
-the slope being minus the column sums of that map.
+fit for the wide one.  The center value enters the jet affinely, and every
+stencil is symmetric, so it moves only A, by c * I per unit
+(``JetAssembler.c``): the node update searches the line r -> (r, p, A + c r I).
 
 Dimensions 1, 2 and 3 are supported ("9pt" in 3-d means axes plus face
 diagonals; any stencil name degrades to the 3-point stencil in 1-d).
@@ -143,6 +143,10 @@ class JetAssembler:
         for q, (i, j) in enumerate(pairs):
             W[:, n + n * i + j] = W[:, n + n * j + i] = C[2 * n + q]
         self.W = W
+        # dA_00/dr, minus the column sum of W: the offsets come in +-d
+        # pairs, so r leaves p alone and moves A by c * I (to rounding for
+        # wide16), with c < 0
+        self.c = float(-W.sum(axis=0)[n])
 
     def _split(self, J: np.ndarray):
         return J[..., :self.n], J[..., self.n:].reshape(
@@ -153,10 +157,6 @@ class JetAssembler:
         subtracted before the product: folding it into a column-sum term
         would cancel catastrophically, A being about |u| / h^2."""
         return self._split((V - r).T @ self.W)
-
-    def slopes(self):
-        """d(p)/dr and d(A)/dr for the center value (constants of the stencil)."""
-        return self._split(-self.W.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -214,12 +214,12 @@ class _NewtonLevel:
         inside[tuple(a - a.min() for a in multi)] = True
         self.fd = _FastDiag(inside, P.grid.h)
         self.cap = cap
-        self.c = abs(P.assembler.slopes()[1][0, 0])
+        self.c = abs(P.assembler.c)
 
     def residual(self, u: np.ndarray):
         """(G, H) at u: H = min(G, |c| (cap - u)) with the obstacle ``cap`` at
-        the interior nodes, c the stencil's dA/dr diagonal; H is G without
-        one."""
+        the interior nodes, c the stencil's ``JetAssembler.c``; H is G
+        without one."""
         G = self.P.rho_at(u) + DEFAULT_EPS_B
         if self.cap is None:
             return G, G

@@ -10,30 +10,30 @@ g(r) = rho(J(r)) + eps_b (``core.DEFAULT_EPS_B``), and membership is
 g(r) >= 0.  Sweeps repeat until the largest node change drops below the
 tolerance.
 
-Margin.  The direct stencils, masked or not, move only A, by c*I per
-unit of r, so a node update searches the line r -> (r, p, A + c r I)
-through its base jet.  A set with a line restriction
-(``Subequation.line``) sets that line up once per node update and then
-evaluates it cheaply: spectral sets shift the spectrum of one eigensolve,
-g(r) = f(lam_base + c r) + eps_b, klap is affine in r and cy reads one
-eigensolve too.  Every other case (the wide16 stencil, shifted sets,
-jet-map images, x-dependent sets) evaluates rho on the full jet at each r.
+Margin.  Every stencil is symmetric, so the node value moves only A, by
+c*I per unit of r (``JetAssembler.c``), and a node update searches the
+line r -> (r, p, A + c r I) through its base jet.  ``Subequation.on_line``
+sets that line up once per node update and then evaluates it: spectral
+sets shift the spectrum of one eigensolve, g(r) = f(lam_base + c r) + eps_b,
+klap is affine in r and cy reads one eigensolve too; every other set
+(geom, the field branches, shifted sets, jet-map images, x-dependent sets)
+evaluates rho on the full jet at each r.
 
-Root-find, the same for both margins.  The bracket is widened until its
-lower end is a member and its upper end is not (or the fiber is found
-degenerate); the margins at both ends give one false-position point, which
-is probed at +-bt/4, and each probe hands its margin to the end it moves.
-The probes' gap, bt/2, stays within bt after rounding, so a false-position
-point at the root ends the solve: where g is affine in r (laplace, the
-real branches, pcone, pbranch, deltabranch, klap:k=inf) it is the root up
-to rounding, and a node update costs four margin evaluations.  Nodes still
-wider than bt go to ``core.illinois``: Illinois steps
-(false position with the stale end's margin halved) while a step budget
-allows, midpoints after, so no node takes more than ILLINOIS_SLACK steps
-beyond bisection's.  Only open nodes are evaluated; over a solve, a cy,
-Pucci or slag node update costs 5-9 margin evaluations where bisection took
-17-26.  At most 64 steps are taken; node solves still wider than bt are
-counted in ``SolveReport.bisect_capped``.
+Root-find.  The bracket is widened until its lower end is a member and
+its upper end is not (or the fiber is found degenerate); the margins at
+both ends give one false-position point, which is probed at +-bt/4, and
+each probe hands its margin to the end it moves.  The probes' gap, bt/2,
+stays within bt after rounding, so a false-position point at the root ends
+the solve: where g is affine in r (laplace, the real branches, pcone,
+pbranch, deltabranch, klap:k=inf) it is the root up to rounding, and a
+node update costs four margin evaluations.  Nodes still wider than bt go
+to ``core.illinois``: Illinois steps (false position with the stale end's
+margin halved) while a step budget allows, midpoints after, so no node
+takes more than ILLINOIS_SLACK steps beyond bisection's.  Only open nodes
+are evaluated; over a solve, a cy, Pucci or slag node update costs 5-9
+margin evaluations where bisection took 17-26.  At most 64 steps are
+taken; node solves still wider than bt are counted in
+``SolveReport.bisect_capped``.
 
 A sweep updates the 2^n lattice parity classes in turn, with fully
 vectorized node solves.  Updates are over-relaxed by default
@@ -146,35 +146,18 @@ class _NodeUpdater:
     def __init__(self, P: GridProblem, bt: float):
         self.P = P
         self.bt = bt
-        self.p_slope, self.A_slope = P.assembler.slopes()
-        self.p_static = not np.any(self.p_slope)
-        # the set's line restriction needs dp/dr = 0 and dA/dr = c*I
-        self.c = self.A_slope[0, 0]
-        rigid = self.p_static and np.array_equal(
-            self.A_slope, self.c * np.eye(len(self.A_slope)))
-        self.line = P.F.line if rigid else None
+        self.c = P.assembler.c
         self.evals = 0
         self.capped = 0
 
     def margin_fn(self, p_base, A_base, xb):
         """g(r) = rho(J(r)) + eps_b on the base jets of one node update;
         ``g(r, idx)`` evaluates it at the nodes ``idx`` only."""
-        if self.line is not None:
-            h = self.line(p_base, A_base, self.c)
+        h = self.P.F.on_line(p_base, A_base, self.c, xb)
 
-            def g(rr, idx=slice(None)):
-                self.evals += len(rr)
-                return h(rr, idx) + DEFAULT_EPS_B
-        else:
-            F = self.P.F
-
-            def g(rr, idx=slice(None)):
-                self.evals += len(rr)
-                p = (p_base[idx] if self.p_static
-                     else p_base[idx] + rr[:, None] * self.p_slope)
-                A = A_base[idx] + rr[:, None, None] * self.A_slope
-                x = None if xb is None else xb[idx]
-                return F.value_batch(rr, p, A, x=x) + DEFAULT_EPS_B
+        def g(rr, idx=slice(None)):
+            self.evals += len(rr)
+            return h(rr, idx) + DEFAULT_EPS_B
         return g
 
     def solve(self, u: np.ndarray, sel: np.ndarray, warm: float):

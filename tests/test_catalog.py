@@ -525,17 +525,55 @@ class TestSpectralRepresentation:
 
 
 def _line_sets(n):
-    """Every catalog set of dimension n with a line restriction, and the
-    dual of each."""
+    """Every catalog set of dimension n with a cheap line (its spectral
+    form or its own ``line``), and the dual of each."""
     names = _spectral_names(n) + [f"klap:k={k}:n={n}"
                                   for k in ("1", "3", "inf")] + [f"cy:n={n}"]
     sets = [parse_name(name) for name in names]
     return sets + [dual(F) for F in sets]
 
 
+def _full_jet_sets(n):
+    """Sets of dimension n whose line is rho on the full jet, and their
+    duals: geom, an appb cone, a shifted set, a congruence image and, for
+    even n, a complex branch."""
+    names = [f"geom:p=1:n={n}:frames=16", f"appb:case=6:n={n}:R=1"]
+    if n % 2 == 0:
+        names.append(f"branch:complex:k=1:n={n // 2}")
+    sets = [parse_name(name) for name in names]
+    F = parse_name(f"pucci:lam=1:Lam=2:n={n}")
+    sets += [shift(F, Jet.from_parts(0.5, np.ones(n), np.eye(n))),
+             _image(f"slag:c=0.5:n={n}")]
+    return sets + [dual(F) for F in sets]
+
+
 class TestLineRestriction:
-    """``line(p, A, c)`` is rho on the lines r -> (r, p, A + c r I) of the
-    grid solver's node update, set up once per batch of base jets."""
+    """``on_line(p, A, c, x)`` is rho on the lines r -> (r, p, A + c r I)
+    of the grid solver's node update, set up once per batch of base jets,
+    through the set's ``line``, its spectral form or the full jet."""
+
+    @staticmethod
+    def check(F, r, p, A, c, x=None, rows=None):
+        def rho(i):
+            xi = None if x is None else x[i]
+            return F.value_batch(r[i], p[i], A[i] + c * r[i][:, None, None]
+                                 * np.eye(F.n), xi)
+
+        g = F.on_line(p, A, c, x)
+        got, want = g(r), rho(slice(None))
+        scale = max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale,
+                                   err_msg=F.label)
+        if F.line is None and F.spectral is None:
+            # the full jet: rho itself, bit for bit, on the rows idx too
+            # (3x3 eigensolves take another method below 128 rows, so a
+            # subset need not have the whole batch's bits)
+            assert np.array_equal(got, want), F.label
+            assert np.array_equal(g(r[rows], rows), rho(rows)), F.label
+        else:
+            # a subset through idx: the same bits
+            assert np.array_equal(g(r[rows], rows), got[rows]), F.label
+        return got
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_rho_on_the_line(self, rng, n):
@@ -543,26 +581,36 @@ class TestLineRestriction:
         lam = eigvalsh_batch(A)
         rows = rng.permutation(len(r))[:64]
         for c in (-8.0, -2.0 / 0.05 ** 2):
-            on_line = A + c * r[:, None, None] * np.eye(n)
             for F in _line_sets(n):
-                g = F.line(p, A, c)
-                got = g(r)
-                want = F.value_batch(r, p, on_line)
-                scale = max(1.0, float(np.abs(want).max()))
-                np.testing.assert_allclose(got, want, rtol=0,
-                                           atol=1e-12 * scale,
-                                           err_msg=F.label)
-                assert np.array_equal(g(r[rows], rows), got[rows]), F.label
+                got = self.check(F, r, p, A, c, rows=rows)
                 if F.spectral is not None:
                     # the solver's one-eigensolve margin, bit for bit
                     assert np.array_equal(
                         got, F.spectral(lam + c * r[:, None])), F.label
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_jet_sets_match_rho_on_the_line(self, rng, n):
+        r, p, A = _jets(rng, n, size=200)
+        rows = rng.permutation(len(r))[:64]
+        for c in (-8.0, -2.0 / 0.05 ** 2):
+            for F in _full_jet_sets(n):
+                assert F.line is None and F.spectral is None, F.label
+                self.check(F, r, p, A, c, rows=rows)
+
+    def test_x_dependent_image_reads_rows_of_x(self, rng):
+        from subeq.jetmaps import inhom_branch
+        r, p, A = _jets(rng, 2, size=200)
+        x = rng.uniform(-1, 1, (200, 2))
+        rows = rng.permutation(len(r))[:64]
+        F = inhom_branch(1, 2, lambda x: x[:, 0] - 2 * x[:, 1])
+        for G in (F, dual(F)):
+            self.check(G, r, p, A, -8.0, x=x, rows=rows)
+
     def test_dual_is_an_involution(self, rng):
         r, p, A = _jets(rng, 3, size=64)
-        for F in _line_sets(3):
-            assert np.array_equal(dual(dual(F)).line(p, A, -8.0)(r),
-                                  F.line(p, A, -8.0)(r)), F.label
+        for F in _line_sets(3) + _full_jet_sets(3):
+            assert np.array_equal(dual(dual(F)).on_line(p, A, -8.0)(r),
+                                  F.on_line(p, A, -8.0)(r)), F.label
 
 
 def _pso_sets(n):
@@ -668,7 +716,8 @@ class TestSpectralBound:
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rows = np.repeat(lam[None], 64, axis=0)
         A = _haar_psd(np.random.default_rng(seed), F.n, 64, eigs=rows)
-        u = F.spectral_bound(_ascending(rows))
+        # a spectral set is bounded by its f
+        u = (F.spectral or F.spectral_bound)(_ascending(rows))
         tol = 1e-10 * max(1.0, np.abs(lam).max())
         assert np.all(pso_vals(F, A) <= u + tol), (lam, u)
 
@@ -699,10 +748,11 @@ class TestSpectralBound:
         assert abs(G2.line_radius - np.pi / (2 * count)) <= 1e-11
 
     def test_derived_sets_carry_or_drop_it(self, rng):
+        # a spectral set states f once: its bound is f itself
         F = parse_name("pucci:lam=1:Lam=2:n=3")
-        assert F.spectral_bound is F.spectral
+        assert F.spectral_bound is None and F.spectral is not None
         Fd = dual(F)
-        assert Fd.spectral_bound is Fd.spectral is not None
+        assert Fd.spectral_bound is None and Fd.spectral is not None
         for name in ("geom:p=1:n=3", "branch:complex:k=1:n=2",
                      "branch:quaternionic:k=2:n=2"):
             assert parse_name(name).spectral_bound is not None, name

@@ -219,6 +219,26 @@ class TestSolveFamily:
         assert (tmp_path / "Ut.csv").exists()
 
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", []), ("obstacle", ["--obstacle", "10"]),
+        ("bracket", ["--out-field-dual", "g.csv"])])
+    def test_grid_commands_take_no_seed(self, tmp_path, capsys, command,
+                                        extra):
+        # a solve draws no samples: --seed is refused, and the report
+        # carries no seed
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a
+                 for a in extra]
+        argv = [command, "--subeq", "laplace:n=2", "--bc", "x*x-y*y",
+                "--m", "9", *extra, "--out-field", str(tmp_path / "f.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
+        assert "--seed" in capsys.readouterr().err
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        assert "seed" not in json.loads(out.read_text())
+
+
 class TestFieldCsv:
     def test_one_dimensional_layout(self, tmp_path):
         g = Grid.regular([(0.0, 1.0)], 5)
@@ -336,6 +356,28 @@ class TestConfigErrors:
         assert np.allclose(np.linalg.norm(pts, axis=1), 0.5, atol=1e-6)
 
 
+    @pytest.mark.parametrize("argv, key", [
+        (["check", "--subeq", "laplace:n=0"], "n"),
+        (["check", "--subeq", "cy:n=0"], "n"),
+        (["check", "--subeq", "klap:k=2:n=0"], "n"),
+        (["dual-test", "--subeq", "laplace:n=0"], "n"),
+        (["mono-test", "--subeq", "laplace:n=0", "--cone", "laplace:n=0"],
+         "n"),
+        (["riesz", "--cone", "laplace:n=0"], "n"),
+        (["riesz", "--cone", "delta:d=nan:n=2"], "d"),
+        (["check", "--subeq", "slag:c=nan:n=2"], "c"),
+        (["check", "--subeq", "deltabranch:k=1:d=nan:n=2"], "d"),
+        (["check", "--subeq", "appb:case=4:n=2:gamma=nan"], "gamma"),
+    ])
+    def test_catalog_names_refuse_n_below_1_and_nan(self, tmp_path, argv,
+                                                     key):
+        code, out = run(tmp_path, *argv)
+        assert code == 3
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "config_error"
+        assert f"parameter {key!r}" in rep["error"]
+
+
 class TestConfigValues:
     def test_values_starting_with_minus(self, tmp_path):
         # the box, the data and the lambda grid all start with '-'
@@ -384,7 +426,7 @@ BASE = {
 }
 BAD_INT = ["0", "-1"]
 BAD_FLOAT = ["0", "-1", "nan", "inf"]
-BAD_VALUES = ([("riesz", "--seed", "-1"), ("solve", "--seed", "-3"),
+BAD_VALUES = ([("riesz", "--seed", "-1"), ("check", "--seed", "-3"),
                ("garding", "--check-trials", "-1")]
               + [(c, "--trials", v) for c in ("check", "dual-test",
                                               "mono-test") for v in BAD_INT]

@@ -257,14 +257,14 @@ class TestSpectrumFirst:
     @staticmethod
     def counting(F):
         seen = {"drawn": 0, "passed": 0}
-        f = F.spectral_bound
+        f = F.spectral
 
-        def bound(eigs):
+        def counted(eigs):
             vals = f(eigs)
             seen["drawn"] += len(eigs)
             seen["passed"] += int((vals >= 0.5).sum())
             return vals
-        return replace(F, spectral_bound=bound), seen
+        return replace(F, spectral=counted), seen
 
     @pytest.mark.parametrize("name", ["sigma:k=2:n=3", "pucci:lam=1:Lam=2:n=3",
                                       "branch:real:k=2:n=3"])
@@ -274,14 +274,12 @@ class TestSpectrumFirst:
                                  margin_min=0.5)
         assert len(r) == 20_000
         assert F.value_batch(r, p, A).min() >= 0.5
-        # the same set with its spectral form and bound dropped: every
-        # spectrum is rotated and decided on rho
-        G = replace(F, spectral=None, spectral_bound=None)
-        r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(2),
-                                    margin_min=0.5)
+        # plain rejection from the box: every jet is decided on rho
         rb, pb, Ab = sample_jet_batch(JetBox(), 3, 200_000,
                                       np.random.default_rng(4))
-        box_rate = np.mean(G.value_batch(rb, pb, Ab) >= 0.5)
+        keep = F.value_batch(rb, pb, Ab) >= 0.5
+        box_rate = keep.mean()
+        r2, p2, A2 = rb[keep], pb[keep], Ab[keep]
         rate = seen["passed"] / seen["drawn"]
         sd = np.sqrt(box_rate * (1 - box_rate) / seen["drawn"]
                      + box_rate * (1 - box_rate) / len(rb))
@@ -316,9 +314,9 @@ def bounded_set(name):
 
 
 class TestMatrixFirst:
-    """Pure second-order sets without a spectral form draw spectra, reject
-    them on their spectral bound when they have one, and rotate and draw r
-    and p for the survivors only."""
+    """Sets without a spectral form draw spectra, reject them on their
+    spectral bound when they have one, and rotate and draw r and p for the
+    survivors only."""
 
     NAMES = ["branch:complex:k=1:n=2", "geom:p=1:n=3:frames=64",
              "branch:quaternionic:k=1:n=1"]
@@ -345,9 +343,8 @@ class TestMatrixFirst:
         rate, box_rate = len(r) / m, keep.mean()
         sd = np.sqrt(2 * box_rate * (1 - box_rate) / m)
         assert abs(rate - box_rate) <= 5 * sd
-        # the same set with the flag dropped takes plain rejection
-        G = replace(F, pure_second_order=False)
-        r2, p2, A2 = sample_members(G, 20_000, np.random.default_rng(3))
+        # plain rejection from the box: the batch's members
+        r2, p2, A2 = rb[keep], pb[keep], Ab[keep]
         last = F.n - 1
         for a, b in [(r, r2), (np.linalg.norm(p, axis=1),
                                np.linalg.norm(p2, axis=1)),
@@ -365,13 +362,17 @@ class TestMatrixFirst:
         assert F.spectral_bound is not None and F.spectral is None
         self.check_law(F)
 
+    @pytest.mark.parametrize("name", ["cy:n=2", "klap:k=3:n=3"])
+    def test_sets_reading_r_and_p_keep_the_law_of_plain_rejection(self, name):
+        self.check_law(parse_name(name))
+
     def test_draws_stop_at_need(self):
         F = parse_name("branch:complex:k=1:n=2")
         rng = np.random.default_rng(5)
         r, p, A = _decide_first_draw(F, JetBox(), rng, 4096, 10, 0.0)
         assert len(r) == len(p) == len(A) == 10
 
-    def test_x_dependent_images_keep_plain_rejection(self):
+    def test_x_dependent_images_are_decided_at_x(self):
         from subeq.jetmaps import inhom_branch
         F = inhom_branch(1, 2, lambda x: x[:, 0])
         assert F.pure_second_order and F.x_dependent

@@ -106,29 +106,42 @@ class TestQuadraticExactness:
 
 
 class TestSlopes:
+    """Every stencil is symmetric, so the center value r moves only A, by
+    ``JetAssembler.c`` * I: the node update's line r -> (r, p, A + c r I)
+    rests on it."""
+
+    STENCILS = [pytest.param(s, n, id=s if n == 2 else f"{s}-{n}d")
+                for s, n in (("5pt", 1), ("5pt", 2), ("5pt", 3), ("9pt", 1),
+                             ("9pt", 2), ("9pt", 3), ("wide16", 2))]
+
     def test_direct_mode(self):
         asm = JetAssembler("9pt", 2, 0.25)
-        p_s, A_s = asm.slopes()
-        assert np.allclose(p_s, 0.0)
-        assert np.allclose(A_s, -2.0 / 0.25 ** 2 * np.eye(2))
-        # the line-restricted node update needs dA/dr = c*I exactly
-        assert np.array_equal(A_s, A_s[0, 0] * np.eye(2))
+        assert asm.c == -2.0 / 0.25 ** 2
+        slope = -asm.W.sum(axis=0)
+        assert np.array_equal(slope, np.r_[0.0, 0.0, asm.c * np.eye(2).ravel()])
 
-    @pytest.mark.parametrize("stencil, n", [
-        pytest.param(s, n, id=s if n == 2 else f"{s}-{n}d")
-        for s, n in (("5pt", 1), ("5pt", 2), ("5pt", 3), ("9pt", 1),
-                     ("9pt", 2), ("9pt", 3), ("wide16", 2))])
+    @pytest.mark.parametrize("stencil, n", STENCILS)
+    def test_center_moves_only_A_by_c_times_I(self, stencil, n):
+        asm = JetAssembler(stencil, n, 1.0 / 32)
+        slope = -asm.W.sum(axis=0)
+        want = np.r_[np.zeros(n), asm.c * np.eye(n).ravel()]
+        assert asm.c < 0
+        if stencil == "wide16":
+            assert np.abs(slope - want).max() <= 1e-12 * abs(asm.c)
+        else:
+            assert np.array_equal(slope, want)
+
+    @pytest.mark.parametrize("stencil, n", STENCILS)
     def test_matches_assembly_difference(self, rng, stencil, n):
-        # jets are affine in the center value with exactly these slopes
+        # jets are affine in the center value: p stays, A moves by d c I
         asm = JetAssembler(stencil, n, 0.1)
         V = rng.uniform(-1, 1, (asm.K, 6))
         r = rng.uniform(-1, 1, 6)
         d = 0.37
         p0, A0 = asm.assemble(V, r)
         p1, A1 = asm.assemble(V, r + d)
-        p_s, A_s = asm.slopes()
-        assert np.allclose(p1 - p0, d * p_s[None, :], atol=1e-12)
-        assert np.allclose(A1 - A0, d * A_s[None, :, :], atol=1e-10)
+        assert np.allclose(p1 - p0, 0.0, atol=1e-12)
+        assert np.allclose(A1 - A0, d * asm.c * np.eye(n)[None], atol=1e-10)
 
     def test_direct_stencils_are_the_difference_formulas(self, rng):
         # random, non-polynomial neighbor values: the direct stencils give
@@ -167,8 +180,7 @@ class TestSlopes:
         # update's bisection leans on membership being monotone in r
         for stencil, n in (("5pt", 1), ("5pt", 2), ("5pt", 3), ("9pt", 1),
                            ("9pt", 2), ("9pt", 3), ("wide16", 2)):
-            _, A_s = JetAssembler(stencil, n, 0.1).slopes()
-            assert np.linalg.eigvalsh(A_s).max() <= 1e-12, (stencil, n)
+            assert JetAssembler(stencil, n, 0.1).c < 0, (stencil, n)
 
 
 class TestGrid:

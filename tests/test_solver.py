@@ -8,7 +8,7 @@ import pytest
 
 from subeq import parse_name
 from subeq.boundary import ball_domain
-from subeq.core import Subequation
+from subeq.core import Jet, Subequation, dual, shift
 from subeq.errors import BracketError, ConfigError
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.jetmaps import AffineJetMap, transform_subequation
@@ -232,9 +232,10 @@ def aronsson(x):
 
 
 class TestNodeSolvePaths:
-    """The set's line restriction (``Subequation.line``) and the full-jet
-    margin reach the same fixed point; both run the same root-find (a
-    false-position point, its probes, then budgeted Illinois steps)."""
+    """The node update's line (``Subequation.on_line``) through the set's
+    own ``line`` or its spectral form reaches the fixed point of rho on the
+    full jet; both run the same root-find (a false-position point, its
+    probes, then budgeted Illinois steps)."""
 
     BOX = ((-1, 1), (-1, 1))
 
@@ -244,6 +245,28 @@ class TestNodeSolvePaths:
         assert len(levels) == len(rep.level_sweeps)
         return sum(s * len(Q.interior_idx)
                    for Q, s in zip(levels, rep.level_sweeps))
+
+    def check_same_fixed_point(self, name, m, bc, ball, affine,
+                               stencil="9pt"):
+        F = parse_name(name)
+        g = Grid.regular([(-1.2, 1.2)] * 2 if ball else self.BOX, m)
+        dom = ball_domain(2) if ball else None
+        params = SolverParams(stencil=stencil)
+        P = GridProblem(g, F, bc, domain=dom, params=params)
+        if stencil == "9pt":
+            assert _NodeUpdater(P, 1e-12).c == -2.0 / g.h ** 2
+        hooked = perron_solve(P)
+        # neither a line nor a spectral form: rho on the full jet
+        P_full = GridProblem(g, replace(F, line=None, spectral=None), bc,
+                             domain=dom, params=params)
+        full = perron_solve(P_full)
+        assert hooked.converged and full.converged
+        assert np.nanmax(np.abs(hooked.u - full.u)) <= hooked.sweep_tol
+        assert hooked.bisect_capped == full.bisect_capped == 0
+        if affine:
+            # the false-position point is the root: no Illinois step is
+            # needed
+            assert hooked.evals <= 8 * self._node_updates(P, hooked)
 
     @pytest.mark.parametrize("name, m, bc, ball, affine", [
         # lambda_1 of the cubic data stalls under the auto omega (on the
@@ -259,39 +282,54 @@ class TestNodeSolvePaths:
         ("cy:n=2", 21, radial, True, False),
     ])
     def test_same_fixed_point(self, name, m, bc, ball, affine):
-        F = parse_name(name)
-        g = Grid.regular([(-1.2, 1.2)] * 2 if ball else self.BOX, m)
-        dom = ball_domain(2) if ball else None
-        P = GridProblem(g, F, bc, domain=dom)
-        upd = _NodeUpdater(P, 1e-12)
-        assert upd.line is F.line and upd.c == -2.0 / g.h ** 2
-        hooked = perron_solve(P)
-        P_full = GridProblem(g, replace(F, line=None), bc, domain=dom)
-        assert _NodeUpdater(P_full, 1e-12).line is None
-        full = perron_solve(P_full)
-        assert hooked.converged and full.converged
-        assert np.nanmax(np.abs(hooked.u - full.u)) <= hooked.sweep_tol
-        assert hooked.bisect_capped == full.bisect_capped == 0
-        if affine:
-            # the false-position point is the root: no Illinois step is
-            # needed
-            assert hooked.evals <= 8 * self._node_updates(P, hooked)
+        self.check_same_fixed_point(name, m, bc, ball, affine)
+
+    @pytest.mark.parametrize("name, m, bc, ball", [
+        ("klap:k=3:n=2", 21, linear, False),
+        ("laplace:n=2", 25, cubic, True),
+    ])
+    def test_same_fixed_point_on_wide16(self, name, m, bc, ball):
+        self.check_same_fixed_point(name, m, bc, ball, True, "wide16")
+
+    @staticmethod
+    def branch_taken(F, stencil="9pt"):
+        """The members of F that one node update reads: "line", "spectral"
+        or "rho" (the full jet)."""
+        seen = set()
+
+        def spy(key, fn):
+            def wrapped(*a, **kw):
+                seen.add(key)
+                return fn(*a, **kw)
+            return None if fn is None else wrapped
+
+        G = replace(F, rho_batch=spy("rho", F.rho_batch),
+                    spectral=spy("spectral", F.spectral),
+                    line=spy("line", F.line))
+        P = GridProblem(Grid.regular(TestNodeSolvePaths.BOX, 9), G, saddle,
+                        params=SolverParams(stencil=stencil))
+        _NodeUpdater(P, 1e-9).solve(P.initial_field(), P.colors[0], np.inf)
+        return seen
 
     def test_fallback_paths(self):
-        g = Grid.regular(self.BOX, 9)
         lap = parse_name("laplace:n=2")
-        # an x-dependent image of laplace: the line takes no base points
+        # an x-dependent image of laplace: rho on the full jet, at the
+        # nodes' base points
         shift_x = AffineJetMap.translation(
             lambda x: (x[:, 0], np.zeros_like(x), np.zeros((len(x), 2, 2))),
             n=2)
-        for F, stencil in ((lap, "wide16"),
-                           (transform_subequation(lap, shift_x), "9pt")):
-            P = GridProblem(g, F, saddle, params=SolverParams(stencil=stencil))
-            assert _NodeUpdater(P, 1e-12).line is None, F.label
+        J0 = Jet.from_parts(0.0, [0.0, 0.0], np.eye(2))
+        cases = [(lap, "9pt", "spectral"), (lap, "wide16", "spectral"),
+                 (dual(lap), "5pt", "spectral"),
+                 (transform_subequation(lap, shift_x), "9pt", "rho"),
+                 (shift(lap, J0), "9pt", "rho")]
         for name in ("cy:n=2", "klap:k=inf:n=2", "klap:k=3:n=2"):
             F = parse_name(name)
-            P = GridProblem(g, F, saddle)
-            assert _NodeUpdater(P, 1e-12).line is F.line is not None, name
+            cases += [(F, "9pt", "line"), (F, "wide16", "line"),
+                      (dual(F), "9pt", "line")]
+        for F, stencil, branch in cases:
+            assert self.branch_taken(F, stencil) == {branch}, (F.label,
+                                                               stencil)
 
     def test_counters_add_up_over_levels(self):
         P = box_problem(saddle, m=33)
