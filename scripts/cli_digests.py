@@ -162,6 +162,11 @@ CONFIGS = [
                                     "--bc", "(x^2+y^2+z^2)^(-0.5)",
                                     "--domain", "annulus:n=3:r_in=0.4:r_out=1",
                                     "--box=-1,1", "--m", "33"]),
+    # masked Newton stops at its iteration cap: the sweeps resume from
+    # its last iterate
+    ("solve-pucci-ball-m65", ["solve", "--subeq", "pucci:lam=1:Lam=2:n=2",
+                              "--bc", "x^2+y^2", "--domain", "ball:n=2",
+                              "--box=-1.2,1.2", "--m", "65"]),
     # masked Newton on Riesz-kernel data, then the certifying sweep
     ("solve-pucci-annulus-m65", ["solve", "--subeq", "pucci:lam=1:Lam=2:n=2",
                                  "--bc", "(x^2+y^2)^0.25",

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SubeqError, ConfigError
 from .core import (DEFAULT_EPS_B, JetBox, sample_jet_batch, axiom_check,
                    monotonicity_check, validate_registration, dual)
-from .catalog import parse_name, dual_name, _Params
+from .catalog import parse_name, dual_name, _Params, _num
 from .garding import (named_polynomial, garding_eigenvalues,
                       hyperbolicity_check)
 from .riesz import riesz_characteristic
@@ -451,18 +451,19 @@ def _resolve_domain(text: str, n: int = None):
     def make(kv):
         dn = int(kv.get("n", n or 2))
         if head == "ball":
-            return ball_domain(dn, radius=float(kv.get("radius", 1.0)))
+            return ball_domain(dn, radius=kv.num("radius", "1.0"))
         if head == "annulus":
-            return annulus_domain(dn, r_in=float(kv.get("r_in", 0.5)),
-                                      r_out=float(kv.get("r_out", 1.0)))
+            return annulus_domain(dn, r_in=kv.num("r_in", "0.5"),
+                                      r_out=kv.num("r_out", "1.0"))
         if head == "ellipsoid":
-            axes = tuple(float(v) for v in kv.get("axes", "1.5,1").split(","))
+            axes = tuple(_num(v, f"{text!r}: parameter 'axes'")
+                         for v in kv.get("axes", "1.5,1").split(","))
             if len(axes) != dn:
                 raise ConfigError(
                     f"ellipsoid needs {dn} axes, got {len(axes)}")
             return ellipsoid_domain(axes)
         return star_domain(dn, lobes=int(kv.get("lobes", 5)),
-                               amplitude=float(kv.get("amp", 0.15)))
+                               amplitude=kv.num("amp", "0.15"))
     return _Params(text).build(make)
 
 

@@ -279,9 +279,9 @@ class GridProblem:
             raise ConfigError("boundary data not finite")
         self.phi = phi
 
-        # coloring: nodes in one class share no stencil edge for reach-1
-        # stencils; for wider reach the classes are still a valid fixed-point
-        # schedule, just closer to Jacobi within the class
+        # coloring by lattice parity: every stencil offset, wide16's knight
+        # moves included, is odd in some coordinate, so nodes in one class
+        # share no stencil edge for every stencil
         self.colors = []
         parity = multi % 2
         code = np.zeros(len(multi), dtype=int)

@@ -20,7 +20,10 @@ residual, at the per-level iteration cap, or before it starts when one GMRES
 solve on the level below needed more than half the cap (the mean-coefficient
 preconditioner loses about a factor two per refinement where d rho / dA
 varies across the grid, so the finer level would miss the cap after paying
-for most of its iterations).  ``_NewtonLevel.run`` returns the reason.
+for most of its iterations).  ``_NewtonLevel.run`` returns the reason
+with the last iterate, which the Perron sweeps of an abandoned level resume
+from; it returns no field when the attempt never started or its residual
+is not finite.
 
 With an obstacle g the residual is min(G, |c| (g - u)), the start is clamped
 to g, and the rows where the obstacle branch is active are -|c| I in the
@@ -283,8 +286,10 @@ class _NewtonLevel:
         boundary minimum on a masked interior.  ``kmax`` is the largest
         GMRES count of one linear solve on the level below.  Returns (u,
         iterations, the GMRES iterations of each linear solve, reason):
-        reason is None on success, else why the attempt stopped (u is None
-        when it never started)."""
+        reason is None on success, else why the attempt stopped.  u is the
+        last iterate, solved or abandoned, and None only when there is
+        nothing to resume from: the attempt never started ("krylov growth")
+        or its residual is not finite."""
         if _KRYLOV_GROWTH * kmax > _GMRES_ITERS:
             return None, 0, [], "krylov growth"
         P = self.P
@@ -300,7 +305,7 @@ class _NewtonLevel:
             log.debug("newton level %d iteration %d: max|G| %.3e (target "
                       "%.3e)", level, it, gmax, target)
             if not np.isfinite(gmax):
-                return u, it, krylov, "non-finite residual"
+                return None, it, krylov, "non-finite residual"
             if gmax <= target:
                 return u, it, krylov, None
             if it == _NEWTON_ITERS:

@@ -51,16 +51,26 @@ damped Newton solve of ``newton`` runs on each level until its first
 abandonment.  A level Newton solved is handed on as it is, with no sweeps.
 
 Certification.  The level where Newton is abandoned and every finer level
-run the Perron sweeps from their start, and the finest level runs them
-whatever Newton did: every answer is a Perron fixed point, and
-``converged`` still means final_update <= sweep_tol (one sweep, typically,
-after Newton).  Abandoned on the coarsest level, the pass is the Perron
-cascade; abandoned higher up, the levels below keep Newton's fields.
-``SolveReport.newton_abandoned`` records why and on which level, and the
-``subeq`` logger says so at INFO.  ``obstacle_solve`` makes the same pass
-with every level clamped to the obstacle g.  Grids with fewer than 33 nodes
-on some axis run the Perron sweeps alone; ``dual_bracket_solve`` is two
-``perron_solve`` calls.
+run the Perron sweeps, and the finest level runs them whatever Newton did:
+every answer is a Perron fixed point, and ``converged`` still means
+final_update <= sweep_tol (one sweep, typically, after Newton).  A level's
+sweeps start from the field Newton hands back, solved or abandoned (a
+solved one with a warm bracket); only an attempt that never started or
+whose residual is not finite hands back none, and the sweeps start from
+the level's own start.  Finer levels start from the prolongation, with no
+Newton.  ``SolveReport.newton_abandoned`` records why and on which level,
+and the ``subeq`` logger says so at INFO.  ``obstacle_solve`` makes the
+same pass with every level clamped to the obstacle g.  Grids with fewer
+than 33 nodes on some axis run the Perron sweeps alone;
+``dual_bracket_solve`` is two ``perron_solve`` calls.
+
+Degenerate fibers.  A node whose fiber never leaves F (the operator ignores
+r there, as klap:k=inf does at p = 0) has no root.  If the margin at the
+fiber's upper end is within 4 eps_b of zero the fiber lies on the boundary
+of F, and the node takes the neighbor midrange, which commutes with
+duality: the Perron fixed point then does not depend on where the sweeps
+start, and the dual bracket closes.  A fiber deep inside F takes the
+neighbor max (or its current value, if larger).
 """
 
 from __future__ import annotations
@@ -162,7 +172,9 @@ class _NodeUpdater:
 
     def solve(self, u: np.ndarray, sel: np.ndarray, warm: float):
         """Returns (r_new, degenerate_mask, r_cur) for interior nodes
-        ``sel``, r_cur their values in u."""
+        ``sel``, r_cur their values in u.  A degenerate node's r_new is the
+        neighbor midrange where its fiber lies on the boundary of F, else
+        max(neighbor max, r_cur)."""
         P = self.P
         nb_vals = u[P.nb[:, sel]]
         r_cur = u[P.interior_idx[sel]]
@@ -197,7 +209,7 @@ class _NodeUpdater:
                                f"{node} (empty fiber)")
 
         # upper end must be outside; a fiber that never exits is degenerate
-        # (the operator ignores r there) and falls back to the neighbor max
+        # (the operator ignores r there) and takes a fallback value below
         degen, g_hi = _widen(hi, hi_full, width_full, g, lambda v: v >= 0)
         active = ~degen
 
@@ -226,8 +238,16 @@ class _NodeUpdater:
                               min(iters + ILLINOIS_SLACK, 64),
                               (g_lo, g_hi), self.bt)
             self.capped += int(np.sum(hi - lo > self.bt))
-        r_new = np.where(degen, np.maximum(max_nb, r_cur), lo)
-        return r_new, degen, r_cur
+        if not degen.any():
+            return lo, degen, r_cur
+        # a fiber whose upper end is still within 4 eps_b of the boundary
+        # lies on the boundary of F (klap:k=inf at p = 0): the neighbor
+        # midrange, which negating the data and dualizing F negates too;
+        # a fiber deep inside F keeps the neighbor max
+        flat = g_hi <= 4.0 * DEFAULT_EPS_B
+        fallback = np.where(flat, 0.5 * (max_nb + min_nb),
+                            np.maximum(max_nb, r_cur))
+        return np.where(degen, fallback, lo), degen, r_cur
 
 
 def _prolong(u_coarse: np.ndarray) -> np.ndarray:
@@ -348,9 +368,11 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
     obstacle g every start is clamped to g, so the contact set is carried
     upward.  On grids of at least 33 nodes per axis Newton runs on
     each level until its first abandonment, and a level it solved is handed
-    on unchanged.  The level where it is abandoned and every finer one run
-    the Perron sweeps from their start, and so does the finest level in any
-    case: the sweeps certify the answer.  Their levels share one budget of
+    on unchanged.  The level where it is abandoned runs the Perron sweeps
+    from Newton's last iterate (from its own start when Newton hands back
+    none), every finer one from its prolongation, and the finest level runs
+    them in any case: the sweeps certify the answer.  Only a level Newton
+    solved gets the warm bracket.  Their levels share one budget of
     ``max_sweeps``; a level left none runs none and is unconverged."""
     t0 = time.perf_counter()
     _precheck(P.F)
@@ -364,22 +386,22 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
             u = _prolong(u.reshape(levels[level - 1].grid.shape)).ravel()
         cap = (None if g is None
                else np.asarray(g(Q.pts[Q.interior_idx]), dtype=float))
-        solved = None
+        solved = False
         if newton and abandoned is None:
-            solved, it, ks, reason = _NewtonLevel(Q, cap).run(u, level, kmax)
+            u_n, it, ks, reason = _NewtonLevel(Q, cap).run(u, level, kmax)
             iters.append(it)
             krylov += sum(ks)
             kmax = max(ks, default=0)
-            if reason is not None:
+            if u_n is not None:
+                u = u_n
+            solved = reason is None
+            if not solved:
                 log.info("%s: Newton start abandoned at level %d of %d (%s); "
                          "running the Perron sweeps", Q.F.label, level,
                          len(levels), reason)
-                abandoned, solved = (reason, level), None
-        if solved is not None:
-            u = solved
-        if solved is None or level == len(levels) - 1:
-            rep = _solve_loop(Q, cap=cap, u0=u,
-                              newton_start=solved is not None,
+                abandoned = (reason, level)
+        if not solved or level == len(levels) - 1:
+            rep = _solve_loop(Q, cap=cap, u0=u, newton_start=solved,
                               budget=P.params.max_sweeps - sum(level_sweeps))
             perron.append(rep)
             level_sweeps.append(rep.sweeps)

@@ -347,6 +347,19 @@ class TestConfigErrors:
         assert rep["status"] == "config_error"
         assert domain.rsplit(":", 1)[1].split("=")[0] in rep["error"]
 
+    @pytest.mark.parametrize("domain, key", [
+        ("ball:n=2:radius=nan", "radius"),
+        ("annulus:n=2:r_in=nan", "r_in"),
+    ])
+    def test_nan_named_domain_number(self, tmp_path, domain, key):
+        code, out = run(tmp_path, "convexity", "--subeq", "klap:k=1:n=2",
+                        "--domain", domain,
+                        "--out-csv", str(tmp_path / "c.csv"))
+        assert code == 3
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "config_error"
+        assert f"parameter {key!r} is NaN" in rep["error"]
+
     def test_ball_radius(self, tmp_path):
         code, out = run(tmp_path, "convexity", "--subeq", "klap:k=inf:n=2",
                         "--domain", "ball:n=2:radius=0.5",

@@ -233,6 +233,22 @@ class TestGridProblem:
         assert np.array_equal(cat, np.arange(len(P.interior_idx)))
         assert 2 <= len(P.colors) <= 4
 
+    @pytest.mark.parametrize("n, stencil", [
+        (1, "5pt"), (2, "5pt"), (3, "5pt"), (1, "9pt"), (2, "9pt"),
+        (3, "9pt"), (2, "wide16"),
+    ])
+    def test_no_color_holds_a_neighbor_of_its_own_nodes(self, n, stencil):
+        # every stencil offset is odd in some coordinate, so the 2^n parity
+        # classes are a proper coloring: a class's nodes read no value that
+        # the same class writes
+        P = GridProblem(Grid.regular([(0.0, 1.0)] * n, 9),
+                        parse_name(f"laplace:n={n}"),
+                        lambda x: np.zeros(len(x)),
+                        params=SolverParams(stencil=stencil))
+        assert len(P.colors) == 2 ** n
+        for sel in P.colors:
+            assert not np.isin(P.nb[:, sel], P.interior_idx[sel]).any()
+
     def test_initial_field(self):
         P = self.box_problem(5)
         u = P.initial_field()

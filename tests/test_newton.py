@@ -17,7 +17,7 @@ from subeq import parse_name
 from subeq.boundary import ball_domain
 from subeq.expressions import expression_domain, parse_expression
 from subeq.grid import Grid, GridProblem, JetAssembler, SolverParams
-from subeq.newton import _FastDiag, _NewtonLevel, _gmres
+from subeq.newton import _NEWTON_ITERS, _FastDiag, _NewtonLevel, _gmres
 from subeq.solver import (_cascade_ladder, _prolong, _solve_loop,
                           dual_bracket_solve, obstacle_solve, perron_solve)
 
@@ -63,7 +63,9 @@ class TestNewtonStart:
         assert np.nanmax(np.abs(newton.u - ref.u)) <= newton.sweep_tol
 
     def test_abandoned_attempt_is_the_cascade(self, caplog):
-        # Aronsson's infinity-harmonic data: the set degenerates where p = 0
+        # Aronsson's infinity-harmonic data: the set degenerates where p = 0.
+        # The sweeps resume from Newton's abandoned iterate and reach the
+        # cascade's fixed point in fewer sweeps.
         bc = parse_expression("abs(x)^(4/3)-abs(y)^(4/3)")
         with caplog.at_level(logging.INFO, logger="subeq"):
             auto = perron_solve(problem("klap:k=inf:n=2", 33, bc=bc))
@@ -72,10 +74,10 @@ class TestNewtonStart:
         reason, level = auto.newton_abandoned
         assert level == len(auto.newton_iters) - 1
         assert any("abandoned" in r.getMessage() for r in caplog.records)
-        assert np.array_equal(auto.u, ref.u, equal_nan=True)
-        assert auto.sweeps == ref.sweeps
-        assert auto.level_sweeps == ref.level_sweeps
-        assert auto.to_json_dict() == ref.to_json_dict()
+        assert len(auto.level_sweeps) == len(ref.level_sweeps)
+        assert auto.converged and ref.converged
+        assert np.nanmax(np.abs(auto.u - ref.u)) <= auto.sweep_tol
+        assert auto.sweeps < ref.sweeps
 
     def test_krylov_growth_abandons_before_the_finer_level(self):
         # one GMRES solve on level 1 needs more than half the cap, so level 2
@@ -233,12 +235,23 @@ class TestMaskedNewton:
         ("slag:c=0:n=2", saddle, "gmres"),
     ])
     def test_abandoned_attempt_is_perron(self, name, bc, reason):
+        # the sweeps resume from Newton's last iterate and reach the Perron
+        # fixed point; slag's attempt is abandoned before its first step and
+        # hands back the sweeps' own start, so that solve is the plain
+        # sweeps bit for bit
         rep = perron_solve(disk_problem(name, bc))
         ref = _solve_loop(disk_problem(name, bc))
         assert rep.newton_abandoned == (reason, 0)
-        assert np.array_equal(rep.u, ref.u, equal_nan=True)
-        assert (rep.sweeps, rep.evals) == (ref.sweeps, ref.evals)
-        assert rep.to_json_dict() == ref.to_json_dict()
+        iters = _NEWTON_ITERS if reason == "iteration cap" else 0
+        assert rep.newton_iters == [iters]
+        assert rep.converged and ref.converged
+        assert np.nanmax(np.abs(rep.u - ref.u)) <= rep.sweep_tol
+        if iters == 0:
+            assert np.array_equal(rep.u, ref.u, equal_nan=True)
+            assert (rep.sweeps, rep.evals) == (ref.sweeps, ref.evals)
+            assert rep.to_json_dict() == ref.to_json_dict()
+        else:
+            assert rep.sweeps < ref.sweeps
 
     def test_lambda1_ball_converges(self):
         # the Perron sweeps alone raise BracketError here: the over-relaxed

@@ -231,6 +231,47 @@ def aronsson(x):
     return np.abs(x[:, 0]) ** (4 / 3) - np.abs(x[:, 1]) ** (4 / 3)
 
 
+class TestDegenerateFiberRule:
+    """klap:k=inf degenerates where p = 0: the fiber lies on the boundary
+    of F and the node takes the neighbor midrange, which commutes with
+    duality, so the fixed point does not depend on the sweeps' start."""
+
+    BOX = ((-1, 1), (-1, 1))
+
+    def problem(self, bc, m, **params):
+        return box_problem(bc, m=m, name="klap:k=inf:n=2", bounds=self.BOX,
+                           **params)
+
+    def test_aronsson_accuracy(self):
+        # Aronsson's exact infinity-harmonic solution as data; 10 h is the
+        # bound of the lambda_1 bench solves
+        P = self.problem(aronsson, 33)
+        rep = perron_solve(P)
+        assert rep.converged and rep.degenerate_nodes >= 1
+        exact = aronsson(P.pts).reshape(rep.u.shape)
+        assert np.nanmax(np.abs(rep.u - exact)) <= 10.0 * P.grid.h
+
+    @pytest.mark.parametrize("bc, m, params", [
+        (aronsson, 33, {}),
+        (square, 33, {"max_sweeps": 3000}),
+        (cubic, 17, {"omega": 1.0}),
+    ])
+    def test_field_stays_within_data_range(self, bc, m, params):
+        P = self.problem(bc, m, **params)
+        rep = perron_solve(P)
+        assert rep.converged
+        tol = rep.sweep_tol
+        assert P.phi.min() - tol <= np.nanmin(rep.u)
+        assert np.nanmax(rep.u) <= P.phi.max() + tol
+
+    def test_aronsson_dual_bracket_closes(self):
+        # measured max_gap 9.0e-10; the max-neighbor fallback left 2.03
+        res = dual_bracket_solve(self.problem(aronsson, 33))
+        assert res.report.converged and res.report_dual.converged
+        assert res.min_gap >= -10.0 * res.report.sweep_tol
+        assert res.max_gap <= 1e-8
+
+
 class TestNodeSolvePaths:
     """The node update's line (``Subequation.on_line``) through the set's
     own ``line`` or its spectral form reaches the fixed point of rho on the
