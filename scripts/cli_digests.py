@@ -147,6 +147,11 @@ CONFIGS = [
     ("solve-lambda1-tol", ["solve", "--subeq", "branch:real:k=1:n=2",
                            "--bc", "x^2", "--box=-1,1", "--m", "17",
                            "--sweep-tol", "1e-8"]),
+    # Newton is abandoned on level 0, whose sweeps spend the whole budget:
+    # the finest level runs none, and final_update is null
+    ("solve-cy-box-m33-cap5", ["solve", "--subeq", "cy:n=2", "--bc", "0",
+                               "--box=-1,1", "--m", "33",
+                               "--max-sweeps", "5"]),
     # a masked domain with 33 or more nodes per axis: one Newton level
     ("solve-cy-ball-m65", ["solve", "--subeq", "cy:n=2", "--bc", "x^2+y^2",
                            "--domain", "ball:n=2", "--m", "65"]),

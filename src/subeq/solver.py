@@ -52,8 +52,9 @@ abandonment.  A level Newton solved is handed on as it is, with no sweeps.
 
 Certification.  The level where Newton is abandoned and every finer level
 run the Perron sweeps, and the finest level runs them whatever Newton did:
-every answer is a Perron fixed point, and ``converged`` still means
-final_update <= sweep_tol (one sweep, typically, after Newton).  A level's
+every answer is a Perron fixed point.  One report comes from the finest
+level: its final_update <= sweep_tol is ``converged`` (one sweep, typically,
+after Newton), and the coarser levels add only their counters.  A level's
 sweeps start from the field Newton hands back, solved or abandoned (a
 solved one with a warm bracket); only an attempt that never started or
 whose residual is not finite hands back none, and the sweeps start from
@@ -261,34 +262,26 @@ def _prolong(u_coarse: np.ndarray) -> np.ndarray:
     return u_coarse
 
 
-def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
-                u0: Optional[np.ndarray] = None,
-                newton_start: bool = False,
-                budget: Optional[int] = None) -> SolveReport:
-    """At most ``budget`` (default ``max_sweeps``) Perron sweeps from the
-    boundary minimum or u0; a Newton-solved u0 gets a warm 1024 bt bracket."""
-    t0 = time.perf_counter()
-    st = P.params.resolved(P.data_range())
-    omega = P.params.resolved_omega(min(P.grid.shape) - 1)
+def _sweep_level(Q: GridProblem, u: np.ndarray, cap: Optional[np.ndarray],
+                 st: float, solved: bool, budget: int):
+    """At most ``budget`` over-relaxed Perron sweeps on level Q, in place on
+    the field u, until the largest update is well below ``st``; a level
+    Newton solved gets a warm 1024 bt bracket.  Returns the sweeps, the
+    last sweep's largest update and degenerate nodes, and the margin
+    evaluations and node solves the 64-step cap left open."""
+    omega = Q.params.resolved_omega(min(Q.grid.shape) - 1)
     # the delivered field error is the per-sweep update amplified by the
     # iteration's contraction gap (~2-omega), so iterate past the reported
     # tolerance; the report still quotes the documented sweep_tol
     st_run = st * (2.0 - omega) / 8.0 if omega > 1.0 else 0.5 * st
     bt = st_run / 16.0
-    upd = _NodeUpdater(P, bt)
-    ii = P.interior_idx
-    u = P.start_field(u0, cap)
-
-    sweeps = 0
-    final_update = np.inf
-    warm = 1024.0 * bt if newton_start else np.inf
-    degen_total = 0
-    converged = False
-    budget = P.params.max_sweeps if budget is None else budget
-    for sweep in range(1, budget + 1):
-        max_upd = 0.0
-        degen_total = 0
-        for sel in P.colors:
+    upd = _NodeUpdater(Q, bt)
+    ii = Q.interior_idx
+    warm = 1024.0 * bt if solved else np.inf
+    sweeps, max_upd, degen_total = 0, np.inf, 0
+    while sweeps < budget and not max_upd <= st_run:
+        max_upd, degen_total = 0.0, 0
+        for sel in Q.colors:
             r_star, degen, r_old = upd.solve(u, sel, warm)
             # over-relax toward the envelope value (same fixed point);
             # degenerate fibers take their fallback value verbatim
@@ -298,31 +291,10 @@ def _solve_loop(P: GridProblem, cap: Optional[np.ndarray] = None,
             max_upd = max(max_upd, float(np.abs(r_new - r_old).max()))
             degen_total += int(degen.sum())
             u[ii[sel]] = r_new
-        sweeps = sweep
-        final_update = max_upd
+        sweeps += 1
         # shrink the warm bracket with the observed update scale
         warm = max(8.0 * max_upd, 1024.0 * bt)
-        if max_upd <= st_run:
-            converged = True
-            break
-    converged = converged or final_update <= st
-
-    vals = P.rho_at(u)
-    if cap is not None:
-        off = u[ii] < cap - 2.0 * P.grid.h
-        residual = float(np.abs(vals[off]).max()) if off.any() else 0.0
-        contact = int(np.sum(~off))
-    else:
-        residual = float(np.abs(vals).max())
-        contact = 0
-    report = SolveReport(
-        u=u.reshape(P.grid.shape), sweeps=sweeps, final_update=final_update,
-        residual=residual, converged=converged,
-        min_margin=float(vals.min()), degenerate_nodes=degen_total,
-        contact_nodes=contact, wall_time=time.perf_counter() - t0,
-        label=P.F.label, h=P.grid.h, sweep_tol=st,
-        evals=upd.evals, level_sweeps=[sweeps], bisect_capped=upd.capped)
-    return report
+    return sweeps, max_upd, degen_total, upd.evals, upd.capped
 
 
 def _precheck(F: Subequation):
@@ -373,13 +345,14 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
     none), every finer one from its prolongation, and the finest level runs
     them in any case: the sweeps certify the answer.  Only a level Newton
     solved gets the warm bracket.  Their levels share one budget of
-    ``max_sweeps``; a level left none runs none and is unconverged."""
+    ``max_sweeps``; a level left none runs none.  The one report is that
+    of the finest level, with the counters summed over the levels."""
     t0 = time.perf_counter()
     _precheck(P.F)
     levels = (_cascade_ladder(P) if P.domain is None else []) + [P]
     newton = min(P.grid.shape) >= _NEWTON_MIN_NODES
     iters, krylov, kmax, abandoned = [], 0, 0, None
-    u, perron, level_sweeps = None, [], []
+    u, level_sweeps, evals, capped = None, [], 0, 0
     for level, Q in enumerate(levels):
         # u: the level's start (None: the boundary minimum), then its field
         if level:
@@ -400,25 +373,31 @@ def _solve(P: GridProblem, g: Optional[Callable] = None,
                          "running the Perron sweeps", Q.F.label, level,
                          len(levels), reason)
                 abandoned = (reason, level)
-        if not solved or level == len(levels) - 1:
-            rep = _solve_loop(Q, cap=cap, u0=u, newton_start=solved,
-                              budget=P.params.max_sweeps - sum(level_sweeps))
-            perron.append(rep)
-            level_sweeps.append(rep.sweeps)
-            u = rep.u
-        else:
+        if solved and level < len(levels) - 1:
             level_sweeps.append(0)
-    rep = perron[-1]
-    for rep_c in perron[:-1]:
-        rep.sweeps += rep_c.sweeps
-        rep.evals += rep_c.evals
-        rep.bisect_capped += rep_c.bisect_capped
-    rep.level_sweeps = level_sweeps
-    rep.newton_iters, rep.krylov_iters = iters, krylov
-    rep.newton_abandoned = abandoned
-    rep.label = label or P.F.label
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+            continue
+        u = Q.start_field(u, cap)
+        st = Q.params.resolved(Q.data_range())
+        n, final_update, degen, e, c = _sweep_level(
+            Q, u, cap, st, solved, P.params.max_sweeps - sum(level_sweeps))
+        level_sweeps.append(n)
+        evals += e
+        capped += c
+
+    # the residual skips the contact set, within 2 h of the obstacle
+    vals = P.rho_at(u)
+    off = (np.ones(len(vals), dtype=bool) if cap is None
+           else u[P.interior_idx] < cap - 2.0 * P.grid.h)
+    return SolveReport(
+        u=u.reshape(P.grid.shape), sweeps=sum(level_sweeps),
+        final_update=final_update,
+        residual=float(np.abs(vals[off]).max()) if off.any() else 0.0,
+        converged=final_update <= st, min_margin=float(vals.min()),
+        degenerate_nodes=degen, contact_nodes=int(np.sum(~off)),
+        wall_time=time.perf_counter() - t0, label=label or P.F.label,
+        h=P.grid.h, sweep_tol=st, evals=evals, level_sweeps=level_sweeps,
+        bisect_capped=capped, newton_iters=iters, krylov_iters=krylov,
+        newton_abandoned=abandoned)
 
 
 def perron_solve(P: GridProblem) -> SolveReport:

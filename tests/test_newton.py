@@ -18,8 +18,10 @@ from subeq.boundary import ball_domain
 from subeq.expressions import expression_domain, parse_expression
 from subeq.grid import Grid, GridProblem, JetAssembler, SolverParams
 from subeq.newton import _NEWTON_ITERS, _FastDiag, _NewtonLevel, _gmres
-from subeq.solver import (_cascade_ladder, _prolong, _solve_loop,
-                          dual_bracket_solve, obstacle_solve, perron_solve)
+from subeq.solver import (_cascade_ladder, _prolong, dual_bracket_solve,
+                          obstacle_solve, perron_solve)
+
+from conftest import perron_only
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BOX = ((-1, 1), (-1, 1))
@@ -35,20 +37,6 @@ def problem(name, m, bc=cubic, bounds=BOX, domain=None, **params):
                        domain=domain, params=SolverParams(**params))
 
 
-def cascade(P):
-    """The Perron cascade alone, the reference for the ladder pass: Perron
-    sweeps on every level of the ladder and then on P, coarsest first, each
-    level starting from the prolonged field below it."""
-    reps, u0 = [], None
-    for Q in _cascade_ladder(P) + [P]:
-        reps.append(_solve_loop(Q, u0=u0))
-        u0 = _prolong(reps[-1].u)
-    rep = reps[-1]
-    rep.level_sweeps = [r.sweeps for r in reps]
-    rep.sweeps = sum(rep.level_sweeps)
-    return rep
-
-
 class TestNewtonStart:
     @pytest.mark.parametrize("m", [33, 65])
     @pytest.mark.parametrize("name", ["laplace:n=2", "slag:c=0:n=2",
@@ -56,7 +44,7 @@ class TestNewtonStart:
                                       "pucci:lam=1:Lam=2:n=2"])
     def test_certified_field_matches_cascade(self, name, m):
         newton = perron_solve(problem(name, m))
-        ref = cascade(problem(name, m))
+        ref = perron_only(perron_solve, problem(name, m))
         assert newton.newton_abandoned is None
         assert newton.converged and ref.converged
         assert newton.sweeps <= 2
@@ -69,7 +57,7 @@ class TestNewtonStart:
         bc = parse_expression("abs(x)^(4/3)-abs(y)^(4/3)")
         with caplog.at_level(logging.INFO, logger="subeq"):
             auto = perron_solve(problem("klap:k=inf:n=2", 33, bc=bc))
-        ref = cascade(problem("klap:k=inf:n=2", 33, bc=bc))
+        ref = perron_only(perron_solve, problem("klap:k=inf:n=2", 33, bc=bc))
         assert auto.newton_abandoned is not None
         reason, level = auto.newton_abandoned
         assert level == len(auto.newton_iters) - 1
@@ -83,20 +71,21 @@ class TestNewtonStart:
         # one GMRES solve on level 1 needs more than half the cap, so level 2
         # is not attempted: the Perron sweeps start there from the prolonged
         # Newton field of level 1.  The cascade stalls on this data, hence
-        # the short run.
+        # the short run: the Perron sweeps alone spend the whole budget on
+        # the coarsest level, the resumed solve spends it on the finest.
         P = problem("branch:real:k=1:n=2", 65, max_sweeps=30)
         auto = perron_solve(P)
         assert auto.newton_abandoned == ("krylov growth", 2)
         assert auto.newton_iters[2] == 0 and min(auto.newton_iters[:2]) > 0
-        assert auto.level_sweeps[:2] == [0, 0]
-        assert auto.sweeps == auto.level_sweeps[2] == 30
+        assert auto.level_sweeps == [0, 0, 30] and auto.sweeps == 30
+        assert perron_only(perron_solve, P).level_sweeps == [30, 0, 0]
         coarse, mid = _cascade_ladder(P)
         u = _NewtonLevel(coarse).run(None, 0)[0]
         u = _NewtonLevel(mid).run(_prolong(u.reshape(coarse.grid.shape))
                                   .ravel(), 1)[0]
-        ref = _solve_loop(P, u0=_prolong(u.reshape(mid.grid.shape)))
+        ref = perron_only(perron_solve, P, flat=True,
+                          start=_prolong(u.reshape(mid.grid.shape)).ravel())
         assert np.array_equal(auto.u, ref.u, equal_nan=True)
-        assert auto.sweeps < cascade(P).sweeps
 
     def test_max_sweeps_caps_the_whole_solve(self):
         # Newton is abandoned on level 0, so both levels run the sweeps; the
@@ -105,10 +94,12 @@ class TestNewtonStart:
         rep = perron_solve(problem("cy:n=2", 33, bc=zero, max_sweeps=5))
         assert rep.newton_abandoned == ("no elliptic mean coefficient", 0)
         assert rep.level_sweeps == [5, 0] and rep.sweeps == 5
-        assert not rep.converged
+        assert not rep.converged and rep.final_update == np.inf
+        assert rep.converged == (rep.final_update <= rep.sweep_tol)
         rep = perron_solve(problem("cy:n=2", 33, bc=zero, max_sweeps=100))
         assert 0 < rep.level_sweeps[0] < 100 and not rep.converged
         assert rep.sweeps == sum(rep.level_sweeps) == 100
+        assert rep.converged == (rep.final_update <= rep.sweep_tol)
 
     def test_lambda1_cascade_stall_converges(self):
         # the over-relaxed Perron cascade stalls at final_update 1.9e-3 on
@@ -117,8 +108,10 @@ class TestNewtonStart:
         rep = perron_solve(problem("branch:real:k=1:n=2", 33))
         assert rep.newton_abandoned is None
         assert rep.converged and rep.sweeps <= 2
-        ref = _solve_loop(problem("branch:real:k=1:n=2", 33, omega=1.0,
-                                  sweep_tol=1e-12, max_sweeps=5000))
+        ref = perron_only(perron_solve,
+                          problem("branch:real:k=1:n=2", 33, omega=1.0,
+                                  sweep_tol=1e-12, max_sweeps=5000),
+                          flat=True)
         assert ref.converged
         assert np.nanmax(np.abs(rep.u - ref.u)) <= rep.sweep_tol
 
@@ -222,7 +215,8 @@ class TestMaskedNewton:
     def test_certified_field_matches_perron(self, name, bc, domain, stencil):
         rep = perron_solve(problem(name, 65, bc=bc, bounds=DISK,
                                    domain=domain, stencil=stencil))
-        ref = _solve_loop(problem(name, 65, bc=bc, bounds=DISK,
+        ref = perron_only(perron_solve,
+                          problem(name, 65, bc=bc, bounds=DISK,
                                   domain=domain, stencil=stencil))
         assert rep.newton_abandoned is None and len(rep.newton_iters) == 1
         assert rep.krylov_iters >= rep.newton_iters[0] > 0
@@ -240,7 +234,7 @@ class TestMaskedNewton:
         # hands back the sweeps' own start, so that solve is the plain
         # sweeps bit for bit
         rep = perron_solve(disk_problem(name, bc))
-        ref = _solve_loop(disk_problem(name, bc))
+        ref = perron_only(perron_solve, disk_problem(name, bc))
         assert rep.newton_abandoned == (reason, 0)
         iters = _NEWTON_ITERS if reason == "iteration cap" else 0
         assert rep.newton_iters == [iters]
@@ -302,7 +296,7 @@ class TestObstacleNewton:
         P = problem(name, m, bc=parse_expression(bc), bounds=bounds)
         with caplog.at_level(logging.DEBUG, logger="subeq"):
             rep = obstacle_solve(P, g)
-        ref = _solve_loop(P, cap=g(P.pts[P.interior_idx]))
+        ref = perron_only(obstacle_solve, P, g, flat=True)
         assert rep.newton_abandoned is None
         assert len(rep.newton_iters) == len(_cascade_ladder(P)) + 1
         assert any("active obstacle rows" in r.getMessage()

@@ -10,12 +10,15 @@ from subeq import parse_name
 from subeq.boundary import ball_domain
 from subeq.core import Jet, Subequation, dual, shift
 from subeq.errors import BracketError, ConfigError
+from subeq.expressions import parse_expression
 from subeq.grid import Grid, GridProblem, SolverParams
 from subeq.jetmaps import AffineJetMap, transform_subequation
 from subeq.solver import (SolveReport, _NodeUpdater, _prolong,
-                          _cascade_ladder, _solve_loop, perron_solve,
+                          _cascade_ladder, perron_solve,
                           obstacle_solve, dual_bracket_solve, comparison_check,
                           membership_scan, _precheck)
+
+from conftest import perron_only
 
 
 def box_problem(bc, m=17, name="laplace:n=2", bounds=((0, 1), (0, 1)),
@@ -86,7 +89,7 @@ class TestPerron:
 
     def test_cascade_agrees_with_flat(self):
         a = perron_solve(box_problem(saddle, m=33))            # ladder [17]
-        b = _solve_loop(box_problem(saddle, m=33))
+        b = perron_only(perron_solve, box_problem(saddle, m=33), flat=True)
         assert np.nanmax(np.abs(a.u - b.u)) < 1e-7
 
     def test_sweep_cap_reports_unconverged(self):
@@ -378,8 +381,26 @@ class TestNodeSolvePaths:
         assert len(rep.level_sweeps) == 2 and sum(rep.level_sweeps) == rep.sweeps
         n = self._node_updates(P, rep)
         assert 4 * n <= rep.evals <= 8 * n
+        assert rep.converged == (rep.final_update <= rep.sweep_tol)
         d = rep.to_json_dict()
         assert not {"evals", "level_sweeps", "bisect_capped"} & set(d)
+
+    def test_one_residual_evaluation_per_solve(self, monkeypatch):
+        # Aronsson's data with Newton declined: both levels sweep, and only
+        # the finished field of the finest level is evaluated
+        bc = parse_expression("abs(x)^(4/3)-abs(y)^(4/3)")
+        P = box_problem(bc, m=33, name="klap:k=inf:n=2",
+                        bounds=((-1, 1), (-1, 1)))
+        rho_at, calls = GridProblem.rho_at, []
+
+        def counted(obj, u):
+            calls.append(obj)
+            return rho_at(obj, u)
+
+        monkeypatch.setattr(GridProblem, "rho_at", counted)
+        rep = perron_only(perron_solve, P)
+        assert len(rep.level_sweeps) == 2 and min(rep.level_sweeps) > 0
+        assert calls == [P]
 
 
 class TestIllinoisFinisher:
